@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -356,7 +357,11 @@ def cmd_validate(args):
             r = check(tol=args.tol, threads=threads)
             entry = {"criterion": r.criterion, "name": r.name, "passed": r.passed,
                      "detail": r.detail, "seconds": r.seconds}
-        except ThresholdDiffusionError as exc:
+        except Exception as exc:
+            # one broken check must not end the report; an error that is not
+            # the library's own also leaves its traceback on stderr
+            if not isinstance(exc, ThresholdDiffusionError):
+                traceback.print_exc(file=sys.stderr)
             entry = {"criterion": len(entries) + 1, "name": check.__name__,
                      "passed": False, "detail": f"{type(exc).__name__}: {exc}",
                      "seconds": 0.0}

@@ -85,10 +85,17 @@ class DeltaSet:
     c_plus: float
 
 
-def _delta_pair(mu, sigma, q):
-    w = math.sqrt(2.0 * q * sigma * sigma + mu * mu)
+def _delta_pair(mu, sigma, q, sqrt=math.sqrt):
+    """(d_plus, d_minus) for one regime; pass cmath.sqrt for complex q.
+
+    The root that adds |mu| to w is formed directly and the other one from
+    d_plus * d_minus = 2q / s^2: forming w - |mu| by subtraction loses every
+    digit once 2 q s^2 falls below mu^2 times the rounding unit.
+    """
     s2 = sigma * sigma
-    return (w + mu) / s2, (w - mu) / s2
+    large = (sqrt(2.0 * q * s2 + mu * mu) + abs(mu)) / s2
+    small = 2.0 * q / (s2 * large) if large else 0.0  # large = 0 only at q = mu = 0
+    return (large, small) if mu >= 0 else (small, large)
 
 
 def deltas(params, q):

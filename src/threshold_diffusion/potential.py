@@ -7,11 +7,12 @@ nonpositive inside each branch's validity region, so no overflow occurs
 for states arbitrarily far from the threshold.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
 from .errors import DomainError, NoStationaryLawError
-from .params import deltas
+from .params import _delta_pair, deltas
 
 
 @dataclass(frozen=True)
@@ -72,6 +73,26 @@ def potential_density(query):
     else:
         val = _lower_start(p, d, query.q, query.x, query.z)
     return max(val, 0.0)
+
+
+def _tail_transform(params, q, x):
+    """Laplace transform in t of P_x(X_t >= a): the integral of
+    potential_density / q over z >= a, for complex q off the negative axis.
+
+    Both branches are sums of exponentials in z; integrating them and using
+    d_plus d_minus = 2q / s^2, d_plus + d_minus = 2w / s^2 leaves
+
+        x >= a:  (1 - d1_minus / (d1_minus + d2_plus) exp(-d2_plus (x - a))) / q
+        x <  a:  d2_plus / (d1_minus + d2_plus) exp(d1_minus (x - a)) / q
+
+    which agree at x = a. Overflow on the contour raises OverflowError.
+    """
+    _, d1m = _delta_pair(params.mu1, params.sigma1, q, cmath.sqrt)
+    d2p, _ = _delta_pair(params.mu2, params.sigma2, q, cmath.sqrt)
+    h = x - params.a
+    if h >= 0:
+        return (1.0 - d1m / (d1m + d2p) * cmath.exp(-d2p * h)) / q
+    return d2p / (d1m + d2p) * cmath.exp(d1m * h) / q
 
 
 def potential_q_to_zero_limit(params, z):

@@ -134,8 +134,9 @@ class SimConfig:
         if self.dt > self.horizon:
             raise InvalidParameterError(
                 f"dt must not exceed horizon, got dt={self.dt!r} > T={self.horizon!r}")
-        if self.n_paths < 1:
-            raise InvalidParameterError(f"n_paths must be >= 1, got {self.n_paths!r}")
+        if (isinstance(self.n_paths, bool) or not isinstance(self.n_paths, (int, np.integer))
+                or self.n_paths < 1):
+            raise InvalidParameterError(f"n_paths must be an integer >= 1, got {self.n_paths!r}")
         if not isinstance(self.seed, (int, np.integer)) or not (0 <= int(self.seed) < 2 ** 64):
             raise InvalidParameterError(
                 f"seed must be an unsigned 64-bit integer, got {self.seed!r}")

@@ -7,7 +7,7 @@ import pytest
 
 from threshold_diffusion import AccuracyError
 from threshold_diffusion import cli
-from threshold_diffusion.validate import criterion_3
+from threshold_diffusion.validate import criterion_3, criterion_11
 
 BM_FLAGS = ["--mu1", "0", "--mu2", "0", "--sigma1", "1", "--sigma2", "1", "--a", "0"]
 
@@ -244,6 +244,30 @@ def test_validate_subset_fails_under_absurd_tolerance(capsys, monkeypatch):
     rc, out, _ = run(capsys, ["validate", "--tol", "1e-15"])
     assert rc == 1
     assert json.loads(out)[0]["passed"] is False
+
+
+def test_validate_stdout_is_json_with_simulation_check(capsys, monkeypatch):
+    # criterion 11 runs the simulate command, whose summary must not leak into the report
+    monkeypatch.setattr(cli._validate, "ALL_CRITERIA", (criterion_11,))
+    rc, out, _ = run(capsys, ["validate"])
+    assert rc == 0
+    entries = json.loads(out)
+    assert [e["criterion"] for e in entries] == [11]
+    assert entries[0]["passed"] is True
+
+
+def test_validate_records_unexpected_exception_and_continues(capsys, monkeypatch):
+    def broken(tol=None, threads=1):
+        raise TypeError("unsupported operand")
+    monkeypatch.setattr(cli._validate, "ALL_CRITERIA", (broken, criterion_3))
+    rc, out, err = run(capsys, ["validate"])
+    assert rc == 1
+    entries = json.loads(out)
+    assert len(entries) == 2
+    assert entries[0]["passed"] is False
+    assert entries[0]["detail"] == "TypeError: unsupported operand"
+    assert entries[1]["criterion"] == 3 and entries[1]["passed"] is True
+    assert "TypeError" in err
 
 
 def test_help_exits_0(capsys):

@@ -4,14 +4,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threshold_diffusion import (ControlProblem, DomainError, InvalidParameterError,
                                  alpha, constant_bar_policy, constant_low_policy,
                                  optimal_policy, optimal_threshold, optimal_volatility,
                                  simulate_policy, value_function)
+from threshold_diffusion import control
 
 SYMMETRIC = ControlProblem(0.0, 2.0, 0.0, 1.0, 0.0, 1.0, x0=0.0)
 DRIFTED = ControlProblem(1.0, 2.0, -1.0, 1.0, 0.0, 1.0, x0=0.0)
+# criterion 9's third problem, the symmetric one at a longer horizon, and a falling threshold line
+SLOW_SWITCH = ControlProblem(0.5, 1.5, -0.5, 0.5, 0.0, 1.0)
+SYMMETRIC_T4 = ControlProblem(0.0, 2.0, 0.0, 1.0, 0.0, 4.0)
+FALLING = ControlProblem(1.0, 2.0, 1.5, 1.0, 0.0, 1.0)
+
+
+def talbot_value(problem, x):
+    params, al = control._equivalent_params(problem)
+    return control._talbot_value(params, problem.T, x - al * problem.T)
 
 
 def test_alpha_closed_forms():
@@ -19,6 +31,7 @@ def test_alpha_closed_forms():
     # proportional drifts: the threshold line is flat
     assert alpha(ControlProblem(2.0, 2.0, 1.0, 1.0, 0.0, 1.0)) == 0.0
     assert alpha(ControlProblem(2.0, 2.0, 2.0, 1.0, 0.0, 1.0)) == -2.0
+    assert alpha(FALLING) == -2.0
 
 
 def test_alpha_equalizes_slopes():
@@ -108,3 +121,52 @@ def test_optimal_policy_beats_constants_under_mc():
         p_alt, se_alt = runs[other]
         pooled = math.hypot(se_opt, se_alt)
         assert p_opt >= p_alt - 3.0 * pooled
+
+
+@pytest.mark.parametrize("problem", [SYMMETRIC, DRIFTED, SLOW_SWITCH, SYMMETRIC_T4, FALLING])
+def test_talbot_route_matches_quadrature_route(problem):
+    for x in (-5.0, -1.3, 0.4, 2.1, 5.0):
+        fast = talbot_value(problem, x)
+        assert fast is not None
+        assert value_function(problem, x) == fast
+        assert fast == pytest.approx(control._quadrature_value(problem, x), abs=1e-9)
+
+
+@pytest.mark.parametrize("horizon,x", [
+    (100.0, 0.0),   # tilted start 300 below a: 24-node Talbot returns about -3e8
+    (50.0, 0.0),    # the two node counts differ by about 2e-5
+    (10.0, -20.0),  # likewise, about 1e-5
+])
+def test_talbot_route_falls_back_to_quadrature_far_from_threshold(horizon, x):
+    problem = ControlProblem(1.0, 2.0, -1.0, 1.0, 0.0, horizon)
+    assert talbot_value(problem, x) is None
+    assert value_function(problem, x) == control._quadrature_value(problem, x)
+
+
+def test_symmetric_value_at_start_is_two_thirds_to_talbot_accuracy():
+    assert value_function(SYMMETRIC, 0.0) == pytest.approx(2.0 / 3.0, abs=1e-9)
+
+
+@st.composite
+def problems_and_starts(draw):
+    unit = st.floats(0.0, 1.0)
+    sigma_low = 0.3 + 1.7 * draw(unit)
+    problem = ControlProblem(mu_bar=-2.0 + 4.0 * draw(unit),
+                             sigma_bar=sigma_low * (1.3 + 1.7 * draw(unit)),
+                             mu_low=-2.0 + 4.0 * draw(unit), sigma_low=sigma_low,
+                             a=-1.0 + 2.0 * draw(unit), T=0.1 + 3.9 * draw(unit))
+    # starts within 2.5 terminal standard deviations of the switch level
+    level = problem.a + alpha(problem) * problem.T
+    spread = 2.5 * problem.sigma_bar * math.sqrt(problem.T)
+    xs = sorted(level + spread * (2.0 * draw(unit) - 1.0) for _ in range(5))
+    return problem, xs
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(problems_and_starts())
+def test_value_is_a_probability_nondecreasing_in_start(case):
+    problem, xs = case
+    vals = [value_function(problem, x) for x in xs]
+    assert all(0.0 <= v <= 1.0 for v in vals)
+    for lo, hi in zip(vals, vals[1:]):
+        assert hi >= lo - 1e-9

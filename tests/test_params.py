@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from threshold_diffusion import (DiffusionParams, DomainError, InvalidParameterError,
-                                 deltas, h_kernel, h_laplace, make_params)
+                                 PotentialQuery, deltas, h_kernel, h_laplace, make_params,
+                                 potential_density, stationary_density)
 from threshold_diffusion.quadrature import QuadSettings, integrate_semi_infinite
 
 
@@ -82,6 +83,30 @@ def test_delta_identities():
         # the pasting weights stay on the correct side of 1
         assert 1.0 - d.c_minus > 0.0
         assert 1.0 - d.c_plus > 0.0
+
+
+@pytest.mark.parametrize("q", [1e-300, 1e-16, 1e-12, 1.0])
+def test_deltas_match_high_precision_roots(q):
+    # the small root must keep full relative accuracy as 2 q s^2 drops below mu^2 eps;
+    # w - mu cancels about -log10(q) digits, so the reference carries 30 beyond those
+    mp = pytest.importorskip("mpmath")
+    p = make_params(1.0, -1.0, 1.0, 2.0, 0.0)
+    d = deltas(p, q)
+    with mp.workdps(30 + max(0, round(-math.log10(q)))):
+        for mu, sigma, got_plus, got_minus in ((p.mu1, p.sigma1, d.d1_plus, d.d1_minus),
+                                               (p.mu2, p.sigma2, d.d2_plus, d.d2_minus)):
+            s2 = mp.mpf(sigma) ** 2
+            w = mp.sqrt(2 * mp.mpf(q) * s2 + mp.mpf(mu) ** 2)
+            assert got_plus == pytest.approx(float((w + mu) / s2), rel=1e-14, abs=0.0)
+            assert got_minus == pytest.approx(float((w - mu) / s2), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("params", [make_params(1.0, -1.0, 1.0, 2.0, 0.0),
+                                    make_params(0.5, -2.0, 3.0, 0.7, -0.4)])
+def test_potential_at_tiny_rate_is_stationary(params):
+    for x, z in ((0.3, 0.5), (-1.0, -0.2), (2.0, -1.5), (-0.7, 1.1)):
+        got = potential_density(PotentialQuery(params, 1e-16, x, z))
+        assert got == pytest.approx(stationary_density(params, z), rel=1e-9)
 
 
 def test_h_kernel_zero_displacement():

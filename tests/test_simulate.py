@@ -60,6 +60,7 @@ def test_seed_changes_output():
     dict(n_paths=0),
     dict(seed=-1), dict(seed=2 ** 64),
     dict(x0=float("inf")),
+    dict(n_paths=10.5), dict(n_paths=10.0), dict(n_paths=True),
 ])
 def test_config_validation(kwargs):
     base = dict(params=TWO_REGIME, x0=0.0, horizon=1.0, dt=1e-2, n_paths=10, seed=0)
@@ -160,3 +161,9 @@ def test_constant_low_policy_equals_plain_run():
     plain = simulate_paths(SimConfig(make_params(-0.4, -0.4, 1.0, 1.0, 0.0),
                                      0.3, 1.0, 1e-2, 2000, 99))
     assert np.array_equal(pol.terminal_values, plain.terminal_values)
+
+
+def test_policy_run_rejects_fractional_path_count():
+    prob = ControlProblem(0.0, 2.0, 0.0, 1.0, 0.0, 1.0, x0=0.0)
+    with pytest.raises(InvalidParameterError, match="n_paths"):
+        simulate_policy(prob, lambda states, t: np.full_like(states, 1.0), 1e-2, 10.5, 0)
