@@ -9,20 +9,17 @@ Laplace inversion, and Monte Carlo cross-checks.
 
 from .control import (
     ControlProblem,
-    OptimalPolicy,
     alpha,
     constant_bar_policy,
     constant_low_policy,
     optimal_policy,
     optimal_threshold,
-    optimal_volatility,
     reversed_threshold_policy,
     value_function,
 )
 from .density import (
     DensityQuery,
     density_jump_at_threshold,
-    equal_sigma_density,
     is_time_reversible,
     oscillating_bm_density,
     stationary_density,
@@ -85,7 +82,6 @@ __all__ = [
     "InvalidParameterError",
     "InversionSettings",
     "NoStationaryLawError",
-    "OptimalPolicy",
     "PathEnsemble",
     "PolicyError",
     "PotentialQuery",
@@ -99,7 +95,6 @@ __all__ = [
     "deltas",
     "density_jump_at_threshold",
     "empirical_hitting_transform",
-    "equal_sigma_density",
     "g_minus",
     "g_plus",
     "h_kernel",
@@ -113,7 +108,6 @@ __all__ = [
     "one_sided_up",
     "optimal_policy",
     "optimal_threshold",
-    "optimal_volatility",
     "oscillating_bm_density",
     "potential_density",
     "potential_q_to_zero_limit",

@@ -362,7 +362,9 @@ def cmd_validate(args):
             # the library's own also leaves its traceback on stderr
             if not isinstance(exc, ThresholdDiffusionError):
                 traceback.print_exc(file=sys.stderr)
-            entry = {"criterion": len(entries) + 1, "name": check.__name__,
+            number = check.__name__.rpartition("_")[2]  # criterion_N
+            entry = {"criterion": int(number) if number.isdigit() else None,
+                     "name": check.__name__,
                      "passed": False, "detail": f"{type(exc).__name__}: {exc}",
                      "seconds": 0.0}
         all_passed = all_passed and entry["passed"]

@@ -76,33 +76,29 @@ def optimal_threshold(problem, t):
     return problem.a + alpha(problem) * (problem.T - t)
 
 
-def optimal_volatility(problem, state, t):
-    """High volatility at or below the moving threshold, low above it.
-
-    Ties at the threshold take the high-volatility pair. Accepts scalar or
-    array states.
-    """
-    level = optimal_threshold(problem, t)
-    state = np.asarray(state, dtype=float)
-    out = np.where(state <= level, problem.sigma_bar, problem.sigma_low)
-    return float(out) if out.ndim == 0 else out
-
-
 @dataclass(frozen=True)
-class OptimalPolicy:
-    """Callable moving-threshold policy; alpha is stored, not recomputed."""
+class _ThresholdPolicy:
+    """Moving-threshold volatility rule, callable as policy(states, t).
+
+    States at or below the line a + alpha (T - t) get `at_or_below`, states
+    above it get `above`; ties at the line take `at_or_below`. alpha is
+    stored, not recomputed. Returns an array shaped like `states`.
+    """
 
     problem: ControlProblem
     alpha: float
+    at_or_below: float
+    above: float
 
     def __call__(self, states, t):
         level = self.problem.a + self.alpha * (self.problem.T - t)
         states = np.asarray(states, dtype=float)
-        return np.where(states <= level, self.problem.sigma_bar, self.problem.sigma_low)
+        return np.where(states <= level, self.at_or_below, self.above)
 
 
 def optimal_policy(problem):
-    return OptimalPolicy(problem, alpha(problem))
+    """The optimal rule: high volatility at or below the moving threshold, low above it."""
+    return _ThresholdPolicy(problem, alpha(problem), problem.sigma_bar, problem.sigma_low)
 
 
 def constant_bar_policy(problem):
@@ -119,13 +115,7 @@ def constant_low_policy(problem):
 
 def reversed_threshold_policy(problem):
     """The optimal rule with the two options swapped (comparison policy)."""
-    al = alpha(problem)
-
-    def policy(states, t):
-        level = problem.a + al * (problem.T - t)
-        states = np.asarray(states, dtype=float)
-        return np.where(states <= level, problem.sigma_low, problem.sigma_bar)
-    return policy
+    return _ThresholdPolicy(problem, alpha(problem), problem.sigma_low, problem.sigma_bar)
 
 
 def _equivalent_params(problem):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .params import DiffusionParams, deltas
+from .params import deltas
 from .potential import potential_q_to_zero_limit
 from .quadrature import QuadSettings, _convolve_batch, integrate_semi_infinite
 
@@ -168,13 +168,6 @@ def oscillating_bm_density(sigma1, sigma2, a, t, x, z):
                 * math.exp(-((z - x) ** 2) / (2.0 * t * sigma2 ** 2)))
     return (2.0 * sigma2 / ((sigma1 + sigma2) * sigma1 * math.sqrt(2.0 * math.pi * t))
             * math.exp(-(((z - a) / sigma1 - (x - a) / sigma2) ** 2) / (2.0 * t)))
-
-
-def equal_sigma_density(mu1, mu2, sigma, a, t, x, z, settings=None):
-    """Transition density with a common volatility; exposed so the continuous
-    (jump-free) case is pinned by its own tests."""
-    q = DensityQuery(DiffusionParams(mu1, mu2, sigma, sigma, a), t, x, z, settings)
-    return transition_density(q)
 
 
 def is_time_reversible(params):

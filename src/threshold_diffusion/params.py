@@ -51,9 +51,6 @@ class DiffusionParams:
         """
         return DiffusionParams(-self.mu2, -self.mu1, self.sigma2, self.sigma1, -self.a)
 
-    def single_regime(self):
-        return self.mu1 == self.mu2 and self.sigma1 == self.sigma2
-
 
 def make_params(mu1, mu2, sigma1, sigma2, a):
     """Validated parameter object; errors name the offending field."""

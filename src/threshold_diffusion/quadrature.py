@@ -1,12 +1,22 @@
 """Adaptive Gauss-Kronrod quadrature tuned for the library's kernel integrals.
 
-Integrands are evaluated on whole panels at once, so callables passed to
-this module must accept a 1-d ndarray and return an array of the same
-shape. Panels are open: no integrand is ever evaluated exactly at a
-domain endpoint.
+One engine serves every integral: _gk15 applies the 15-point Kronrod rule
+and its embedded 7-point Gauss rule to a whole list of panels in a single
+integrand call, and _adaptive bisects the worst panels first until the
+error estimate |Kronrod - Gauss| meets the tolerance. The integrand may be
+a batch: it then returns one row per batch element, the panels are shared
+by the batch, and refinement goes on until every element is converged.
+integrate_finite runs the engine on a single integrand (and
+integrate_semi_infinite on top of it); _convolve_batch runs it on the fused
+product of two first-passage kernels, one row per displacement pair.
+
+Callables passed to this module must accept a 1-d ndarray and return an
+array whose last axis matches it. Panels are open: no integrand is ever
+evaluated exactly at a domain endpoint.
 """
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -88,20 +98,83 @@ class QuadSettings:
 _DEFAULT = QuadSettings()
 
 
-def _panel_sums(f, los, his):
-    """Evaluate GK15 on a batch of panels with a single integrand call."""
+def _gk15(f, los, his):
+    """GK15 on a batch of panels with a single integrand call.
+
+    f maps a 1-d array of abscissas to an array whose last axis runs over
+    them: one row per batch element, or a 1-d array for a single integrand.
+    Returns the Kronrod sums and |Kronrod - Gauss|, shaped (..., panels).
+    """
     los = np.asarray(los, dtype=float)
     his = np.asarray(his, dtype=float)
     centers = 0.5 * (los + his)
     halves = 0.5 * (his - los)
-    nodes = centers[:, None] + halves[:, None] * _XGK[None, :]
-    vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    if not np.all(np.isfinite(vals)):
-        bad = nodes.ravel()[~np.isfinite(vals.ravel())][0]
+    nodes = (centers[:, None] + halves[:, None] * _XGK[None, :]).ravel()
+    vals = np.asarray(f(nodes), dtype=float)
+    finite = np.isfinite(vals)
+    if not finite.all():
+        bad = nodes[~finite.reshape(-1, nodes.size).all(axis=0)][0]
         raise IntegrandError(f"integrand returned a non-finite value near x={bad!r}")
-    kron = (vals * _WGK).sum(axis=1) * halves
-    gauss = (vals[:, 1::2] * _WG).sum(axis=1) * halves
+    vals = vals.reshape(vals.shape[:-1] + (len(los), 15))
+    kron = (vals * _WGK).sum(axis=-1) * halves
+    gauss = (vals[..., 1::2] * _WG).sum(axis=-1) * halves
     return kron, np.abs(kron - gauss)
+
+
+def _adaptive(f, bounds, settings, what):
+    """Worst-first adaptive GK15 over the panels between consecutive bounds.
+
+    The panels are shared by every batch element of f (see _gk15). They are
+    ranked by their largest error over the batch and bisected _REFINE_BATCH
+    at a time until each element's error is within max(abs_tol,
+    rel_tol*|value|). A panel too narrow to bisect is retired with its error
+    left in the total; AccuracyError is raised once the retired error of an
+    element exceeds its allowance, or once the subdivision budget is spent.
+    Returns (values, error_estimates) shaped like one row of f's output.
+    """
+    heap = []
+    counter = itertools.count()
+
+    def evaluate(los, his):
+        kron, err = _gk15(f, los, his)
+        worst = err.reshape(-1, len(los)).max(axis=0)
+        for j in range(len(los)):
+            heapq.heappush(heap, (-worst[j], next(counter), los[j], his[j],
+                                  kron[..., j], err[..., j]))
+        return kron.sum(axis=-1), err.sum(axis=-1)
+
+    totals, errors = evaluate(bounds[:-1], bounds[1:])
+    n_sub = len(bounds) - 1
+    retired = 0.0  # error locked in panels too narrow to bisect
+
+    while True:
+        allowed = np.maximum(settings.abs_tol, settings.rel_tol * np.abs(totals))
+        if np.all(errors <= allowed):
+            return totals, errors
+        if n_sub >= settings.max_subdivisions or not heap:
+            raise AccuracyError(
+                f"{what}: worst residual {float(np.max(errors)):.3e} after "
+                f"{n_sub} subdivisions", estimate=totals, error_estimate=errors)
+        split_los, split_his = [], []
+        while heap and len(split_los) < _REFINE_BATCH:
+            _, _, plo, phi, pk, pe = heapq.heappop(heap)
+            mid = 0.5 * (plo + phi)
+            if mid <= plo or mid >= phi:
+                retired = retired + pe
+                if np.any(retired > allowed):
+                    raise AccuracyError(
+                        f"{what}: residual error trapped in panels at machine width",
+                        estimate=totals, error_estimate=errors)
+                continue
+            totals = totals - pk
+            errors = errors - pe
+            split_los.extend([plo, mid])
+            split_his.extend([mid, phi])
+        if split_los:
+            added, added_err = evaluate(split_los, split_his)
+            totals = totals + added
+            errors = errors + added_err
+            n_sub += len(split_los)
 
 
 def integrate_finite(f, lo, hi, settings=None, seed_points=None):
@@ -136,53 +209,8 @@ def integrate_finite(f, lo, hi, settings=None, seed_points=None):
         if lo < p < hi and p > bounds[-1]:
             bounds.append(p)
     bounds.append(hi)
-
-    kron, err = _panel_sums(f, bounds[:-1], bounds[1:])
-    total = float(kron.sum())
-    total_err = float(err.sum())
-    heap = []
-    counter = 0
-    for i in range(len(kron)):
-        heapq.heappush(heap, (-err[i], counter, bounds[i], bounds[i + 1],
-                              float(kron[i]), float(err[i])))
-        counter += 1
-    n_sub = len(kron)
-    stuck_err = 0.0  # error locked in panels too narrow to bisect
-
-    while True:
-        target = max(s.abs_tol, s.rel_tol * abs(total))
-        if total_err <= target:
-            return total, total_err
-        if n_sub >= s.max_subdivisions or not heap:
-            raise AccuracyError(
-                f"integrate_finite: {total_err:.3e} > {target:.3e} after "
-                f"{n_sub} subdivisions", estimate=total, error_estimate=total_err)
-        # refine the worst panels in one batched evaluation
-        split_los, split_his = [], []
-        while heap and len(split_los) < _REFINE_BATCH:
-            _, _, plo, phi, pk, pe = heapq.heappop(heap)
-            mid = 0.5 * (plo + phi)
-            if mid <= plo or mid >= phi:
-                stuck_err += pe  # cannot be bisected further
-                if stuck_err > target:
-                    raise AccuracyError(
-                        "integrate_finite: residual error trapped in panels at "
-                        "machine width", estimate=total, error_estimate=total_err)
-                continue
-            total -= pk
-            total_err -= pe
-            split_los.extend([plo, mid])
-            split_his.extend([mid, phi])
-        if not split_los:
-            continue
-        kron, err = _panel_sums(f, split_los, split_his)
-        total += float(kron.sum())
-        total_err += float(err.sum())
-        for i in range(len(kron)):
-            heapq.heappush(heap, (-err[i], counter, split_los[i], split_his[i],
-                                  float(kron[i]), float(err[i])))
-            counter += 1
-        n_sub += len(kron)
+    value, err = _adaptive(f, bounds, s, "integrate_finite")
+    return float(value), float(err)
 
 
 def integrate_semi_infinite(f, lo, decay_rate_hint, settings=None):
@@ -277,7 +305,6 @@ def _convolve_batch(t, x1, mu1, x2, mu2, log_scale=0.0, settings=None):
     ls = np.broadcast_to(np.asarray(log_scale, dtype=float), x1.shape)
     if np.any(x1 < 0) or np.any(x2 < 0):
         raise DomainError("convolution displacements must be nonnegative")
-    n = x1.shape[0]
 
     def kernel(tau):
         # fused product of the two kernels; exponents combined before exp so the
@@ -307,64 +334,7 @@ def _convolve_batch(t, x1, mu1, x2, mu2, log_scale=0.0, settings=None):
             bounds.append(p)
     bounds.append(t)
 
-    def panel_sums(los, his):
-        los = np.asarray(los, dtype=float)
-        his = np.asarray(his, dtype=float)
-        centers = 0.5 * (los + his)
-        halves = 0.5 * (his - los)
-        nodes = centers[:, None] + halves[:, None] * _XGK[None, :]
-        vals = kernel(nodes.ravel())  # (n, P*15)
-        if not np.all(np.isfinite(vals)):
-            raise IntegrandError("convolution integrand returned a non-finite value")
-        vals = vals.reshape(n, len(los), 15)
-        kron = (vals * _WGK).sum(axis=2) * halves  # (n, P)
-        gauss = (vals[:, :, 1::2] * _WG).sum(axis=2) * halves
-        return kron, np.abs(kron - gauss)
-
-    kron, err = panel_sums(bounds[:-1], bounds[1:])
-    totals = kron.sum(axis=1)
-    tot_err = err.sum(axis=1)
-    heap = []
-    counter = 0
-    for j in range(kron.shape[1]):
-        pe = float(err[:, j].max())
-        heapq.heappush(heap, (-pe, counter, bounds[j], bounds[j + 1],
-                              kron[:, j].copy(), err[:, j].copy()))
-        counter += 1
-    n_sub = kron.shape[1]
-
-    while True:
-        allowed = np.maximum(s.abs_tol, s.rel_tol * np.abs(totals))
-        if np.all(tot_err <= allowed):
-            return totals, tot_err
-        if n_sub >= s.max_subdivisions or not heap:
-            raise AccuracyError(
-                f"convolution quadrature: worst residual {float(tot_err.max()):.3e} "
-                f"after {n_sub} subdivisions",
-                estimate=totals, error_estimate=tot_err)
-        split_los, split_his = [], []
-        while heap and len(split_los) < _REFINE_BATCH:
-            _, _, plo, phi, pk, pe = heapq.heappop(heap)
-            mid = 0.5 * (plo + phi)
-            if mid <= plo or mid >= phi:
-                continue
-            totals = totals - pk
-            tot_err = tot_err - pe
-            split_los.extend([plo, mid])
-            split_his.extend([mid, phi])
-        if not split_los:
-            raise AccuracyError(
-                "convolution quadrature: residual error trapped at machine width",
-                estimate=totals, error_estimate=tot_err)
-        kron, err = panel_sums(split_los, split_his)
-        totals = totals + kron.sum(axis=1)
-        tot_err = tot_err + err.sum(axis=1)
-        for j in range(kron.shape[1]):
-            pe = float(err[:, j].max())
-            heapq.heappush(heap, (-pe, counter, split_los[j], split_his[j],
-                                  kron[:, j].copy(), err[:, j].copy()))
-            counter += 1
-        n_sub += kron.shape[1]
+    return _adaptive(kernel, bounds, s, "convolution quadrature")
 
 
 def convolve_h_pair(t, x1, mu1, x2, mu2, settings=None, log_scale=0.0):

@@ -137,7 +137,8 @@ class SimConfig:
         if (isinstance(self.n_paths, bool) or not isinstance(self.n_paths, (int, np.integer))
                 or self.n_paths < 1):
             raise InvalidParameterError(f"n_paths must be an integer >= 1, got {self.n_paths!r}")
-        if not isinstance(self.seed, (int, np.integer)) or not (0 <= int(self.seed) < 2 ** 64):
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
+                or not (0 <= int(self.seed) < 2 ** 64)):
             raise InvalidParameterError(
                 f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         if not math.isfinite(self.x0):
@@ -264,15 +265,17 @@ def _plain_step(params):
     return make
 
 
-def _run_blocks(config, step_factory, threads):
+def _run_blocks(config, threads, block_values):
+    """One output value per path, block by block: block_values(i0, count)
+    returns those of paths i0 .. i0 + count - 1. Blocks run on a thread pool
+    when threads > 1; the split never changes the values."""
     block = _block_size(config.n_paths, threads)
     out = np.empty(config.n_paths)
-    starts = list(range(0, config.n_paths, block))
+    starts = range(0, config.n_paths, block)
 
     def work(i0):
         count = min(block, config.n_paths - i0)
-        out[i0:i0 + count] = _terminal_block(
-            config.seed, i0, count, config.x0, config.horizon, config.dt, step_factory)
+        out[i0:i0 + count] = block_values(i0, count)
 
     if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -283,13 +286,18 @@ def _run_blocks(config, step_factory, threads):
     return out
 
 
+def _terminal_values(config, step_factory, threads):
+    return _run_blocks(config, threads, lambda i0, count: _terminal_block(
+        config.seed, i0, count, config.x0, config.horizon, config.dt, step_factory))
+
+
 def simulate_paths(config, threads=1):
     """Simulate the uncontrolled threshold diffusion; returns a PathEnsemble.
 
     Deterministic given config.seed: same seed, same ensemble, independent
     of block or thread count.
     """
-    out = _run_blocks(config, _plain_step(config.params), threads)
+    out = _terminal_values(config, _plain_step(config.params), threads)
     return PathEnsemble(out, config.n_paths, config.seed, config.dt,
                         config.x0, config.horizon)
 
@@ -320,7 +328,7 @@ def simulate_policy(problem, policy, dt, n_paths, seed, threads=1):
         return step
 
     config = SimConfig(None, problem.x0, problem.T, dt, n_paths, seed)
-    out = _run_blocks(config, make, threads)
+    out = _terminal_values(config, make, threads)
     return PathEnsemble(out, n_paths, seed, dt, problem.x0, problem.T)
 
 
@@ -337,20 +345,8 @@ def empirical_hitting_transform(config, level, q, threads=1):
         return 1.0, 0.0
     sign = 1.0 if config.x0 > level else -1.0
     n_full, rem = _step_layout(config.horizon, config.dt)
-    out = np.empty(config.n_paths)
-    block = _block_size(config.n_paths, threads)
-    starts = list(range(0, config.n_paths, block))
-
-    def work(i0):
-        count = min(block, config.n_paths - i0)
-        out[i0:i0 + count] = _hitting_block(config, level, q, sign, i0, count, n_full, rem)
-
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, starts))
-    else:
-        for i0 in starts:
-            work(i0)
+    out = _run_blocks(config, threads, lambda i0, count: _hitting_block(
+        config, level, q, sign, i0, count, n_full, rem))
     est = float(out.mean())
     se = float(out.std(ddof=1) / math.sqrt(config.n_paths)) if config.n_paths > 1 else 0.0
     return est, se

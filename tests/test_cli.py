@@ -259,14 +259,20 @@ def test_validate_stdout_is_json_with_simulation_check(capsys, monkeypatch):
 def test_validate_records_unexpected_exception_and_continues(capsys, monkeypatch):
     def broken(tol=None, threads=1):
         raise TypeError("unsupported operand")
-    monkeypatch.setattr(cli._validate, "ALL_CRITERIA", (broken, criterion_3))
+
+    def criterion_5(tol=None, threads=1):
+        raise ValueError("stand-in")
+    monkeypatch.setattr(cli._validate, "ALL_CRITERIA", (criterion_5, broken, criterion_3))
     rc, out, err = run(capsys, ["validate"])
     assert rc == 1
     entries = json.loads(out)
-    assert len(entries) == 2
-    assert entries[0]["passed"] is False
-    assert entries[0]["detail"] == "TypeError: unsupported operand"
-    assert entries[1]["criterion"] == 3 and entries[1]["passed"] is True
+    assert len(entries) == 3
+    # a raising check keeps its own number, not its position in the list
+    assert entries[0]["criterion"] == 5 and entries[0]["passed"] is False
+    assert entries[0]["detail"] == "ValueError: stand-in"
+    assert entries[1]["passed"] is False
+    assert entries[1]["detail"] == "TypeError: unsupported operand"
+    assert entries[2]["criterion"] == 3 and entries[2]["passed"] is True
     assert "TypeError" in err
 
 

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from threshold_diffusion import (ControlProblem, DomainError, InvalidParameterError,
                                  alpha, constant_bar_policy, constant_low_policy,
-                                 optimal_policy, optimal_threshold, optimal_volatility,
-                                 simulate_policy, value_function)
+                                 optimal_policy, optimal_threshold,
+                                 reversed_threshold_policy, simulate_policy, value_function)
 from threshold_diffusion import control
 
 SYMMETRIC = ControlProblem(0.0, 2.0, 0.0, 1.0, 0.0, 1.0, x0=0.0)
@@ -71,18 +71,23 @@ def test_threshold_line():
 
 def test_volatility_selection():
     # far below the line: push hard; far above: lock in
-    assert optimal_volatility(DRIFTED, -10.0, 0.5) == 2.0
-    assert optimal_volatility(DRIFTED, 10.0, 0.5) == 1.0
+    pol = optimal_policy(DRIFTED)
+    assert pol(-10.0, 0.5) == 2.0
+    assert pol(10.0, 0.5) == 1.0
     level = optimal_threshold(DRIFTED, 0.5)
-    assert optimal_volatility(DRIFTED, level, 0.5) == 2.0  # tie takes high vol
-    out = optimal_volatility(DRIFTED, np.array([level - 1.0, level, level + 1.0]), 0.5)
+    assert pol(level, 0.5) == 2.0  # tie takes high vol
+    out = pol(np.array([level - 1.0, level, level + 1.0]), 0.5)
     assert np.array_equal(out, [2.0, 2.0, 1.0])
 
 
 def test_optimal_policy_matches_pointwise_rule():
-    pol = optimal_policy(DRIFTED)
-    states = np.array([-1.0, 0.0, 1.4, 1.6, 5.0])
-    assert np.array_equal(pol(states, 0.5), optimal_volatility(DRIFTED, states, 0.5))
+    states = np.array([-1.0, 0.0, 1.4, 1.5, 1.6, 5.0])  # the line is at 1.5 at t = 0.5
+    level = optimal_threshold(DRIFTED, 0.5)
+    rule = [2.0 if s <= level else 1.0 for s in states]
+    assert np.array_equal(optimal_policy(DRIFTED)(states, 0.5), rule)
+    # the comparison policy swaps the two options, ties included
+    swapped = [1.0 if s <= level else 2.0 for s in states]
+    assert np.array_equal(reversed_threshold_policy(DRIFTED)(states, 0.5), swapped)
 
 
 def test_symmetric_value_at_start():

@@ -7,7 +7,7 @@ import pytest
 
 from threshold_diffusion import (DensityQuery, DomainError, NoStationaryLawError,
                                  QuadSettings, SimConfig, density_jump_at_threshold,
-                                 equal_sigma_density, integrate_finite, is_time_reversible,
+                                 integrate_finite, is_time_reversible,
                                  make_params, oscillating_bm_density, simulate_paths,
                                  stationary_density, transition_density)
 
@@ -72,7 +72,7 @@ def test_reflection_through_mirrored_params():
 
 
 def test_equal_sigma_gaussian_reduction():
-    got = equal_sigma_density(0.5, 0.5, 1.0, 0.0, 1.0, 0.0, 0.5)
+    got = p_at(make_params(0.5, 0.5, 1.0, 1.0, 0.0), 1.0, 0.0, 0.5)
     assert got == pytest.approx(1.0 / math.sqrt(2 * math.pi), abs=1e-9)
 
 
@@ -81,9 +81,10 @@ def test_equal_sigma_continuity_at_threshold():
 
 
 def test_equal_sigma_normalization():
+    params = make_params(1.0, -1.0, 1.0, 1.0, 0.0)
+
     def f(zs):
-        return np.array([equal_sigma_density(1.0, -1.0, 1.0, 0.0, 1.0, 0.3, float(z))
-                         for z in zs])
+        return np.array([p_at(params, 1.0, 0.3, float(z)) for z in zs])
     val, _ = integrate_finite(f, -13.0, 13.0, seed_points=(0.0, 0.3),
                               settings=QuadSettings(abs_tol=1e-8, rel_tol=1e-8))
     assert val == pytest.approx(1.0, abs=1e-6)

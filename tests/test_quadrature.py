@@ -9,6 +9,7 @@ from threshold_diffusion import (AccuracyError, DomainError, IntegrandError,
                                  InvalidParameterError, QuadSettings, convolve_h_pair,
                                  deltas, h_kernel, integrate_finite,
                                  integrate_semi_infinite, make_params)
+from threshold_diffusion.quadrature import _convolve_batch
 
 
 def test_polynomial_exactness():
@@ -111,6 +112,31 @@ def test_convolution_swap_symmetry():
 def test_convolution_rejects_bad_t():
     with pytest.raises(DomainError):
         convolve_h_pair(0.0, 1.0, 0.0, 1.0, 0.0)
+
+
+def test_convolution_batch_matches_scalar_calls():
+    # the batch shares its tau panels; each element must still meet its own
+    # tolerance, so it agrees with a scalar call within twice the allowance
+    s = QuadSettings()
+    x1 = np.array([0.05, 1.0, 0.3, 2.0, 0.7])
+    x2 = np.array([1.2, 0.5, 0.3, 0.1, 0.02])
+    values, errors = _convolve_batch(1.0, x1, 0.7, x2, -0.4)
+    assert values.shape == errors.shape == (len(x1),)
+    for v, e, a, b in zip(values, errors, x1, x2):
+        want = convolve_h_pair(1.0, float(a), 0.7, float(b), -0.4)
+        allowance = max(s.abs_tol, s.rel_tol * abs(want))
+        assert e <= allowance
+        assert abs(v - want) <= 2.0 * allowance
+
+
+def test_convolution_budget_exhaustion_reports_every_element():
+    settings = QuadSettings(abs_tol=1e-300, rel_tol=1e-15, max_subdivisions=1)
+    with pytest.raises(AccuracyError) as info:
+        _convolve_batch(1.0, [0.5, 1.0], 0.0, [0.5, 0.2], 0.0, settings=settings)
+    assert isinstance(info.value.estimate, np.ndarray)
+    assert isinstance(info.value.error_estimate, np.ndarray)
+    assert info.value.estimate.shape == info.value.error_estimate.shape == (2,)
+    assert np.all(info.value.error_estimate > 0.0)
 
 
 def test_error_estimates_are_honest():
