@@ -43,7 +43,7 @@ from .exit import (
     one_sided_up,
     two_sided_exit,
 )
-from .inversion import InversionSettings, invert, term_stability_gap
+from .inversion import invert
 from .params import (
     DeltaSet,
     DiffusionParams,
@@ -80,7 +80,6 @@ __all__ = [
     "ExitQuery",
     "IntegrandError",
     "InvalidParameterError",
-    "InversionSettings",
     "NoStationaryLawError",
     "PathEnsemble",
     "PolicyError",
@@ -115,7 +114,6 @@ __all__ = [
     "simulate_paths",
     "simulate_policy",
     "stationary_density",
-    "term_stability_gap",
     "transition_density",
     "two_sided_exit",
     "value_function",

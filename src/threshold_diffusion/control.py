@@ -21,15 +21,14 @@ import numpy as np
 
 from .density import DensityQuery, transition_density
 from .errors import AccuracyError, DomainError, InvalidParameterError
-from .inversion import InversionSettings, invert
-from .params import DiffusionParams
+from .inversion import invert
+from .params import DiffusionParams, _finite_real
 from .potential import _tail_transform
 from .quadrature import QuadSettings, integrate_finite
 
-# The Talbot value is kept only when a second node count agrees with it and it
-# lies in [0, 1], both to two orders inside the quadrature route's 1e-7 tolerance.
-_TALBOT = InversionSettings("talbot", 24)
-_TALBOT_CHECK = InversionSettings("talbot", 32)
+# The 24-node Talbot value is kept only when a 32-node inversion agrees with it
+# and it lies in [0, 1], both to two orders inside the quadrature route's 1e-7
+# tolerance.
 _TALBOT_GAP = 1e-9
 _TALBOT_RANGE_SLACK = 1e-9
 
@@ -53,8 +52,9 @@ class ControlProblem:
     def __post_init__(self):
         vals = (self.mu_bar, self.sigma_bar, self.mu_low, self.sigma_low,
                 self.a, self.T, self.x0)
-        if not all(math.isfinite(v) for v in vals):
-            raise InvalidParameterError(f"control problem fields must be finite, got {vals!r}")
+        if not all(_finite_real(v) for v in vals):
+            raise InvalidParameterError(
+                f"control problem fields must be finite numbers, got {vals!r}")
         if not (0.0 < self.sigma_low < self.sigma_bar):
             raise InvalidParameterError(
                 "volatilities must satisfy 0 < sigma_low < sigma_bar, got "
@@ -151,8 +151,8 @@ def _talbot_value(params, T, y0):
         return _tail_transform(params, q, y0)
 
     try:
-        val = invert(F, T, _TALBOT)
-        check = invert(F, T, _TALBOT_CHECK)
+        val = invert(F, T, 24)
+        check = invert(F, T, 32)
     except (OverflowError, ZeroDivisionError):
         return None
     if not (math.isfinite(val) and abs(val - check) <= _TALBOT_GAP

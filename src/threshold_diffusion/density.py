@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import AccuracyError, DomainError
 from .params import deltas
 from .potential import potential_q_to_zero_limit
 from .quadrature import QuadSettings, _convolve_batch, integrate_semi_infinite
@@ -116,32 +116,30 @@ def transition_density(query):
     if x < p.a:
         p = p.mirrored()
         x, z = -x, -z
-    if z >= p.a:
-        val = _upper_double_integral(p, t, x, z, settings)
-    else:
-        val = _lower_double_integral(p, t, x, z, settings)
+    try:
+        if z >= p.a:
+            val = _upper_double_integral(p, t, x, z, settings)
+        else:
+            val = _lower_double_integral(p, t, x, z, settings)
+    except OverflowError as exc:
+        raise AccuracyError(f"transition density overflows at t={t!r}") from exc
     return max(val, 0.0)
 
 
 def density_jump_at_threshold(params, t, x, settings=None):
-    """One-sided jump p(t; x, a+) - p(t; x, a-); exactly 0 when sigma1 = sigma2."""
-    if not (math.isfinite(t) and t > 0):
-        raise DomainError(f"t must be positive, got {t!r}")
+    """One-sided jump p(t; x, a+) - p(t; x, a-); exactly 0 when sigma1 = sigma2.
+
+    Continuity of the probability flux at a gives
+    sigma1^2 p(t; x, a-) = sigma2^2 p(t; x, a+) whatever the drifts, so the
+    jump is the one density value at z = a (the limit on the start's side)
+    times a ratio of the variances.
+    """
+    query = DensityQuery(params, t, x, params.a, settings)
     if params.sigma1 == params.sigma2:
         return 0.0
-    s1, s2 = params.sigma1, params.sigma2
-    a = params.a
-
-    def outer(b):
-        vals, _ = _convolve_batch(t, b / s1, -params.mu1 / s1,
-                                  (x - a + b) / s2, params.mu2 / s2,
-                                  settings=settings)
-        return vals
-
-    lo = max(a - x, 0.0)
-    rate = _crossing_rate(params, t)
-    val, _ = integrate_semi_infinite(outer, lo, rate, settings)
-    return 2.0 * (1.0 / (s2 * s2) - 1.0 / (s1 * s1)) * val
+    s1sq, s2sq = params.sigma1 ** 2, params.sigma2 ** 2
+    p = transition_density(query)
+    return p * (1.0 - s2sq / s1sq) if x >= params.a else p * (s1sq / s2sq - 1.0)
 
 
 def stationary_density(params, z):

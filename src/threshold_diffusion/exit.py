@@ -18,6 +18,13 @@ def _check_q(q):
         raise DomainError(f"q must be positive, got {q!r}")
 
 
+def _check_states(*states):
+    # infinite states have exact limits, but NaN fails every comparison and
+    # would come out as a NaN transform
+    if any(math.isnan(s) for s in states):
+        raise DomainError(f"states must not be NaN, got {states!r}")
+
+
 @dataclass(frozen=True)
 class GPair:
     """Log-space evaluators for the pair (g_minus, g_plus) at a fixed rate q."""
@@ -55,11 +62,13 @@ class GPair:
 
 def g_minus(params, q, x):
     """Decreasing q-harmonic function, normalized to 1 at the threshold."""
+    _check_states(x)
     return GPair(params, q).g_minus_at(x)
 
 
 def g_plus(params, q, x):
     """Increasing q-harmonic function, normalized to 1 at the threshold."""
+    _check_states(x)
     return GPair(params, q).g_plus_at(x)
 
 
@@ -120,6 +129,7 @@ def two_sided_exit(query):
 
 def one_sided_down(params, q, x, y):
     """E_x[exp(-q T_y)] for a level y <= x, as the ratio g_minus(x)/g_minus(y)."""
+    _check_states(x, y)
     if y > x:
         raise DomainError(f"one_sided_down requires y <= x, got y={y!r} > x={x!r}")
     if y == x:
@@ -130,6 +140,7 @@ def one_sided_down(params, q, x, y):
 
 def one_sided_up(params, q, x, z):
     """E_x[exp(-q T_z)] for a level z >= x, as the ratio g_plus(x)/g_plus(z)."""
+    _check_states(x, z)
     if z < x:
         raise DomainError(f"one_sided_up requires x <= z, got x={x!r} > z={z!r}")
     if z == x:

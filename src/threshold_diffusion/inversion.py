@@ -1,70 +1,18 @@
-"""Numerical inversion of Laplace transforms evaluated on the real line
-(Gaver-Stehfest) or on a deformed complex contour (fixed Talbot).
+"""Numerical inversion of Laplace transforms by the fixed-Talbot rule.
 
-Gaver-Stehfest is the default because the library's transforms are
-cheap on the positive real axis and smooth in t; its accuracy saturates
-around 1e-6..1e-8 in double precision. Term counts much above 18 only
-amplify rounding, hence the hard cap.
+The Bromwich integral is taken along Talbot's contour, which starts on
+the positive real axis and bends into the left half-plane, with the
+fixed parameters of Abate and Valko (IJNME 60, 2004). The transform is
+therefore evaluated at complex rates. In double precision the rule is
+most accurate near 24 nodes; more nodes amplify rounding, so a second
+node count serves as an error estimate rather than a refinement.
 """
 
 import cmath
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+import numbers
 
 from .errors import DomainError, InvalidParameterError
-
-_METHODS = ("gaver-stehfest", "talbot")
-_DEFAULT_TERMS = {"gaver-stehfest": 14, "talbot": 24}
-
-
-@dataclass(frozen=True)
-class InversionSettings:
-    """Inversion method and its resolution (GS terms must be even, 6..18)."""
-
-    method: str = "gaver-stehfest"
-    terms: int = None
-
-    def __post_init__(self):
-        if self.method not in _METHODS:
-            raise InvalidParameterError(
-                f"method must be one of {_METHODS}, got {self.method!r}")
-        if self.terms is None:
-            object.__setattr__(self, "terms", _DEFAULT_TERMS[self.method])
-            return
-        if self.method == "gaver-stehfest":
-            if self.terms % 2 != 0 or not (6 <= self.terms <= 18):
-                raise InvalidParameterError(
-                    f"gaver-stehfest terms must be even and in [6, 18], got {self.terms!r}")
-        else:
-            if self.terms < 8:
-                raise InvalidParameterError(
-                    f"talbot node count must be at least 8, got {self.terms!r}")
-
-
-@lru_cache(maxsize=None)
-def _stehfest_weights(n):
-    # Salzer summation weights; exact integer arithmetic, converted once
-    half = n // 2
-    fact = math.factorial
-    out = []
-    for k in range(1, n + 1):
-        acc = 0
-        for j in range((k + 1) // 2, min(k, half) + 1):
-            num = j ** half * fact(2 * j)
-            den = fact(half - j) * fact(j) * fact(j - 1) * fact(k - j) * fact(2 * j - k)
-            acc += num // den if num % den == 0 else num / den
-        out.append((-1) ** (k + half) * acc)
-    return tuple(float(v) for v in out)
-
-
-def _gaver_stehfest(F, t, n):
-    ln2_t = math.log(2.0) / t
-    w = _stehfest_weights(n)
-    total = 0.0
-    for k in range(1, n + 1):
-        total += w[k - 1] * F(k * ln2_t)
-    return ln2_t * total
 
 
 def _talbot(F, t, m):
@@ -80,27 +28,15 @@ def _talbot(F, t, m):
     return (r / m) * total
 
 
-def invert(F, t, settings=None):
-    """Evaluate the inverse transform of F at time t > 0.
+def invert(F, t, nodes=24):
+    """Evaluate the inverse transform of F at time t > 0 on `nodes` Talbot nodes.
 
-    F is called with positive real rates for gaver-stehfest and with
-    complex rates (positive real part) for talbot.
+    F is called at complex rates: once on the positive real axis and at
+    nodes - 1 contour points in the upper half-plane. nodes must be an
+    integer >= 8.
     """
     if not (math.isfinite(t) and t > 0):
         raise DomainError(f"t must be positive, got {t!r}")
-    s = settings if settings is not None else InversionSettings()
-    if s.method == "gaver-stehfest":
-        return _gaver_stehfest(F, t, s.terms)
-    return _talbot(F, t, s.terms)
-
-
-def term_stability_gap(F, t, terms_low=12, terms_high=14):
-    """Absolute gap between two Gaver-Stehfest term counts.
-
-    A gap above ~1e-4 on a desk-scale transform signals double-precision
-    exhaustion rather than a resolvable feature; callers treat it as a
-    warning signal.
-    """
-    lo = invert(F, t, InversionSettings("gaver-stehfest", terms_low))
-    hi = invert(F, t, InversionSettings("gaver-stehfest", terms_high))
-    return abs(hi - lo)
+    if isinstance(nodes, bool) or not isinstance(nodes, numbers.Integral) or nodes < 8:
+        raise InvalidParameterError(f"talbot node count must be an integer >= 8, got {nodes!r}")
+    return _talbot(F, t, nodes)

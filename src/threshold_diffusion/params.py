@@ -16,6 +16,14 @@ from .errors import DomainError, InvalidParameterError
 _EXP_UNDERFLOW = 745.0
 
 
+def _finite_real(value):
+    """True for a finite real number; False, not TypeError, for None, str or complex."""
+    try:
+        return math.isfinite(value)
+    except TypeError:
+        return False
+
+
 @dataclass(frozen=True)
 class DiffusionParams:
     """Threshold diffusion parameters (mu1, sigma1 below the threshold a)."""
@@ -29,8 +37,8 @@ class DiffusionParams:
     def __post_init__(self):
         for name in ("mu1", "mu2", "sigma1", "sigma2", "a"):
             v = getattr(self, name)
-            if not math.isfinite(v):
-                raise InvalidParameterError(f"{name} must be finite, got {v!r}")
+            if not _finite_real(v):
+                raise InvalidParameterError(f"{name} must be a finite number, got {v!r}")
         if self.sigma1 <= 0:
             raise InvalidParameterError(f"sigma1 must be positive, got {self.sigma1!r}")
         if self.sigma2 <= 0:
@@ -108,6 +116,8 @@ def deltas(params, q):
         raise DomainError(f"q must be nonnegative, got {q!r}")
     d1p, d1m = _delta_pair(params.mu1, params.sigma1, q)
     d2p, d2m = _delta_pair(params.mu2, params.sigma2, q)
+    if not math.isfinite(d1p + d1m + d2p + d2m):
+        raise DomainError(f"q={q!r} is too large: 2 q sigma^2 overflows")
 
     cm_den = d1m + d1p
     cp_den = d2m + d2p

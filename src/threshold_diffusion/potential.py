@@ -1,10 +1,14 @@
 """q-potential (resolvent) density of the threshold diffusion.
 
 potential_density(q, x, z) dz = E_x[ X_{e_q} in dz ] where e_q is an
-independent exponential clock with rate q. Closed-form piecewise
-exponentials; all exponents are grouped before exponentiation and are
-nonpositive inside each branch's validity region, so no overflow occurs
-for states arbitrarily far from the threshold.
+independent exponential clock with rate q, so potential_density / q is the
+Laplace transform in t of the transition density. One closed form,
+_resolvent, computes it for real rates with math functions
+(potential_density) and for complex rates with cmath functions (Laplace
+inversion on the Talbot contour). It is piecewise exponential in z; all
+exponents are grouped before exponentiation and are nonpositive inside each
+branch's validity region, so no overflow occurs for states arbitrarily far
+from the threshold. _tail_transform is its closed-form integral over z >= a.
 """
 
 import cmath
@@ -12,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, NoStationaryLawError
-from .params import _delta_pair, deltas
+from .params import _delta_pair
 
 
 @dataclass(frozen=True)
@@ -31,47 +35,43 @@ class PotentialQuery:
             raise DomainError("x and z must be finite")
 
 
-def _upper_start(params, d, q, x, z):
-    # x >= a; branch split at z = x and z = a, the z = a point joining the
-    # a <= z <= x expression
-    a = params.a
-    w2 = math.sqrt(2.0 * q * params.sigma2 ** 2 + params.mu2 ** 2)
-    ratio2 = (d.d2_minus - d.d1_minus) / (d.d2_plus + d.d1_minus)
-    if z >= x:
-        return (q / w2) * (math.exp(-d.d2_minus * (z - x))
-                           + ratio2 * math.exp(-d.d2_minus * (z - a) - d.d2_plus * (x - a)))
-    if z >= a:
-        return (q / w2) * (math.exp(-d.d2_plus * (x - z))
-                           + ratio2 * math.exp(-d.d2_plus * (x - a) - d.d2_minus * (z - a)))
-    w1 = math.sqrt(2.0 * q * params.sigma1 ** 2 + params.mu1 ** 2)
-    front = (d.d1_plus + d.d1_minus) / (d.d2_plus + d.d1_minus)
-    return (q / w1) * front * math.exp(-d.d2_plus * (x - a) + d.d1_plus * (z - a))
+def _resolvent(params, q, x, z, sqrt=math.sqrt, exp=math.exp):
+    """Potential density at rate q, unclamped; pass cmath functions for complex q.
 
-
-def _lower_start(params, d, q, x, z):
-    # x < a; mirror-image expressions, z = a joining the x < z <= a branch
+    Written for a start at or above a, with the rates named by where they
+    lead: `out` decays away from a and `back` toward it on the start's side,
+    `cross` and `far` toward and away from a on the other side. A start
+    below a is the same expression for -X, which swaps the regimes, the
+    plus and minus rates and the sign of every distance. In that
+    orientation z = x takes the dz >= 0 branch and z = a the start's side.
+    """
     a = params.a
-    w1 = math.sqrt(2.0 * q * params.sigma1 ** 2 + params.mu1 ** 2)
-    ratio1 = (d.d1_plus - d.d2_plus) / (d.d1_minus + d.d2_plus)
-    if z <= x:
-        return (q / w1) * (math.exp(-d.d1_plus * (x - z))
-                           + ratio1 * math.exp(d.d1_plus * (z - a) + d.d1_minus * (x - a)))
-    if z <= a:
-        return (q / w1) * (math.exp(-d.d1_minus * (z - x))
-                           + ratio1 * math.exp(d.d1_plus * (z - a) + d.d1_minus * (x - a)))
-    w2 = math.sqrt(2.0 * q * params.sigma2 ** 2 + params.mu2 ** 2)
-    front = (d.d2_minus + d.d2_plus) / (d.d1_minus + d.d2_plus)
-    return (q / w2) * front * math.exp(d.d1_minus * (x - a) - d.d2_minus * (z - a))
+    d1p, d1m = _delta_pair(params.mu1, params.sigma1, q, sqrt)
+    d2p, d2m = _delta_pair(params.mu2, params.sigma2, q, sqrt)
+    if x >= a:
+        out, back, cross, far = d2m, d2p, d1m, d1p
+        near_regime, far_regime = (params.mu2, params.sigma2), (params.mu1, params.sigma1)
+        h, k, dz = x - a, z - a, z - x
+    else:
+        out, back, cross, far = d1p, d1m, d2p, d2m
+        near_regime, far_regime = (params.mu1, params.sigma1), (params.mu2, params.sigma2)
+        h, k, dz = a - x, a - z, x - z
+    if k < 0:
+        mu, sigma = far_regime
+        front = (far + cross) / (back + cross)
+        return q / sqrt(2.0 * q * sigma ** 2 + mu ** 2) * front * exp(-back * h + far * k)
+    mu, sigma = near_regime
+    direct = exp(-out * dz) if dz >= 0 else exp(back * dz)
+    reflected = (out - cross) / (back + cross) * exp(-out * k - back * h)
+    return (q / sqrt(2.0 * q * sigma ** 2 + mu ** 2)) * (direct + reflected)
 
 
 def potential_density(query):
     """Density of the q-potential measure at z for start state x."""
-    p = query.params
-    d = deltas(p, query.q)
-    if query.x >= p.a:
-        val = _upper_start(p, d, query.q, query.x, query.z)
-    else:
-        val = _lower_start(p, d, query.q, query.x, query.z)
+    val = _resolvent(query.params, query.q, query.x, query.z)
+    if not math.isfinite(val):
+        raise DomainError(f"potential density overflows at q={query.q!r}, "
+                          f"x={query.x!r}, z={query.z!r}")
     return max(val, 0.0)
 
 
@@ -101,6 +101,8 @@ def potential_q_to_zero_limit(params, z):
     The limit is the stationary density: a two-sided exponential with a
     jump at the threshold whenever sigma1 != sigma2.
     """
+    if math.isnan(z):
+        raise DomainError("z must not be NaN")
     if not (params.mu1 > 0.0 > params.mu2):
         raise NoStationaryLawError(
             "stationary law requires mu1 > 0 and mu2 < 0, got "

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidParameterError, PolicyError
+from .params import _finite_real
 
 # shifts [0,1) uniforms strictly inside (0,1) so the inverse CDF stays finite
 _U_SHIFT = 2.0 ** -54
@@ -127,9 +128,9 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.horizon) and self.horizon > 0):
+        if not (_finite_real(self.horizon) and self.horizon > 0):
             raise InvalidParameterError(f"horizon must be positive, got {self.horizon!r}")
-        if not (math.isfinite(self.dt) and self.dt > 0):
+        if not (_finite_real(self.dt) and self.dt > 0):
             raise InvalidParameterError(f"dt must be positive, got {self.dt!r}")
         if self.dt > self.horizon:
             raise InvalidParameterError(
@@ -141,8 +142,8 @@ class SimConfig:
                 or not (0 <= int(self.seed) < 2 ** 64)):
             raise InvalidParameterError(
                 f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        if not math.isfinite(self.x0):
-            raise InvalidParameterError(f"x0 must be finite, got {self.x0!r}")
+        if not _finite_real(self.x0):
+            raise InvalidParameterError(f"x0 must be a finite number, got {self.x0!r}")
 
 
 @dataclass(frozen=True)

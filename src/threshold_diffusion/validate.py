@@ -10,6 +10,7 @@ the CLI's --tol flag, mainly to demonstrate the failure path); statistical
 margins stay at 3 standard errors regardless.
 """
 
+import cmath
 import contextlib
 import io
 import math
@@ -26,7 +27,7 @@ from .density import (DensityQuery, density_jump_at_threshold, is_time_reversibl
 from .exit import g_minus, g_plus, one_sided_down, one_sided_up
 from .inversion import invert
 from .params import DiffusionParams, deltas
-from .potential import PotentialQuery, potential_density
+from .potential import PotentialQuery, _resolvent, potential_density
 from .quadrature import QuadSettings, integrate_finite, integrate_semi_infinite
 from .simulate import SimConfig, empirical_hitting_transform, simulate_paths, simulate_policy
 
@@ -153,7 +154,7 @@ def criterion_4(tol=None, threads=1):
             worst_q = max(worst_q, abs(val - want))
     worst_inv = 0.0
     for x, z in points:
-        got = invert(lambda q: potential_density(PotentialQuery(params, q, x, z)) / q, 1.0)
+        got = invert(lambda q: _resolvent(params, q, x, z, cmath.sqrt, cmath.exp) / q, 1.0)
         want = transition_density(DensityQuery(params, 1.0, x, z))
         worst_inv = max(worst_inv, abs(got - want))
     passed = worst_q <= tol and worst_inv <= tol

@@ -51,6 +51,8 @@ def test_alpha_equalizes_slopes():
     dict(T=-1.0),
     dict(mu_bar=float("nan")),
     dict(a=float("inf")),
+    dict(mu_low=None),
+    dict(T="1"),
 ])
 def test_problem_validation(kwargs):
     base = dict(mu_bar=1.0, sigma_bar=2.0, mu_low=-1.0, sigma_low=1.0, a=0.0, T=1.0)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from threshold_diffusion import (DensityQuery, DomainError, NoStationaryLawError,
+from threshold_diffusion import (AccuracyError, DensityQuery, DomainError, NoStationaryLawError,
                                  QuadSettings, SimConfig, density_jump_at_threshold,
                                  integrate_finite, is_time_reversible,
                                  make_params, oscillating_bm_density, simulate_paths,
@@ -46,9 +46,10 @@ def test_one_sided_limits_at_threshold():
 
 def test_jump_matches_numerical_one_sided_limits():
     eps = 1e-6
-    got = density_jump_at_threshold(TWO_REGIME, 1.0, 0.5)
-    diff = p_at(TWO_REGIME, 1.0, 0.5, eps) - p_at(TWO_REGIME, 1.0, 0.5, -eps)
-    assert got == pytest.approx(diff, abs=1e-4)
+    for x in (0.5, -0.5):
+        got = density_jump_at_threshold(TWO_REGIME, 1.0, x)
+        diff = p_at(TWO_REGIME, 1.0, x, eps) - p_at(TWO_REGIME, 1.0, x, -eps)
+        assert got == pytest.approx(diff, abs=1e-4)
 
 
 def test_jump_zero_iff_equal_sigmas():
@@ -141,6 +142,11 @@ def test_stationary_requires_confining_drifts():
         stationary_density(make_params(-1.0, 1.0, 1.0, 1.0, 0.0), 0.0)
 
 
+def test_stationary_rejects_nan_state():
+    with pytest.raises(DomainError):
+        stationary_density(TWO_REGIME, math.nan)
+
+
 def test_time_reversibility_flags():
     assert is_time_reversible(make_params(0.0, 0.0, 1.0, 1.0, 0.0))
     assert not is_time_reversible(make_params(1.0, 1.0, 1.0, 2.0, 0.0))
@@ -152,6 +158,11 @@ def test_density_rejects_bad_t():
         DensityQuery(TWO_REGIME, 0.0, 0.0, 1.0)
     with pytest.raises(DomainError):
         density_jump_at_threshold(TWO_REGIME, -1.0, 0.0)
+
+
+def test_density_overflow_at_huge_t_is_a_library_error():
+    with pytest.raises(AccuracyError):
+        p_at(TWO_REGIME, 1e300, 0.1, 0.2)
 
 
 def test_density_regression_pin():

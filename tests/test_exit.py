@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from threshold_diffusion import (DegenerateIntervalError, DomainError, ExitQuery,
                                  g_minus, g_plus, make_params, one_sided_down,
@@ -118,6 +120,45 @@ def test_two_sided_probabilistic_bounds():
                 assert 0.0 <= down <= 1.0
                 assert 0.0 <= up <= 1.0
                 assert down + up <= 1.0 + 1e-12
+
+
+@st.composite
+def exit_problems(draw):
+    unit = st.floats(0.0, 1.0)
+    params = make_params(-2.0 + 4.0 * draw(unit), -2.0 + 4.0 * draw(unit),
+                         0.3 + 2.7 * draw(unit), 0.3 + 2.7 * draw(unit),
+                         -1.0 + 2.0 * draw(unit))
+    y, x, z = sorted(params.a - 3.0 + 6.0 * draw(unit) for _ in range(3))
+    assume(y < z)
+    return ExitQuery(params, 10.0 ** (-3.0 + 5.0 * draw(unit)), x, y, z)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(exit_problems())
+def test_two_sided_pair_is_a_subprobability(query):
+    down, up = two_sided_exit(query)
+    assert 0.0 <= down <= 1.0
+    assert 0.0 <= up <= 1.0
+    assert down + up <= 1.0 + 1e-12
+
+
+def test_nan_states_are_rejected():
+    nan = math.nan
+    calls = (lambda: g_minus(TWO_REGIME, 1.0, nan), lambda: g_plus(TWO_REGIME, 1.0, nan),
+             lambda: one_sided_down(TWO_REGIME, 1.0, nan, 0.0),
+             lambda: one_sided_down(TWO_REGIME, 1.0, 0.5, nan),
+             lambda: one_sided_up(TWO_REGIME, 1.0, nan, 0.0),
+             lambda: one_sided_up(TWO_REGIME, 1.0, 0.5, nan))
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
+
+
+def test_overflowing_rate_is_rejected():
+    with pytest.raises(DomainError):
+        two_sided_exit(ExitQuery(TWO_REGIME, 1e308, 0.1, -1.0, 1.0))
+    with pytest.raises(DomainError):
+        g_minus(TWO_REGIME, 1e308, 0.5)
 
 
 def test_transforms_decrease_in_q():

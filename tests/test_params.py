@@ -28,6 +28,10 @@ def test_nonfinite_fields_rejected():
         make_params(math.nan, 0.0, 1.0, 1.0, 0.0)
     with pytest.raises(InvalidParameterError, match="a"):
         make_params(0.0, 0.0, 1.0, 1.0, math.inf)
+    with pytest.raises(InvalidParameterError, match="mu2"):
+        DiffusionParams(0.0, None, 1.0, 1.0, 0.0)
+    with pytest.raises(InvalidParameterError, match="sigma1"):
+        DiffusionParams(0.0, 0.0, "1", 1.0, 0.0)
 
 
 def test_params_frozen():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from threshold_diffusion import (DomainError, NoStationaryLawError, PotentialQuery,
                                  QuadSettings, deltas, g_minus, g_plus, integrate_finite,
@@ -135,6 +137,34 @@ def test_query_validation():
         PotentialQuery(TWO_REGIME, 1.0, math.inf, 1.0)
     with pytest.raises(DomainError):
         PotentialQuery(TWO_REGIME, 1.0, 0.0, math.nan)
+
+
+def test_overflowing_rate_is_rejected():
+    with pytest.raises(DomainError):
+        potential_density(PotentialQuery(TWO_REGIME, 1e308, 0.1, 0.2))
+
+
+@st.composite
+def potential_points(draw):
+    unit = st.floats(0.0, 1.0)
+    params = make_params(-2.0 + 4.0 * draw(unit), -2.0 + 4.0 * draw(unit),
+                         0.3 + 2.7 * draw(unit), 0.3 + 2.7 * draw(unit),
+                         -1.0 + 2.0 * draw(unit))
+    q = 10.0 ** (-3.0 + 5.0 * draw(unit))
+    x = params.a - 3.0 + 6.0 * draw(unit)
+    z = params.a - 3.0 + 6.0 * draw(unit)
+    return params, q, x, z
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(potential_points())
+def test_mirror_identity(case):
+    # X -> -X is the threshold diffusion with DiffusionParams.mirrored()
+    params, q, x, z = case
+    assume(z != params.a)  # z = a is a one-sided limit on each side
+    direct = potential_density(PotentialQuery(params, q, x, z))
+    mirrored = potential_density(PotentialQuery(params.mirrored(), q, -x, -z))
+    assert direct == pytest.approx(mirrored, rel=1e-12, abs=1e-300)
 
 
 def test_q_to_zero_point_value():

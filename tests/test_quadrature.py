@@ -157,3 +157,7 @@ def test_settings_validation():
         QuadSettings(rel_tol=0.0)
     with pytest.raises(InvalidParameterError):
         QuadSettings(max_subdivisions=0)
+    with pytest.raises(InvalidParameterError):
+        QuadSettings(max_subdivisions=2.5)
+    with pytest.raises(InvalidParameterError):
+        QuadSettings(abs_tol=None)

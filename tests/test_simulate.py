@@ -62,6 +62,7 @@ def test_seed_changes_output():
     dict(x0=float("inf")),
     dict(n_paths=10.5), dict(n_paths=10.0), dict(n_paths=True),
     dict(seed=True),
+    dict(x0=None), dict(horizon="1"), dict(dt=None),
 ])
 def test_config_validation(kwargs):
     base = dict(params=TWO_REGIME, x0=0.0, horizon=1.0, dt=1e-2, n_paths=10, seed=0)
