@@ -10,22 +10,9 @@ node count serves as an error estimate rather than a refinement.
 
 import cmath
 import math
-import numbers
 
 from .errors import DomainError, InvalidParameterError
-
-
-def _talbot(F, t, m):
-    # fixed-Talbot contour of Abate and Valko; requires F at complex arguments
-    r = 2.0 * m / (5.0 * t)
-    total = 0.5 * math.exp(r * t) * complex(F(complex(r, 0.0))).real
-    for k in range(1, m):
-        theta = k * math.pi / m
-        cot = math.cos(theta) / math.sin(theta)
-        s = r * theta * complex(cot, 1.0)
-        sigma = theta + (theta * cot - 1.0) * cot
-        total += (cmath.exp(s * t) * complex(F(s)) * complex(1.0, sigma)).real
-    return (r / m) * total
+from .params import _integer
 
 
 def invert(F, t, nodes=24):
@@ -37,6 +24,14 @@ def invert(F, t, nodes=24):
     """
     if not (math.isfinite(t) and t > 0):
         raise DomainError(f"t must be positive, got {t!r}")
-    if isinstance(nodes, bool) or not isinstance(nodes, numbers.Integral) or nodes < 8:
+    if not (_integer(nodes) and nodes >= 8):
         raise InvalidParameterError(f"talbot node count must be an integer >= 8, got {nodes!r}")
-    return _talbot(F, t, nodes)
+    r = 2.0 * nodes / (5.0 * t)
+    total = 0.5 * math.exp(r * t) * complex(F(complex(r, 0.0))).real
+    for k in range(1, nodes):
+        theta = k * math.pi / nodes
+        cot = math.cos(theta) / math.sin(theta)
+        s = r * theta * complex(cot, 1.0)
+        sigma = theta + (theta * cot - 1.0) * cot
+        total += (cmath.exp(s * t) * complex(F(s)) * complex(1.0, sigma)).real
+    return (r / nodes) * total

@@ -24,6 +24,11 @@ def _finite_real(value):
         return False
 
 
+def _integer(value):
+    """True for a Python or numpy integer; False for a bool, a float or anything else."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class DiffusionParams:
     """Threshold diffusion parameters (mu1, sigma1 below the threshold a)."""

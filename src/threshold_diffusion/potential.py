@@ -4,11 +4,12 @@ potential_density(q, x, z) dz = E_x[ X_{e_q} in dz ] where e_q is an
 independent exponential clock with rate q, so potential_density / q is the
 Laplace transform in t of the transition density. One closed form,
 _resolvent, computes it for real rates with math functions
-(potential_density) and for complex rates with cmath functions (Laplace
-inversion on the Talbot contour). It is piecewise exponential in z; all
-exponents are grouped before exponentiation and are nonpositive inside each
-branch's validity region, so no overflow occurs for states arbitrarily far
-from the threshold. _tail_transform is its closed-form integral over z >= a.
+(potential_density, which hands it the rates of `deltas`) and for complex
+rates with cmath functions (Laplace inversion on the Talbot contour). It is
+piecewise exponential in z; all exponents are grouped before
+exponentiation and are nonpositive inside each branch's validity region,
+so no overflow occurs for states arbitrarily far from the threshold.
+_tail_transform is its closed-form integral over z >= a.
 """
 
 import cmath
@@ -16,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, NoStationaryLawError
-from .params import _delta_pair
+from .params import _delta_pair, deltas
 
 
 @dataclass(frozen=True)
@@ -35,8 +36,11 @@ class PotentialQuery:
             raise DomainError("x and z must be finite")
 
 
-def _resolvent(params, q, x, z, sqrt=math.sqrt, exp=math.exp):
+def _resolvent(params, q, x, z, sqrt=math.sqrt, exp=math.exp, rates=None):
     """Potential density at rate q, unclamped; pass cmath functions for complex q.
+
+    rates is (d1_plus, d1_minus, d2_plus, d2_minus) when the caller already
+    holds them; otherwise they are taken from _delta_pair with `sqrt`.
 
     Written for a start at or above a, with the rates named by where they
     lead: `out` decays away from a and `back` toward it on the start's side,
@@ -46,8 +50,10 @@ def _resolvent(params, q, x, z, sqrt=math.sqrt, exp=math.exp):
     orientation z = x takes the dz >= 0 branch and z = a the start's side.
     """
     a = params.a
-    d1p, d1m = _delta_pair(params.mu1, params.sigma1, q, sqrt)
-    d2p, d2m = _delta_pair(params.mu2, params.sigma2, q, sqrt)
+    if rates is None:
+        rates = (_delta_pair(params.mu1, params.sigma1, q, sqrt)
+                 + _delta_pair(params.mu2, params.sigma2, q, sqrt))
+    d1p, d1m, d2p, d2m = rates
     if x >= a:
         out, back, cross, far = d2m, d2p, d1m, d1p
         near_regime, far_regime = (params.mu2, params.sigma2), (params.mu1, params.sigma1)
@@ -68,7 +74,9 @@ def _resolvent(params, q, x, z, sqrt=math.sqrt, exp=math.exp):
 
 def potential_density(query):
     """Density of the q-potential measure at z for start state x."""
-    val = _resolvent(query.params, query.q, query.x, query.z)
+    d = deltas(query.params, query.q)
+    val = _resolvent(query.params, query.q, query.x, query.z,
+                     rates=(d.d1_plus, d.d1_minus, d.d2_plus, d.d2_minus))
     if not math.isfinite(val):
         raise DomainError(f"potential density overflows at q={query.q!r}, "
                           f"x={query.x!r}, z={query.z!r}")

@@ -18,12 +18,12 @@ evaluated exactly at a domain endpoint.
 import heapq
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AccuracyError, DomainError, IntegrandError, InvalidParameterError
+from .params import _finite_real, _integer
 
 # 15-point Kronrod nodes/weights with the embedded 7-point Gauss rule
 # (odd-indexed nodes). Standard QUADPACK constants.
@@ -84,17 +84,14 @@ class QuadSettings:
     truncation_epsilon: float = 1e-12
 
     def __post_init__(self):
-        if not (isinstance(self.abs_tol, numbers.Real) and self.abs_tol > 0):
+        if not (_finite_real(self.abs_tol) and self.abs_tol > 0):
             raise InvalidParameterError(f"abs_tol must be positive, got {self.abs_tol!r}")
-        if not (isinstance(self.rel_tol, numbers.Real) and self.rel_tol > 0):
+        if not (_finite_real(self.rel_tol) and self.rel_tol > 0):
             raise InvalidParameterError(f"rel_tol must be positive, got {self.rel_tol!r}")
-        if (isinstance(self.max_subdivisions, bool)
-                or not isinstance(self.max_subdivisions, numbers.Integral)
-                or self.max_subdivisions < 1):
+        if not (_integer(self.max_subdivisions) and self.max_subdivisions >= 1):
             raise InvalidParameterError(
                 f"max_subdivisions must be an integer >= 1, got {self.max_subdivisions!r}")
-        if not (isinstance(self.truncation_epsilon, numbers.Real)
-                and self.truncation_epsilon > 0):
+        if not (_finite_real(self.truncation_epsilon) and self.truncation_epsilon > 0):
             raise InvalidParameterError(
                 f"truncation_epsilon must be positive, got {self.truncation_epsilon!r}")
 

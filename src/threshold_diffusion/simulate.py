@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidParameterError, PolicyError
-from .params import _finite_real
+from .params import _finite_real, _integer
 
 # shifts [0,1) uniforms strictly inside (0,1) so the inverse CDF stays finite
 _U_SHIFT = 2.0 ** -54
@@ -135,11 +135,9 @@ class SimConfig:
         if self.dt > self.horizon:
             raise InvalidParameterError(
                 f"dt must not exceed horizon, got dt={self.dt!r} > T={self.horizon!r}")
-        if (isinstance(self.n_paths, bool) or not isinstance(self.n_paths, (int, np.integer))
-                or self.n_paths < 1):
+        if not (_integer(self.n_paths) and self.n_paths >= 1):
             raise InvalidParameterError(f"n_paths must be an integer >= 1, got {self.n_paths!r}")
-        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
-                or not (0 <= int(self.seed) < 2 ** 64)):
+        if not (_integer(self.seed) and 0 <= int(self.seed) < 2 ** 64):
             raise InvalidParameterError(
                 f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         if not _finite_real(self.x0):

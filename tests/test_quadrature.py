@@ -161,3 +161,7 @@ def test_settings_validation():
         QuadSettings(max_subdivisions=2.5)
     with pytest.raises(InvalidParameterError):
         QuadSettings(abs_tol=None)
+    with pytest.raises(InvalidParameterError):
+        QuadSettings(rel_tol=math.inf)
+    with pytest.raises(InvalidParameterError):
+        QuadSettings(max_subdivisions=True)
