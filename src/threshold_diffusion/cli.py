@@ -1,10 +1,13 @@
 """Command-line surface: grid evaluation of the library's quantities.
 
 Subcommands: density, potential, stationary, value, simulate, exit-lt,
-validate. Output is CSV (default) or JSON with 17 significant digits, '.'
-decimal separator and '\\n' line endings regardless of locale. Everything
-is computed before the output file is opened, so accuracy failures leave
-no partial file behind.
+validate. The six table commands build rows over their grid and hand them
+to one writer, _write_table, which renders CSV (default) or JSON with 17
+significant digits, '.' decimal separator and '\\n' line endings regardless
+of locale. Everything is computed before the output file is opened, so
+accuracy failures leave no partial file behind. --threads (or
+THRESHOLD_DIFFUSION_THREADS) exists on simulate and validate only, the two
+commands that simulate.
 
 Exit codes: 0 success; 2 invalid arguments or domain errors; 3 accuracy
 failures; 4 I/O failures. The validate subcommand instead exits 1 when
@@ -12,6 +15,7 @@ any check fails.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -31,23 +35,14 @@ from .simulate import SimConfig, simulate_paths
 
 _THREADS_ENV = "THRESHOLD_DIFFUSION_THREADS"
 
-# every value-taking flag; used to fuse "--flag value" into "--flag=value"
-# so grids like "-4:4:201" and lists like "-1,0,1" survive argparse
-_VALUE_FLAGS = frozenset((
-    "--mu1", "--mu2", "--sigma1", "--sigma2", "--a",
-    "--mu-bar", "--sigma-bar", "--mu-low", "--sigma-low", "--T",
-    "--t", "--x", "--z", "--y", "--q",
-    "--z-grid", "--x-grid", "--q-grid",
-    "--x0", "--horizon", "--dt", "--n-paths", "--seed",
-    "--threads", "--tol", "--out", "--format", "--config",
-))
 
-
-def _fuse(tokens):
+def _fuse(tokens, value_flags):
+    """Fuse "--flag value" into "--flag=value" for every flag in value_flags,
+    so grids like "-4:4:201" and lists like "-1,0,1" survive argparse."""
     out, i = [], 0
     while i < len(tokens):
         tok = tokens[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(tokens):
+        if tok in value_flags and i + 1 < len(tokens):
             out.append(tok + "=" + tokens[i + 1])
             i += 2
         else:
@@ -175,15 +170,20 @@ def _add_control_flags(p):
     p.add_argument("--T", type=float, required=True, help="horizon")
 
 
-def _add_common_flags(p):
+def _add_common_flags(p, threads=False):
     p.add_argument("--out", default="-", help="output path, '-' for stdout (default)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--config", help="key=value file merged under explicit flags")
-    p.add_argument("--threads", type=int, default=None,
-                   help=f"worker threads for simulation (default: {_THREADS_ENV} "
-                        "or machine parallelism)")
+    if threads:
+        p.add_argument("--threads", type=int, default=None,
+                       help=f"worker threads for simulation (default: {_THREADS_ENV} "
+                            "or machine parallelism)")
 
 
+# built once with its value-taking flags: parsing never changes it, and a parser
+# built per call left enough cyclic garbage to raise the peak memory of
+# repeated in-process calls
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="threshold-diffusion",
@@ -192,6 +192,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("density", help="transition density over a z grid")
+    p.set_defaults(handler=cmd_density)
     _add_diffusion_flags(p)
     p.add_argument("--t", type=_float_list, required=True, help="times, comma-separated")
     p.add_argument("--x", type=_float_list, required=True,
@@ -200,6 +201,7 @@ def _build_parser():
     _add_common_flags(p)
 
     p = sub.add_parser("potential", help="q-potential density over a z grid")
+    p.set_defaults(handler=cmd_potential)
     _add_diffusion_flags(p)
     p.add_argument("--q", type=float, required=True, help="exponential clock rate")
     p.add_argument("--x", type=float, required=True, help="start state")
@@ -207,27 +209,33 @@ def _build_parser():
     _add_common_flags(p)
 
     p = sub.add_parser("stationary", help="stationary density at points")
+    p.set_defaults(handler=cmd_stationary)
     _add_diffusion_flags(p)
-    p.add_argument("--z", type=float, help="single evaluation point")
-    p.add_argument("--z-grid", type=_grid, help="evaluation grid lo:hi:n")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--z", type=float, help="single evaluation point")
+    g.add_argument("--z-grid", type=_grid, help="evaluation grid lo:hi:n")
     _add_common_flags(p)
 
     p = sub.add_parser("value", help="optimal survival probability over start states")
+    p.set_defaults(handler=cmd_value)
     _add_control_flags(p)
-    p.add_argument("--x", type=_float_list, help="start states, comma-separated")
-    p.add_argument("--x-grid", type=_grid, help="start-state grid lo:hi:n")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--x", type=_float_list, help="start states, comma-separated")
+    g.add_argument("--x-grid", type=_grid, help="start-state grid lo:hi:n")
     _add_common_flags(p)
 
     p = sub.add_parser("simulate", help="Euler path ensemble, terminal values as CSV")
+    p.set_defaults(handler=cmd_simulate)
     _add_diffusion_flags(p)
     p.add_argument("--x0", type=float, required=True, help="start state")
     p.add_argument("--horizon", type=float, required=True, help="terminal time")
     p.add_argument("--dt", type=float, required=True, help="step size")
     p.add_argument("--n-paths", type=int, required=True, help="ensemble size")
     p.add_argument("--seed", type=_seed, required=True, help="stream key, 0 <= seed < 2^64")
-    _add_common_flags(p)
+    _add_common_flags(p, threads=True)
 
     p = sub.add_parser("exit-lt", help="two-sided exit transforms over a q grid")
+    p.set_defaults(handler=cmd_exit_lt)
     _add_diffusion_flags(p)
     p.add_argument("--x", type=float, required=True, help="start state")
     p.add_argument("--y", type=float, required=True, help="lower level")
@@ -236,115 +244,103 @@ def _build_parser():
     _add_common_flags(p)
 
     p = sub.add_parser("validate", help="run the cross-oracle check battery")
+    p.set_defaults(handler=cmd_validate)
     p.add_argument("--tol", type=float, default=None,
                    help="override analytic tolerances (statistical margins unchanged)")
-    _add_common_flags(p)
+    _add_common_flags(p, threads=True)
 
-    return parser
+    # the flags that take a value, for _fuse
+    value_flags = frozenset(opt for sp in sub.choices.values() for a in sp._actions
+                            if a.nargs != 0 for opt in a.option_strings)
+    return parser, value_flags
+
+
+def _params(args):
+    return make_params(args.mu1, args.mu2, args.sigma1, args.sigma2, args.a)
+
+
+def _write_table(args, columns, rows, skip=0, headings=None, summary=None):
+    """Render rows (tuples over columns) as CSV or JSON and write them to --out.
+
+    JSON is one list of objects over every column. CSV leaves out the first
+    `skip` columns, which the command line or the headings already carry,
+    and prints the header once per block: with headings, the rows split
+    into len(headings) equal blocks, each under a "# heading" line. A
+    summary dict wraps the JSON rows as {"summary", "paths"}; with CSV it
+    is printed as one JSON line on the stream the table is not on.
+    """
+    if args.format == "json":
+        doc = [dict(zip(columns, row)) for row in rows]
+        if summary is not None:
+            doc = {"summary": summary, "paths": doc}
+        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+        return
+    header = ",".join(columns[skip:]) + "\n"
+    size = len(rows) // len(headings) if headings else len(rows)
+    parts = []
+    for k, heading in enumerate(headings or [None]):
+        if heading is not None:
+            parts.append(f"# {heading}\n")
+        parts.append(header)
+        parts.extend(",".join(map(_fmt, row[skip:])) + "\n"
+                     for row in rows[k * size:(k + 1) * size])
+    _emit("".join(parts), args.out)
+    if summary is not None:
+        print(json.dumps(summary), file=sys.stderr if args.out == "-" else sys.stdout)
 
 
 def cmd_density(args):
-    params = make_params(args.mu1, args.mu2, args.sigma1, args.sigma2, args.a)
-    blocks = []
+    params = _params(args)
+    rows, headings = [], []
     for t in args.t:
         for x in args.x:
-            vals = [transition_density(DensityQuery(params, t, x, float(z)))
-                    for z in args.z_grid]
-            blocks.append((t, x, vals))
-    if args.format == "json":
-        rows = [{"t": t, "x": x, "z": float(z), "p": p}
-                for t, x, vals in blocks for z, p in zip(args.z_grid, vals)]
-        text = json.dumps(rows, indent=2) + "\n"
-    else:
-        parts = []
-        for t, x, vals in blocks:
-            parts.append(f"# t={_fmt(t)} x={_fmt(x)}\n")
-            parts.append("z,p\n")
-            parts.extend(f"{_fmt(z)},{_fmt(p)}\n" for z, p in zip(args.z_grid, vals))
-        text = "".join(parts)
-    _emit(text, args.out)
+            headings.append(f"t={_fmt(t)} x={_fmt(x)}")
+            rows.extend((t, x, z, transition_density(DensityQuery(params, t, x, z)))
+                        for z in map(float, args.z_grid))
+    _write_table(args, ("t", "x", "z", "p"), rows, skip=2, headings=headings)
     return 0
 
 
 def cmd_potential(args):
-    params = make_params(args.mu1, args.mu2, args.sigma1, args.sigma2, args.a)
-    vals = [potential_density(PotentialQuery(params, args.q, args.x, float(z)))
-            for z in args.z_grid]
-    if args.format == "json":
-        rows = [{"q": args.q, "x": args.x, "z": float(z), "u": u}
-                for z, u in zip(args.z_grid, vals)]
-        text = json.dumps(rows, indent=2) + "\n"
-    else:
-        text = "z,u\n" + "".join(f"{_fmt(z)},{_fmt(u)}\n"
-                                 for z, u in zip(args.z_grid, vals))
-    _emit(text, args.out)
+    params = _params(args)
+    rows = [(args.q, args.x, z, potential_density(PotentialQuery(params, args.q, args.x, z)))
+            for z in map(float, args.z_grid)]
+    _write_table(args, ("q", "x", "z", "u"), rows, skip=2)
     return 0
 
 
 def cmd_stationary(args):
-    params = make_params(args.mu1, args.mu2, args.sigma1, args.sigma2, args.a)
-    if (args.z is None) == (args.z_grid is None):
-        raise InvalidParameterError("stationary needs exactly one of --z or --z-grid")
+    params = _params(args)
     zs = [args.z] if args.z is not None else [float(z) for z in args.z_grid]
-    vals = [stationary_density(params, z) for z in zs]
-    if args.format == "json":
-        text = json.dumps([{"z": z, "pi": v} for z, v in zip(zs, vals)], indent=2) + "\n"
-    else:
-        text = "z,pi\n" + "".join(f"{_fmt(z)},{_fmt(v)}\n" for z, v in zip(zs, vals))
-    _emit(text, args.out)
+    _write_table(args, ("z", "pi"), [(z, stationary_density(params, z)) for z in zs])
     return 0
 
 
 def cmd_value(args):
     problem = ControlProblem(args.mu_bar, args.sigma_bar, args.mu_low, args.sigma_low,
                              args.a, args.T)
-    if (args.x is None) == (args.x_grid is None):
-        raise InvalidParameterError("value needs exactly one of --x or --x-grid")
     xs = args.x if args.x is not None else [float(v) for v in args.x_grid]
-    vals = [value_function(problem, x) for x in xs]
-    if args.format == "json":
-        text = json.dumps([{"x": x, "V": v} for x, v in zip(xs, vals)], indent=2) + "\n"
-    else:
-        text = "x,V\n" + "".join(f"{_fmt(x)},{_fmt(v)}\n" for x, v in zip(xs, vals))
-    _emit(text, args.out)
+    _write_table(args, ("x", "V"), [(x, value_function(problem, x)) for x in xs])
     return 0
 
 
 def cmd_simulate(args):
-    params = make_params(args.mu1, args.mu2, args.sigma1, args.sigma2, args.a)
+    params = _params(args)
     config = SimConfig(params, args.x0, args.horizon, args.dt, args.n_paths, args.seed)
     ens = simulate_paths(config, threads=args.threads)
     survival, se = ens.survival_frequency(params.a)
-    summary = json.dumps({"survival": survival, "se": se, "n": args.n_paths,
+    _write_table(args, ("path_index", "terminal_value"),
+                 [(i, float(v)) for i, v in enumerate(ens.terminal_values)],
+                 summary={"survival": survival, "se": se, "n": args.n_paths,
                           "dt": args.dt, "seed": args.seed})
-    if args.format == "json":
-        doc = {"summary": {"survival": survival, "se": se, "n": args.n_paths,
-                           "dt": args.dt, "seed": args.seed},
-               "paths": [{"path_index": i, "terminal_value": float(v)}
-                         for i, v in enumerate(ens.terminal_values)]}
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
-        return 0
-    text = "path_index,terminal_value\n" + "".join(
-        f"{i},{_fmt(v)}\n" for i, v in enumerate(ens.terminal_values))
-    _emit(text, args.out)
-    # keep the data stream clean: summary goes to the channel the CSV is not on
-    print(summary, file=sys.stderr if args.out == "-" else sys.stdout)
     return 0
 
 
 def cmd_exit_lt(args):
-    params = make_params(args.mu1, args.mu2, args.sigma1, args.sigma2, args.a)
-    rows = []
-    for q in args.q_grid:
-        down, up = two_sided_exit(ExitQuery(params, float(q), args.x, args.y, args.z))
-        rows.append((float(q), down, up))
-    if args.format == "json":
-        text = json.dumps([{"q": q, "down": d, "up": u} for q, d, u in rows],
-                          indent=2) + "\n"
-    else:
-        text = "q,down,up\n" + "".join(f"{_fmt(q)},{_fmt(d)},{_fmt(u)}\n"
-                                       for q, d, u in rows)
-    _emit(text, args.out)
+    params = _params(args)
+    rows = [(float(q),) + two_sided_exit(ExitQuery(params, float(q), args.x, args.y, args.z))
+            for q in args.q_grid]
+    _write_table(args, ("q", "down", "up"), rows)
     return 0
 
 
@@ -373,20 +369,9 @@ def cmd_validate(args):
     return 0 if all_passed else 1
 
 
-_HANDLERS = {
-    "density": cmd_density,
-    "potential": cmd_potential,
-    "stationary": cmd_stationary,
-    "value": cmd_value,
-    "simulate": cmd_simulate,
-    "exit-lt": cmd_exit_lt,
-    "validate": cmd_validate,
-}
-
-
 def main(argv=None):
-    tokens = _fuse(list(sys.argv[1:] if argv is None else argv))
-    parser = _build_parser()
+    parser, value_flags = _build_parser()
+    tokens = _fuse(list(sys.argv[1:] if argv is None else argv), value_flags)
     try:
         try:
             cfg = _config_tokens(tokens)
@@ -402,7 +387,7 @@ def main(argv=None):
             return int(exc.code or 0)
         if hasattr(args, "threads"):
             args.threads = _resolve_threads(args.threads)
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except (InvalidParameterError, PolicyError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

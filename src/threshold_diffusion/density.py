@@ -8,22 +8,38 @@ code path through the reflection
 
     p(t; x, z; mu1, mu2, s1, s2, a) = p(t; -x, -z; -mu2, -mu1, s2, s1, -a),
 
-so the two branches of the formula exercise one implementation.
+so the two branches of the formula exercise one implementation. At long
+horizons under drifts that push toward a, the quadrature's decay hint
+stops resolving the overshoot integrand; there, while the Peclet number
+|mu| |z - x| / sigma^2 stays inside the Talbot contour's range, the density
+is the Talbot inversion of potential_density / q, checked against a second
+node count.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import AccuracyError, DomainError
-from .params import deltas
-from .potential import potential_q_to_zero_limit
-from .quadrature import QuadSettings, _convolve_batch, integrate_semi_infinite
+from .inversion import invert
+from .params import _finite_real, deltas
+from .potential import _resolvent, potential_q_to_zero_limit
+from .quadrature import _DEFAULT, QuadSettings, _convolve_batch, integrate_semi_infinite
 
 # the double integral may be skipped when the closed-form part dominates
 # its Laplace-side bound by this factor
 _SKIP_RATIO = 1e12
+
+# integrate_semi_infinite places its probes and seeds on the hint scale 1/rate,
+# but the overshoot integrand peaks on the diffusion scale min(sigma) sqrt(t).
+# Under drifts that push toward a, the hint scale grows like t, and past this
+# ratio the panels step over the peak: seen failing from ratios near 300.
+_HINT_SCALE_LIMIT = 32.0
+
+# the fixed Talbot contour stays accurate only while the Peclet number
+# |mu| |z - x| / sigma^2 is moderate (error 1e-6 near 45); past this bound
+# the transport delay |z - x| / |mu| cancels the contour's damping
+_TALBOT_PECLET_LIMIT = 16.0
 
 
 @dataclass(frozen=True)
@@ -37,17 +53,10 @@ class DensityQuery:
     settings: QuadSettings = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.t) and self.t > 0):
+        if not (_finite_real(self.t) and self.t > 0):
             raise DomainError(f"t must be positive, got {self.t!r}")
-        if not (math.isfinite(self.x) and math.isfinite(self.z)):
+        if not (_finite_real(self.x) and _finite_real(self.z)):
             raise DomainError("x and z must be finite")
-
-
-def _crossing_rate(params, t):
-    # decay rate of the overshoot integrand, from the closed-form Laplace
-    # bound evaluated at the reference rate q = 1/t
-    d = deltas(params, 1.0 / t)
-    return d.d1_minus + d.d2_plus
 
 
 def _gaussian_pair(params, t, x, z):
@@ -64,7 +73,7 @@ def _gaussian_pair(params, t, x, z):
     return norm * (math.exp(direct) - math.exp(mirror))
 
 
-def _upper_double_integral(params, t, x, z, settings):
+def _upper_double_integral(params, t, x, z, settings, rate, d2_plus):
     # crossing part for x >= a, z >= a: paths dip below a (overshoot b) and return
     s1, s2 = params.sigma1, params.sigma2
     a = params.a
@@ -76,10 +85,8 @@ def _upper_double_integral(params, t, x, z, settings):
                                   log_scale=log_scale, settings=settings)
         return vals
 
-    rate = _crossing_rate(params, t)
     # Laplace-side bound at q = 1/t on the whole b-integral
-    bound = (math.e / rate) * math.exp(log_scale - deltas(params, 1.0 / t).d2_plus
-                                       * (z + x - 2.0 * a))
+    bound = (math.e / rate) * math.exp(log_scale - d2_plus * (z + x - 2.0 * a))
     gauss = _gaussian_pair(params, t, x, z)
     if (2.0 / (s2 * s2)) * bound * _SKIP_RATIO < abs(gauss):
         return gauss
@@ -87,7 +94,7 @@ def _upper_double_integral(params, t, x, z, settings):
     return gauss + (2.0 / (s2 * s2)) * val
 
 
-def _lower_double_integral(params, t, x, z, settings):
+def _lower_double_integral(params, t, x, z, settings, rate):
     # crossing part for x >= a, z < a: every contributing path crosses once
     s1, s2 = params.sigma1, params.sigma2
     a = params.a
@@ -99,9 +106,23 @@ def _lower_double_integral(params, t, x, z, settings):
                                   log_scale=log_scale, settings=settings)
         return vals
 
-    rate = _crossing_rate(params, t)
     val, _ = integrate_semi_infinite(outer, 0.0, rate, settings)
     return (2.0 / (s1 * s1)) * val
+
+
+def _talbot_density(params, t, x, z, settings):
+    """Talbot inversion of potential_density / q, vouched for by a second node count."""
+    def F(q):
+        return _resolvent(params, q, x, z, cmath.sqrt, cmath.exp) / q
+
+    val = invert(F, t, 24)
+    gap = abs(val - invert(F, t, 32))
+    s = settings if settings is not None else _DEFAULT
+    # kept two orders inside the quadrature route's tolerance, as value_function does
+    if not gap <= 0.01 * max(s.abs_tol, s.rel_tol * abs(val)):
+        raise AccuracyError(f"transition density at t={t!r}: Talbot inversions on 24 and "
+                            f"32 nodes differ by {gap:.3e}", estimate=val, error_estimate=gap)
+    return val
 
 
 def transition_density(query):
@@ -116,11 +137,18 @@ def transition_density(query):
     if x < p.a:
         p = p.mirrored()
         x, z = -x, -z
+    # rates of the overshoot integrand's Laplace-side bound at q = 1/t
+    d = deltas(p, 1.0 / t)
+    rate = d.d1_minus + d.d2_plus
     try:
-        if z >= p.a:
-            val = _upper_double_integral(p, t, x, z, settings)
+        peclet = abs(z - x) * max(abs(p.mu1) / p.sigma1 ** 2, abs(p.mu2) / p.sigma2 ** 2)
+        if (rate * min(p.sigma1, p.sigma2) * math.sqrt(t) * _HINT_SCALE_LIMIT < 1.0
+                and peclet <= _TALBOT_PECLET_LIMIT):
+            val = _talbot_density(p, t, x, z, settings)
+        elif z >= p.a:
+            val = _upper_double_integral(p, t, x, z, settings, rate, d.d2_plus)
         else:
-            val = _lower_double_integral(p, t, x, z, settings)
+            val = _lower_double_integral(p, t, x, z, settings, rate)
     except OverflowError as exc:
         raise AccuracyError(f"transition density overflows at t={t!r}") from exc
     return max(val, 0.0)

@@ -10,19 +10,18 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateIntervalError, DomainError
-from .params import deltas
+from .params import _finite_real, deltas
 
 
 def _check_q(q):
-    if not (math.isfinite(q) and q > 0):
+    if not (_finite_real(q) and q > 0):
         raise DomainError(f"q must be positive, got {q!r}")
 
 
 def _check_states(*states):
-    # infinite states have exact limits, but NaN fails every comparison and
-    # would come out as a NaN transform
-    if any(math.isnan(s) for s in states):
-        raise DomainError(f"states must not be NaN, got {states!r}")
+    # infinite states have exact limits; NaN, None or a string has none
+    if not all(_finite_real(s) or s in (-math.inf, math.inf) for s in states):
+        raise DomainError(f"states must be numbers other than NaN, got {states!r}")
 
 
 @dataclass(frozen=True)
@@ -40,9 +39,10 @@ class GPair:
         d = self._d
         s = x - self.params.a
         if s <= 0.0:
-            # (1-c_minus) + c_minus*exp((d1m+d1p)*s) >= min(1, 1-c_minus) > 0
+            # 1 - c_minus = (d1m + d2p) / (d1m + d1p) in a form that cannot cancel
+            keep = (d.d1_minus + d.d2_plus) / (d.d1_minus + d.d1_plus)
             return -d.d1_plus * s + math.log(
-                (1.0 - d.c_minus) + d.c_minus * math.exp((d.d1_minus + d.d1_plus) * s))
+                keep + d.c_minus * math.exp((d.d1_minus + d.d1_plus) * s))
         return -d.d2_plus * s
 
     def log_g_plus_at(self, x):
@@ -50,26 +50,28 @@ class GPair:
         s = x - self.params.a
         if s <= 0.0:
             return d.d1_minus * s
+        keep = (d.d1_minus + d.d2_plus) / (d.d2_minus + d.d2_plus)  # 1 - c_plus
         return d.d2_minus * s + math.log(
-            (1.0 - d.c_plus) + d.c_plus * math.exp(-(d.d2_minus + d.d2_plus) * s))
+            keep + d.c_plus * math.exp(-(d.d2_minus + d.d2_plus) * s))
 
-    def g_minus_at(self, x):
-        return math.exp(self.log_g_minus_at(x))
 
-    def g_plus_at(self, x):
-        return math.exp(self.log_g_plus_at(x))
+def _exp(log_value, what):
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise DomainError(f"{what} overflows a float") from None
 
 
 def g_minus(params, q, x):
     """Decreasing q-harmonic function, normalized to 1 at the threshold."""
     _check_states(x)
-    return GPair(params, q).g_minus_at(x)
+    return _exp(GPair(params, q).log_g_minus_at(x), f"g_minus at x={x!r}")
 
 
 def g_plus(params, q, x):
     """Increasing q-harmonic function, normalized to 1 at the threshold."""
     _check_states(x)
-    return GPair(params, q).g_plus_at(x)
+    return _exp(GPair(params, q).log_g_plus_at(x), f"g_plus at x={x!r}")
 
 
 @dataclass(frozen=True)
@@ -84,6 +86,7 @@ class ExitQuery:
 
     def __post_init__(self):
         _check_q(self.q)
+        _check_states(self.x, self.y, self.z)
         if not (self.y <= self.x <= self.z):
             raise DomainError(
                 f"levels must satisfy y <= x <= z, got y={self.y!r}, x={self.x!r}, z={self.z!r}")
@@ -107,23 +110,15 @@ def two_sided_exit(query):
     lmy, lpy = g.log_g_minus_at(query.y), g.log_g_plus_at(query.y)
     lmz, lpz = g.log_g_minus_at(query.z), g.log_g_plus_at(query.z)
 
-    # denominator g-(y)g+(z) - g-(z)g+(y) is positive: g- decreasing, g+ increasing
-    d1, d2 = lmy + lpz, lmz + lpy
-    md = max(d1, d2)
-    den = math.exp(d1 - md) - math.exp(d2 - md)
+    # numerators and the denominator g-(y)g+(z) - g-(z)g+(y) > 0, all divided by
+    # g-(y)g+(z); each exponent sums log-ratios of one function at two states,
+    # so a large log g never meets a small one before they are subtracted
+    den = -math.expm1((lmz - lmy) + (lpy - lpz))
     if den <= 1e-300:
         raise DegenerateIntervalError(
             "two-sided exit denominator underflowed; levels are numerically indistinguishable")
-
-    n1, n2 = lpz + lmx, lmz + lpx
-    mn = max(n1, n2)
-    down = math.exp(mn - md) * (math.exp(n1 - mn) - math.exp(n2 - mn)) / den
-
-    n1, n2 = lpy + lmx, lmy + lpx
-    mn = max(n1, n2)
-    # up transform has the mirrored determinant, hence the sign flip
-    up = -math.exp(mn - md) * (math.exp(n1 - mn) - math.exp(n2 - mn)) / den
-
+    down = math.exp(lmx - lmy) * -math.expm1((lmz - lmx) + (lpx - lpz)) / den
+    up = math.exp(lpx - lpz) * -math.expm1((lpy - lpx) + (lmx - lmy)) / den
     return min(max(down, 0.0), 1.0), min(max(up, 0.0), 1.0)
 
 

@@ -6,6 +6,7 @@ sigma2 when x > a.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,10 +45,13 @@ class DiffusionParams:
             v = getattr(self, name)
             if not _finite_real(v):
                 raise InvalidParameterError(f"{name} must be a finite number, got {v!r}")
-        if self.sigma1 <= 0:
-            raise InvalidParameterError(f"sigma1 must be positive, got {self.sigma1!r}")
-        if self.sigma2 <= 0:
-            raise InvalidParameterError(f"sigma2 must be positive, got {self.sigma2!r}")
+        for name in ("sigma1", "sigma2"):
+            v = getattr(self, name)
+            if v <= 0:
+                raise InvalidParameterError(f"{name} must be positive, got {v!r}")
+            # every rate divides by sigma^2, which must neither underflow nor overflow
+            if not sys.float_info.min <= v * v <= sys.float_info.max:
+                raise InvalidParameterError(f"{name}={v!r} has no normal float square")
 
     def drift_at(self, x):
         """Drift coefficient at state x (vectorized)."""

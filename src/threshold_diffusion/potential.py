@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, NoStationaryLawError
-from .params import _delta_pair, deltas
+from .params import _delta_pair, _finite_real, deltas
 
 
 @dataclass(frozen=True)
@@ -30,9 +30,9 @@ class PotentialQuery:
     z: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.q) and self.q > 0):
+        if not (_finite_real(self.q) and self.q > 0):
             raise DomainError(f"q must be positive, got {self.q!r}")
-        if not (math.isfinite(self.x) and math.isfinite(self.z)):
+        if not (_finite_real(self.x) and _finite_real(self.z)):
             raise DomainError("x and z must be finite")
 
 

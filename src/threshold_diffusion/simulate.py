@@ -183,18 +183,6 @@ class PathEnsemble:
         se = np.sqrt(freq * (1.0 - freq) / self.n_paths)
         return edges, freq, se
 
-    def to_csv(self, path_or_file):
-        """Write one row per path: path_index, terminal_value (17 significant digits)."""
-        def _write(fh):
-            fh.write("path_index,terminal_value\n")
-            for i, v in enumerate(self.terminal_values):
-                fh.write("%d,%.17g\n" % (i, v))
-        if hasattr(path_or_file, "write"):
-            _write(path_or_file)
-        else:
-            with open(path_or_file, "w", newline="") as fh:
-                _write(fh)
-
 
 def _block_size(n_paths, threads):
     per = _BLOCK_PATHS

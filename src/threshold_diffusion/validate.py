@@ -411,8 +411,3 @@ def criterion_11(tol=None, threads=1):
 ALL_CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
                 criterion_6, criterion_7, criterion_8, criterion_9, criterion_10,
                 criterion_11)
-
-
-def run_all(tol=None, threads=1):
-    """Run the full battery in order; returns a list of CheckResult."""
-    return [check(tol=tol, threads=threads) for check in ALL_CRITERIA]

@@ -5,11 +5,17 @@ import math
 
 import pytest
 
-from threshold_diffusion import AccuracyError
+from threshold_diffusion import (AccuracyError, ControlProblem, DensityQuery, ExitQuery,
+                                 PotentialQuery, SimConfig, make_params, potential_density,
+                                 simulate_paths, stationary_density, transition_density,
+                                 two_sided_exit, value_function)
 from threshold_diffusion import cli
 from threshold_diffusion.validate import criterion_3, criterion_11
 
 BM_FLAGS = ["--mu1", "0", "--mu2", "0", "--sigma1", "1", "--sigma2", "1", "--a", "0"]
+TR_FLAGS = ["--mu1", "1", "--mu2", "-1", "--sigma1", "1", "--sigma2", "2", "--a", "0"]
+TR = make_params(1.0, -1.0, 1.0, 2.0, 0.0)
+GRID = (-1.0, 0.0, 1.0)  # "-1:1:3"
 
 
 def run(capsys, argv):
@@ -25,6 +31,79 @@ def parse_csv_rows(text):
             continue
         rows.append([float(v) for v in line.split(",")])
     return rows
+
+
+def table_case(command):
+    """argv, columns, leading columns CSV omits, CSV block headings, rows from the
+    library and simulate's summary."""
+    if command == "density":  # a repeated time still prints its own blocks
+        rows = [(t, x, z, transition_density(DensityQuery(TR, t, x, z)))
+                for t in (1.0, 1.0) for x in (0.5, -0.25) for z in GRID]
+        return (["density", *TR_FLAGS, "--t", "1,1", "--x", "0.5,-0.25", "--z-grid", "-1:1:3"],
+                ("t", "x", "z", "p"), 2, ["# t=1 x=0.5", "# t=1 x=-0.25"] * 2, rows, None)
+    if command == "potential":
+        rows = [(1.5, 0.5, z, potential_density(PotentialQuery(TR, 1.5, 0.5, z))) for z in GRID]
+        return (["potential", *TR_FLAGS, "--q", "1.5", "--x", "0.5", "--z-grid", "-1:1:3"],
+                ("q", "x", "z", "u"), 2, None, rows, None)
+    if command == "stationary":
+        return (["stationary", *TR_FLAGS, "--z-grid", "-1:1:3"], ("z", "pi"), 0, None,
+                [(z, stationary_density(TR, z)) for z in GRID], None)
+    if command == "value":
+        problem = ControlProblem(0.0, 2.0, 0.0, 1.0, 0.0, 1.0)
+        return (["value", "--mu-bar", "0", "--sigma-bar", "2", "--mu-low", "0",
+                 "--sigma-low", "1", "--a", "0", "--T", "1", "--x", "0,0.25"], ("x", "V"), 0,
+                None, [(x, value_function(problem, x)) for x in (0.0, 0.25)], None)
+    if command == "exit-lt":
+        rows = [(q,) + two_sided_exit(ExitQuery(TR, q, 0.0, -1.0, 1.0))
+                for q in (0.5, 1.0, 1.5, 2.0)]
+        return (["exit-lt", *TR_FLAGS, "--x", "0", "--y", "-1", "--z", "1", "--q-grid", "0.5:2:4"],
+                ("q", "down", "up"), 0, None, rows, None)
+    ens = simulate_paths(SimConfig(TR, 0.0, 0.1, 0.01, 50, 3))
+    survival, se = ens.survival_frequency(0.0)
+    return (["simulate", *TR_FLAGS, "--x0", "0", "--horizon", "0.1", "--dt", "0.01",
+             "--n-paths", "50", "--seed", "3"], ("path_index", "terminal_value"), 0, None,
+            [(i, float(v)) for i, v in enumerate(ens.terminal_values)],
+            {"survival": survival, "se": se, "n": 50, "dt": 0.01, "seed": 3})
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["density", "potential", "stationary", "value", "exit-lt",
+                                     "simulate"])
+def test_table_values_round_trip_their_library_calls(capsys, command, fmt):
+    argv, columns, skip, headings, rows, summary = table_case(command)
+    rc, out, err = run(capsys, argv + ["--format", fmt])
+    assert rc == 0
+    if fmt == "json":
+        doc = json.loads(out)
+        if summary is not None:
+            assert doc["summary"] == summary
+            doc = doc["paths"]
+        assert doc == [dict(zip(columns, row)) for row in rows]
+        return
+    header = ",".join(columns[skip:])
+    layout, got = [], []
+    for line in out.splitlines():
+        if line.startswith("# ") or line == header:
+            layout.append(line)
+        else:
+            layout.append("row")
+            got.append(tuple(float(v) for v in line.split(",")))
+    want_layout = []
+    for heading in headings or [None]:
+        want_layout += [heading] * (heading is not None) + [header]
+        want_layout += ["row"] * (len(rows) // len(headings or [None]))
+    assert layout == want_layout
+    assert got == [row[skip:] for row in rows]
+    if summary is not None:
+        assert json.loads(err) == summary
+
+
+def test_threads_env_reaches_only_the_simulating_commands(capsys, monkeypatch):
+    monkeypatch.setenv("THRESHOLD_DIFFUSION_THREADS", "many")
+    rc, out, _ = run(capsys, ["stationary", "--mu1", "1", "--mu2", "-1",
+                              "--sigma1", "1", "--sigma2", "1", "--a", "0", "--z", "0"])
+    assert rc == 0
+    assert parse_csv_rows(out) == [[0.0, 1.0]]
 
 
 def test_density_gaussian_points(capsys):
@@ -153,6 +232,9 @@ def test_simulate_json_embeds_summary(capsys):
      "--a", "0", "--x", "5", "--y", "-1", "--z", "1", "--q-grid", "0.5:2:4"],
     ["simulate", *BM_FLAGS, "--x0", "0", "--horizon", "0.1", "--dt", "0.01",
      "--n-paths", "10", "--seed", "1", "--threads", "0"],
+    ["density", *BM_FLAGS, "--t", "1", "--x", "0", "--z-grid", "0:1:2", "--threads", "2"],
+    ["value", "--mu-bar", "0", "--sigma-bar", "2", "--mu-low", "0", "--sigma-low", "1",
+     "--a", "0", "--T", "1"],
 ])
 def test_invalid_requests_exit_2(capsys, argv):
     rc, _, _ = run(capsys, argv)

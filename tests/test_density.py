@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from threshold_diffusion import density as density_module
 from threshold_diffusion import (AccuracyError, DensityQuery, DomainError, NoStationaryLawError,
                                  QuadSettings, SimConfig, density_jump_at_threshold,
                                  integrate_finite, is_time_reversible,
@@ -157,12 +158,69 @@ def test_density_rejects_bad_t():
     with pytest.raises(DomainError):
         DensityQuery(TWO_REGIME, 0.0, 0.0, 1.0)
     with pytest.raises(DomainError):
+        DensityQuery(TWO_REGIME, 1.0, None, 0.2)
+    with pytest.raises(DomainError):
+        DensityQuery(TWO_REGIME, "1", 0.1, 0.2)
+    with pytest.raises(DomainError):
         density_jump_at_threshold(TWO_REGIME, -1.0, 0.0)
 
 
 def test_density_overflow_at_huge_t_is_a_library_error():
+    # drifts away from a keep this on the quadrature route, whose Gaussian overflows
     with pytest.raises(AccuracyError):
-        p_at(TWO_REGIME, 1e300, 0.1, 0.2)
+        p_at(make_params(-1.0, 1.0, 1.0, 2.0, 0.0), 1e300, 0.1, 0.2)
+
+
+def test_density_at_huge_t_under_confining_drifts_is_the_stationary_law():
+    # the quadrature route overflowed here; the Talbot route does not
+    assert p_at(TWO_REGIME, 1e300, 0.1, 0.2) == pytest.approx(
+        stationary_density(TWO_REGIME, 0.2), rel=1e-7)
+
+
+@pytest.mark.parametrize("t", [3e7, 1e9, 1e20])
+@pytest.mark.parametrize("x, z", [(0.1, 0.2), (-0.5, 0.3)])
+def test_long_horizon_density_is_the_stationary_law(t, x, z):
+    # the overshoot quadrature's decay hint misses the integrand here (it read
+    # 3.2e-17 at t = 3e7 for x = 0.1, z = 0.2)
+    assert p_at(TWO_REGIME, t, x, z) == pytest.approx(
+        stationary_density(TWO_REGIME, z), rel=1e-7)
+
+
+def _forced_route(monkeypatch, talbot):
+    # a zero hint-scale limit sends every point to Talbot, an infinite one none
+    monkeypatch.setattr(density_module, "_HINT_SCALE_LIMIT", 0.0 if talbot else math.inf)
+    monkeypatch.setattr(density_module, "_TALBOT_PECLET_LIMIT", math.inf)
+
+
+# TWO_REGIME's hint-scale switch lies at t = 4093.5 for every x, z; at t = 5000
+# its Peclet switch lies at |z - x| = 16
+@pytest.mark.parametrize("t, x, z", [
+    (2000.0, 0.1, 0.2), (8000.0, 0.1, 0.2), (2000.0, -0.5, 0.3), (8000.0, -0.5, 0.3),
+    (2000.0, 0.3, -0.4), (8000.0, 0.3, -0.4), (5000.0, 0.1, 16.0), (5000.0, 0.1, 16.2)])
+def test_density_routes_agree_on_both_sides_of_the_switch(monkeypatch, t, x, z):
+    chosen = p_at(TWO_REGIME, t, x, z)
+    with monkeypatch.context() as m:
+        _forced_route(m, talbot=True)
+        talbot = p_at(TWO_REGIME, t, x, z)
+    with monkeypatch.context() as m:
+        _forced_route(m, talbot=False)
+        quadrature = p_at(TWO_REGIME, t, x, z)
+    assert chosen in (talbot, quadrature)
+    assert talbot == pytest.approx(quadrature, rel=1e-9)
+
+
+def test_small_volatility_transport_peak_stays_on_the_quadrature():
+    # sigma2 = 0.01 puts the hint-scale ratio below the switch at t = 0.3, but the
+    # peak is carried by the drift over |z - x| = |mu2| t, where the Talbot contour
+    # loses its damping (Peclet number 3000); the closed-form Gaussian holds here
+    p = make_params(1.0, -1.0, 2.0, 0.01, 0.0)
+    assert p_at(p, 0.3, 0.5, 0.2) == pytest.approx(72.83656203947193, rel=1e-12)
+
+
+def test_long_horizon_density_refuses_what_talbot_cannot_vouch_for():
+    strict = QuadSettings(abs_tol=1e-300, rel_tol=1e-15)
+    with pytest.raises(AccuracyError):
+        p_at(TWO_REGIME, 1e9, 0.1, 0.2, strict)
 
 
 def test_density_regression_pin():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from threshold_diffusion import exit as exit_module
 from threshold_diffusion import (DegenerateIntervalError, DomainError, ExitQuery,
                                  g_minus, g_plus, make_params, one_sided_down,
                                  one_sided_up, two_sided_exit)
@@ -152,6 +153,63 @@ def test_nan_states_are_rejected():
     for call in calls:
         with pytest.raises(DomainError):
             call()
+
+
+def test_entry_points_reject_non_numbers_and_overflow_as_library_errors():
+    calls = (lambda: ExitQuery(TWO_REGIME, 1.0, None, -1.0, 1.0),
+             lambda: ExitQuery(TWO_REGIME, "1", 0.0, -1.0, 1.0),
+             lambda: exit_module._check_q(None), lambda: exit_module._check_states(None),
+             lambda: g_plus(TWO_REGIME, 1.0, "0"),
+             # g_minus(-40) = exp(8040) has no float
+             lambda: g_minus(make_params(1.0, -1.0, 0.1, 2.0, 0.0), 1.0, -40.0))
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
+
+
+def test_infinite_levels_keep_their_one_sided_limits():
+    inf = math.inf
+    down, up = one_sided_down(TWO_REGIME, 1.0, 0.1, -1.0), one_sided_up(TWO_REGIME, 1.0, 0.1, 1.0)
+    assert two_sided_exit(ExitQuery(TWO_REGIME, 1.0, 0.1, -inf, 1.0)) == (0.0, pytest.approx(up))
+    assert two_sided_exit(ExitQuery(TWO_REGIME, 1.0, 0.1, -1.0, inf)) == (pytest.approx(down), 0.0)
+    assert two_sided_exit(ExitQuery(TWO_REGIME, 1.0, 0.1, -inf, inf)) == (0.0, 0.0)
+
+
+def _mp_two_sided_exit(mp, params, q, x, y, z):
+    # textbook pasting weights at 60 digits, enough to absorb their cancellation
+    mu1, mu2, s1, s2, a, q, x, y, z = (mp.mpf(v) for v in (
+        params.mu1, params.mu2, params.sigma1, params.sigma2, params.a, q, x, y, z))
+
+    def rates(mu, s):
+        w = mp.sqrt(2 * q * s ** 2 + mu ** 2)
+        return (w + mu) / s ** 2, (w - mu) / s ** 2
+    (d1p, d1m), (d2p, d2m) = rates(mu1, s1), rates(mu2, s2)
+    cm, cp = (d1p - d2p) / (d1m + d1p), (d2m - d1m) / (d2m + d2p)
+
+    def gm(u):
+        s = u - a
+        return mp.exp(-d1p * s) * (1 - cm + cm * mp.exp((d1m + d1p) * s)) if s <= 0 \
+            else mp.exp(-d2p * s)
+
+    def gp(u):
+        s = u - a
+        return mp.exp(d1m * s) if s <= 0 \
+            else mp.exp(d2m * s) * (1 - cp + cp * mp.exp(-(d2m + d2p) * s))
+    den = gm(y) * gp(z) - gm(z) * gp(y)
+    return (gp(z) * gm(x) - gm(z) * gp(x)) / den, (gm(y) * gp(x) - gp(y) * gm(x)) / den
+
+
+@pytest.mark.parametrize("sigma1", [1e-4, 1e-6, 1e-7, 1e-8])
+def test_two_sided_exit_at_small_volatility_matches_mpmath(sigma1):
+    # 1 - c_minus once cancelled (up read 0.40404 at 1e-7, a domain error at 1e-8)
+    mp = pytest.importorskip("mpmath")
+    p = make_params(1.0, -1.0, sigma1, 2.0, 0.0)
+    with mp.workdps(60):
+        for x, y, z in ((0.1, -1.0, 1.0), (-0.5, -1.0, 1.0), (0.5, -0.2, 0.7), (-0.3, -2.0, -0.1)):
+            want = _mp_two_sided_exit(mp, p, 1.0, x, y, z)
+            got = two_sided_exit(ExitQuery(p, 1.0, x, y, z))
+            for g, w in zip(got, want):
+                assert g == pytest.approx(float(w), rel=1e-13, abs=1e-300)
 
 
 def test_overflowing_rate_is_rejected():

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from threshold_diffusion import (DiffusionParams, DomainError, InvalidParameterError,
-                                 PotentialQuery, deltas, h_kernel, h_laplace, make_params,
-                                 potential_density, stationary_density)
+from threshold_diffusion import (DensityQuery, DiffusionParams, DomainError, ExitQuery,
+                                 InvalidParameterError, PotentialQuery, deltas, h_kernel,
+                                 h_laplace, make_params, potential_density, stationary_density,
+                                 transition_density, two_sided_exit)
 from threshold_diffusion.quadrature import QuadSettings, integrate_semi_infinite
 
 
@@ -21,6 +22,27 @@ def test_nonpositive_sigma_names_field():
         make_params(0.0, 0.0, 0.0, 1.0, 0.0)
     with pytest.raises(InvalidParameterError, match="sigma2"):
         make_params(0.0, 0.0, 1.0, -2.0, 0.0)
+
+
+@pytest.mark.parametrize("sigma", [1e-155, 1e-200, 1e160])
+def test_sigma_without_normal_square_rejected(sigma):
+    # every rate divides by sigma^2; a subnormal, zero or infinite square has no rates
+    with pytest.raises(InvalidParameterError, match="sigma1"):
+        make_params(1.0, -1.0, sigma, 2.0, 0.0)
+    with pytest.raises(InvalidParameterError, match="sigma2"):
+        make_params(1.0, -1.0, 2.0, sigma, 0.0)
+
+
+def test_tiny_sigma_with_normal_square_reaches_its_limit():
+    # sigma1 = 1e-150 (square 1e-300) gives the same values as 1e-50: the sigma1 -> 0 limit
+    tiny, small = make_params(1.0, -1.0, 1e-150, 2.0, 0.0), make_params(1.0, -1.0, 1e-50, 2.0, 0.0)
+    for run in (lambda p: potential_density(PotentialQuery(p, 1.0, 0.1, 0.2)),
+                lambda p: transition_density(DensityQuery(p, 1.0, 0.1, 0.2)),
+                lambda p: two_sided_exit(ExitQuery(p, 1.0, 0.1, -1.0, 1.0))[1],
+                lambda p: stationary_density(p, 0.2)):
+        assert run(tiny) > 0.0
+        assert run(tiny) == pytest.approx(run(small), rel=1e-12)
+    assert stationary_density(tiny, -1e-300) == pytest.approx(math.exp(-2.0) * 1e300, rel=1e-12)
 
 
 def test_nonfinite_fields_rejected():

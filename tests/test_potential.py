@@ -137,6 +137,10 @@ def test_query_validation():
         PotentialQuery(TWO_REGIME, 1.0, math.inf, 1.0)
     with pytest.raises(DomainError):
         PotentialQuery(TWO_REGIME, 1.0, 0.0, math.nan)
+    with pytest.raises(DomainError):
+        PotentialQuery(TWO_REGIME, "1", 0.1, 0.2)
+    with pytest.raises(DomainError):
+        PotentialQuery(TWO_REGIME, 1.0, None, 0.2)
 
 
 def test_overflowing_rate_is_rejected():

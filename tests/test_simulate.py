@@ -1,6 +1,5 @@
 """Path simulation: reproducibility, statistics, policy runs, hitting MC."""
 
-import io
 import math
 
 import numpy as np
@@ -109,18 +108,6 @@ def test_histogram_totals_and_edges():
     assert np.allclose(edges, [-1.0, -0.5, 0.0, 0.5, 1.0])
     assert freq.sum() == pytest.approx(0.8)  # the 5.0 value falls outside
     assert np.all(se >= 0.0)
-
-
-def test_to_csv_roundtrip():
-    ens = PathEnsemble(np.array([0.123456789012345678, -2.0]), 2, 0, 0.1, 0.0, 1.0)
-    buf = io.StringIO()
-    ens.to_csv(buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "path_index,terminal_value"
-    assert len(lines) == 3
-    idx, val = lines[1].split(",")
-    assert idx == "0"
-    assert float(val) == ens.terminal_values[0]
 
 
 def test_hitting_transform_trivial_start():
