@@ -52,7 +52,7 @@ from .params import (
     h_laplace,
     make_params,
 )
-from .potential import PotentialQuery, potential_density, potential_q_to_zero_limit
+from .potential import PotentialQuery, potential_density
 from .quadrature import (
     QuadSettings,
     convolve_h_pair,
@@ -109,7 +109,6 @@ __all__ = [
     "optimal_threshold",
     "oscillating_bm_density",
     "potential_density",
-    "potential_q_to_zero_limit",
     "reversed_threshold_policy",
     "simulate_paths",
     "simulate_policy",

@@ -21,14 +21,14 @@ import numpy as np
 
 from .density import DensityQuery, transition_density
 from .errors import AccuracyError, DomainError, InvalidParameterError
-from .inversion import invert
+from .inversion import _vouched
 from .params import DiffusionParams, _finite_real
 from .potential import _tail_transform
 from .quadrature import QuadSettings, integrate_finite
 
-# The 24-node Talbot value is kept only when a 32-node inversion agrees with it
-# and it lies in [0, 1], both to two orders inside the quadrature route's 1e-7
-# tolerance.
+# The Talbot value is kept only when _vouched's second node count agrees with it
+# within _TALBOT_GAP and it lies in [0, 1], both to two orders inside the
+# quadrature route's 1e-7 tolerance.
 _TALBOT_GAP = 1e-9
 _TALBOT_RANGE_SLACK = 1e-9
 
@@ -125,51 +125,43 @@ def _equivalent_params(problem):
                            problem.sigma_bar, problem.sigma_low, problem.a), al
 
 
-def value_function(problem, x, settings=None):
+def value_function(problem, x):
     """Maximal probability of finishing at or above the level a, from state x.
 
     The fast route inverts the closed-form Laplace transform of
-    P(Y_T >= a) for the tilted state with the fixed-Talbot rule on 24 nodes,
-    and keeps that value only if it is finite, within 1e-9 of a 32-node
-    inversion and within 1e-9 of [0, 1] (then it is clamped). A fixed
+    P(Y_T >= a) for the tilted state with the fixed-Talbot rule, and keeps
+    that value only if it is finite, within 1e-9 of an inversion on more
+    nodes and within 1e-9 of [0, 1] (then it is clamped). A fixed
     contour loses accuracy for tilted starts far from a, so otherwise the
     value falls back to a quadrature of the tilted transition density over
     [a, zmax], where zmax covers 12 terminal standard deviations plus the
     largest possible drift sweep; the sub-Gaussian tail allowance beyond
-    zmax joins the quadrature error. `settings` applies to that quadrature
-    only. A quadrature result outside [0, 1] by more than 1e-4 raises
-    AccuracyError; smaller excursions are clamped.
+    zmax joins the quadrature error. A quadrature result outside [0, 1] by
+    more than 1e-4 raises AccuracyError; smaller excursions are clamped.
     """
+    if not _finite_real(x):
+        raise DomainError(f"x must be a finite number, got {x!r}")
     params, al = _equivalent_params(problem)
     val = _talbot_value(params, problem.T, x - al * problem.T)
-    return val if val is not None else _quadrature_value(problem, x, settings)
+    return val if val is not None else _quadrature_value(problem, x)
 
 
 def _talbot_value(params, T, y0):
     """Talbot inversion of the tail transform, or None when it cannot vouch for itself."""
-    def F(q):
-        return _tail_transform(params, q, y0)
-
-    try:
-        val = invert(F, T, 24)
-        check = invert(F, T, 32)
-    except (OverflowError, ZeroDivisionError):
-        return None
-    if not (math.isfinite(val) and abs(val - check) <= _TALBOT_GAP
-            and -_TALBOT_RANGE_SLACK <= val <= 1.0 + _TALBOT_RANGE_SLACK):
+    val = _vouched(lambda q: _tail_transform(params, q, y0), T, _TALBOT_GAP, 0.0)
+    if val is None or not -_TALBOT_RANGE_SLACK <= val <= 1.0 + _TALBOT_RANGE_SLACK:
         return None
     return min(max(val, 0.0), 1.0)
 
 
-def _quadrature_value(problem, x, settings=None):
+def _quadrature_value(problem, x):
     """z-quadrature of the tilted transition density over [a, zmax]."""
     params, al = _equivalent_params(problem)
     T = problem.T
     y0 = x - al * T
     drift_span = abs(problem.mu_bar) + abs(problem.mu_low) + abs(al)
     zmax = problem.a + 12.0 * problem.sigma_bar * math.sqrt(T) + drift_span * T
-    outer = settings if settings is not None else QuadSettings(
-        abs_tol=1e-7, rel_tol=1e-7, max_subdivisions=400)
+    outer = QuadSettings(abs_tol=1e-7, rel_tol=1e-7, max_subdivisions=400)
 
     def f(zs):
         return np.array([transition_density(DensityQuery(params, T, y0, z))

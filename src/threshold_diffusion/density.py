@@ -10,10 +10,11 @@ code path through the reflection
 
 so the two branches of the formula exercise one implementation. At long
 horizons under drifts that push toward a, the quadrature's decay hint
-stops resolving the overshoot integrand; there, while the Peclet number
-|mu| |z - x| / sigma^2 stays inside the Talbot contour's range, the density
-is the Talbot inversion of potential_density / q, checked against a second
-node count.
+stops resolving the overshoot integrand and the double integral is never
+run; there the density is the Talbot inversion of potential_density / q
+when a second node count vouches for it, else the closed-form Gaussian
+pair when its bound certifies that the crossing part is negligible, else
+AccuracyError.
 """
 
 import cmath
@@ -21,10 +22,10 @@ import math
 from dataclasses import dataclass
 
 from .errors import AccuracyError, DomainError
-from .inversion import invert
+from .inversion import _vouched
 from .params import _finite_real, deltas
 from .potential import _resolvent, potential_q_to_zero_limit
-from .quadrature import _DEFAULT, QuadSettings, _convolve_batch, integrate_semi_infinite
+from .quadrature import _DEFAULT, _convolve_batch, integrate_semi_infinite
 
 # the double integral may be skipped when the closed-form part dominates
 # its Laplace-side bound by this factor
@@ -36,11 +37,6 @@ _SKIP_RATIO = 1e12
 # ratio the panels step over the peak: seen failing from ratios near 300.
 _HINT_SCALE_LIMIT = 32.0
 
-# the fixed Talbot contour stays accurate only while the Peclet number
-# |mu| |z - x| / sigma^2 is moderate (error 1e-6 near 45); past this bound
-# the transport delay |z - x| / |mu| cancels the contour's damping
-_TALBOT_PECLET_LIMIT = 16.0
-
 
 @dataclass(frozen=True)
 class DensityQuery:
@@ -50,7 +46,6 @@ class DensityQuery:
     t: float
     x: float
     z: float
-    settings: QuadSettings = None
 
     def __post_init__(self):
         if not (_finite_real(self.t) and self.t > 0):
@@ -73,56 +68,30 @@ def _gaussian_pair(params, t, x, z):
     return norm * (math.exp(direct) - math.exp(mirror))
 
 
-def _upper_double_integral(params, t, x, z, settings, rate, d2_plus):
-    # crossing part for x >= a, z >= a: paths dip below a (overshoot b) and return
+def _crossing_integral(params, t, rate, c1, c2, log_scale):
+    """Overshoot integral of the crossing part, without its 2 / sigma^2 factor.
+
+    With overshoot b, the first-passage displacements are (b + c1) / sigma1
+    below a, run for t - tau, and (b + c2) / sigma2 above a, run for tau.
+    """
     s1, s2 = params.sigma1, params.sigma2
-    a = params.a
-    log_scale = 2.0 * params.mu2 * (z - a) / (s2 * s2)
 
     def outer(b):
-        vals, _ = _convolve_batch(t, b / s1, -params.mu1 / s1,
-                                  (z + x - 2.0 * a + b) / s2, params.mu2 / s2,
-                                  log_scale=log_scale, settings=settings)
+        vals, _ = _convolve_batch(t, (b + c1) / s1, -params.mu1 / s1,
+                                  (b + c2) / s2, params.mu2 / s2, log_scale=log_scale)
         return vals
 
-    # Laplace-side bound at q = 1/t on the whole b-integral
-    bound = (math.e / rate) * math.exp(log_scale - d2_plus * (z + x - 2.0 * a))
-    gauss = _gaussian_pair(params, t, x, z)
-    if (2.0 / (s2 * s2)) * bound * _SKIP_RATIO < abs(gauss):
-        return gauss
-    val, _ = integrate_semi_infinite(outer, 0.0, rate, settings)
-    return gauss + (2.0 / (s2 * s2)) * val
+    val, _ = integrate_semi_infinite(outer, 0.0, rate)
+    return val
 
 
-def _lower_double_integral(params, t, x, z, settings, rate):
-    # crossing part for x >= a, z < a: every contributing path crosses once
-    s1, s2 = params.sigma1, params.sigma2
-    a = params.a
-    log_scale = 2.0 * params.mu1 * (z - a) / (s1 * s1)
-
-    def outer(b):
-        vals, _ = _convolve_batch(t, (b - z + a) / s1, -params.mu1 / s1,
-                                  (x - a + b) / s2, params.mu2 / s2,
-                                  log_scale=log_scale, settings=settings)
-        return vals
-
-    val, _ = integrate_semi_infinite(outer, 0.0, rate, settings)
-    return (2.0 / (s1 * s1)) * val
-
-
-def _talbot_density(params, t, x, z, settings):
-    """Talbot inversion of potential_density / q, vouched for by a second node count."""
+def _talbot_density(params, t, x, z):
+    """Talbot inversion of potential_density / q, or None when it cannot vouch for itself."""
     def F(q):
         return _resolvent(params, q, x, z, cmath.sqrt, cmath.exp) / q
 
-    val = invert(F, t, 24)
-    gap = abs(val - invert(F, t, 32))
-    s = settings if settings is not None else _DEFAULT
     # kept two orders inside the quadrature route's tolerance, as value_function does
-    if not gap <= 0.01 * max(s.abs_tol, s.rel_tol * abs(val)):
-        raise AccuracyError(f"transition density at t={t!r}: Talbot inversions on 24 and "
-                            f"32 nodes differ by {gap:.3e}", estimate=val, error_estimate=gap)
-    return val
+    return _vouched(F, t, 0.01 * _DEFAULT.abs_tol, 0.01 * _DEFAULT.rel_tol)
 
 
 def transition_density(query):
@@ -133,28 +102,40 @@ def transition_density(query):
     """
     p = query.params
     t, x, z = query.t, query.x, query.z
-    settings = query.settings
     if x < p.a:
         p = p.mirrored()
         x, z = -x, -z
+    s1, s2, a = p.sigma1, p.sigma2, p.a
     # rates of the overshoot integrand's Laplace-side bound at q = 1/t
     d = deltas(p, 1.0 / t)
     rate = d.d1_minus + d.d2_plus
+    unresolved = rate * min(s1, s2) * math.sqrt(t) * _HINT_SCALE_LIMIT < 1.0
+    if unresolved:
+        val = _talbot_density(p, t, x, z)
+        if val is not None:
+            return max(val, 0.0)
     try:
-        peclet = abs(z - x) * max(abs(p.mu1) / p.sigma1 ** 2, abs(p.mu2) / p.sigma2 ** 2)
-        if (rate * min(p.sigma1, p.sigma2) * math.sqrt(t) * _HINT_SCALE_LIMIT < 1.0
-                and peclet <= _TALBOT_PECLET_LIMIT):
-            val = _talbot_density(p, t, x, z, settings)
-        elif z >= p.a:
-            val = _upper_double_integral(p, t, x, z, settings, rate, d.d2_plus)
+        if z >= a:
+            gauss = _gaussian_pair(p, t, x, z)
+            log_scale = 2.0 * p.mu2 * (z - a) / (s2 * s2)
+            weight, c1, c2 = 2.0 / (s2 * s2), 0.0, z + x - 2.0 * a
+            # Laplace-side bound at q = 1/t on the whole crossing part
+            bound = (math.e / rate) * math.exp(log_scale - d.d2_plus * c2)
+            if weight * bound * _SKIP_RATIO < abs(gauss):
+                return max(gauss, 0.0)
         else:
-            val = _lower_double_integral(p, t, x, z, settings, rate)
+            gauss, log_scale = 0.0, 2.0 * p.mu1 * (z - a) / (s1 * s1)
+            weight, c1, c2 = 2.0 / (s1 * s1), a - z, x - a
+        if unresolved:
+            raise AccuracyError(f"transition density at t={t!r}: neither Talbot nor the "
+                                "closed-form Gaussian pair vouches for its value")
+        val = gauss + weight * _crossing_integral(p, t, rate, c1, c2, log_scale)
     except OverflowError as exc:
         raise AccuracyError(f"transition density overflows at t={t!r}") from exc
     return max(val, 0.0)
 
 
-def density_jump_at_threshold(params, t, x, settings=None):
+def density_jump_at_threshold(params, t, x):
     """One-sided jump p(t; x, a+) - p(t; x, a-); exactly 0 when sigma1 = sigma2.
 
     Continuity of the probability flux at a gives
@@ -162,7 +143,7 @@ def density_jump_at_threshold(params, t, x, settings=None):
     jump is the one density value at z = a (the limit on the start's side)
     times a ratio of the variances.
     """
-    query = DensityQuery(params, t, x, params.a, settings)
+    query = DensityQuery(params, t, x, params.a)
     if params.sigma1 == params.sigma2:
         return 0.0
     s1sq, s2sq = params.sigma1 ** 2, params.sigma2 ** 2
@@ -170,9 +151,8 @@ def density_jump_at_threshold(params, t, x, settings=None):
     return p * (1.0 - s2sq / s1sq) if x >= params.a else p * (s1sq / s2sq - 1.0)
 
 
-def stationary_density(params, z):
-    """Long-time limit of p(t; x, z); exists iff mu1 > 0 > mu2 (independent of x)."""
-    return potential_q_to_zero_limit(params, z)
+# the long-time limit of p(t; x, z) is the q -> 0 limit of the potential density
+stationary_density = potential_q_to_zero_limit
 
 
 def oscillating_bm_density(sigma1, sigma2, a, t, x, z):
@@ -181,10 +161,10 @@ def oscillating_bm_density(sigma1, sigma2, a, t, x, z):
     Start states below the threshold are handled by the same reflection
     the general density uses, here just a swap of the two volatilities.
     """
-    if not (t > 0):
-        raise DomainError(f"t must be positive, got {t!r}")
-    if sigma1 <= 0 or sigma2 <= 0:
-        raise DomainError("volatilities must be positive")
+    args = (sigma1, sigma2, a, t, x, z)
+    if not (all(_finite_real(v) for v in args) and t > 0 and sigma1 > 0 and sigma2 > 0):
+        raise DomainError("oscillating_bm_density needs finite numbers with t, sigma1 and "
+                          f"sigma2 positive, got {args!r}")
     if x < a:
         return oscillating_bm_density(sigma2, sigma1, -a, t, -x, -z)
     if z >= a:

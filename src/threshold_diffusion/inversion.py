@@ -5,7 +5,8 @@ the positive real axis and bends into the left half-plane, with the
 fixed parameters of Abate and Valko (IJNME 60, 2004). The transform is
 therefore evaluated at complex rates. In double precision the rule is
 most accurate near 24 nodes; more nodes amplify rounding, so a second
-node count serves as an error estimate rather than a refinement.
+node count serves as an error estimate rather than a refinement, and
+_vouched keeps a 24-node value only when a 32-node inversion agrees.
 """
 
 import cmath
@@ -35,3 +36,20 @@ def invert(F, t, nodes=24):
         sigma = theta + (theta * cot - 1.0) * cot
         total += (cmath.exp(s * t) * complex(F(s)) * complex(1.0, sigma)).real
     return (r / nodes) * total
+
+
+def _vouched(F, t, abs_tol, rel_tol):
+    """The 24-node inverse of F at t, or None when it cannot vouch for itself.
+
+    None when a 32-node inversion differs from it by more than
+    max(abs_tol, rel_tol |value|), when the value is not finite, or when F
+    overflows on the contour.
+    """
+    try:
+        val = invert(F, t, 24)
+        gap = abs(val - invert(F, t, 32))
+    except (OverflowError, ZeroDivisionError):
+        return None
+    if not (math.isfinite(val) and gap <= max(abs_tol, rel_tol * abs(val))):
+        return None
+    return val

@@ -109,8 +109,8 @@ def potential_q_to_zero_limit(params, z):
     The limit is the stationary density: a two-sided exponential with a
     jump at the threshold whenever sigma1 != sigma2.
     """
-    if math.isnan(z):
-        raise DomainError("z must not be NaN")
+    if not _finite_real(z):
+        raise DomainError(f"z must be a finite number, got {z!r}")
     if not (params.mu1 > 0.0 > params.mu2):
         raise NoStationaryLawError(
             "stationary law requires mu1 > 0 and mu2 < 0, got "

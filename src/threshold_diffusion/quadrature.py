@@ -73,6 +73,9 @@ _WG = np.array([
 
 _REFINE_BATCH = 8
 
+# integrate_semi_infinite truncates where its implied tail bound drops below this
+_TRUNCATION_EPSILON = 1e-12
+
 
 @dataclass(frozen=True)
 class QuadSettings:
@@ -81,7 +84,6 @@ class QuadSettings:
     abs_tol: float = 1e-9
     rel_tol: float = 1e-7
     max_subdivisions: int = 2000
-    truncation_epsilon: float = 1e-12
 
     def __post_init__(self):
         if not (_finite_real(self.abs_tol) and self.abs_tol > 0):
@@ -91,9 +93,6 @@ class QuadSettings:
         if not (_integer(self.max_subdivisions) and self.max_subdivisions >= 1):
             raise InvalidParameterError(
                 f"max_subdivisions must be an integer >= 1, got {self.max_subdivisions!r}")
-        if not (_finite_real(self.truncation_epsilon) and self.truncation_epsilon > 0):
-            raise InvalidParameterError(
-                f"truncation_epsilon must be positive, got {self.truncation_epsilon!r}")
 
 
 _DEFAULT = QuadSettings()
@@ -218,7 +217,7 @@ def integrate_semi_infinite(f, lo, decay_rate_hint, settings=None):
     """Integrate f over [lo, inf) assuming an eventual C*exp(-rate*u) envelope.
 
     The hint fixes the truncation point: the domain is cut where the
-    implied tail bound drops below truncation_epsilon, with the envelope
+    implied tail bound drops below _TRUNCATION_EPSILON, with the envelope
     constant estimated from probe evaluations. The measured tail bound
     |f(u*)|/rate is folded into the returned error estimate, and the
     domain is extended if that bound is still too large.
@@ -229,7 +228,7 @@ def integrate_semi_infinite(f, lo, decay_rate_hint, settings=None):
     if not math.isfinite(lo):
         raise DomainError(f"lo must be finite, got {lo!r}")
     rate = float(decay_rate_hint)
-    eps = s.truncation_epsilon
+    eps = _TRUNCATION_EPSILON
 
     probe_offsets = np.array([0.125, 0.5, 1.0, 2.0, 4.0]) / rate
     probes = lo + probe_offsets

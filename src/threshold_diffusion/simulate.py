@@ -326,8 +326,10 @@ def empirical_hitting_transform(config, level, q, threads=1):
     transform already encodes killing, so no infinite hitting time appears).
     Returns (estimate, standard_error). Exact 1 when level == x0.
     """
-    if not (math.isfinite(q) and q > 0):
+    if not (_finite_real(q) and q > 0):
         raise DomainError(f"q must be positive, got {q!r}")
+    if not _finite_real(level):
+        raise DomainError(f"level must be a finite number, got {level!r}")
     if level == config.x0:
         return 1.0, 0.0
     sign = 1.0 if config.x0 > level else -1.0

@@ -3,13 +3,17 @@
 Each check lives in threshold_diffusion.validate so the CLI's validate
 subcommand and this suite share the exact same code paths and tolerances.
 The Monte Carlo criteria dominate the runtime (several minutes total).
+Each criterion runs on every CPU, as the validate subcommand does; results
+are thread-invariant by contract, and criterion 11 checks that.
 """
+
+import os
 
 from threshold_diffusion import validate
 
 
 def _check(fn):
-    r = fn()
+    r = fn(threads=os.cpu_count() or 1)
     assert r.passed, f"criterion {r.criterion} ({r.name}): {r.detail}"
 
 

@@ -242,7 +242,7 @@ def test_invalid_requests_exit_2(capsys, argv):
 
 
 def test_accuracy_failure_exits_3_and_leaves_no_file(capsys, tmp_path, monkeypatch):
-    def broken(problem, x, settings=None):
+    def broken(problem, x):
         raise AccuracyError("synthetic failure", estimate=2.0, error_estimate=1.0)
     monkeypatch.setattr(cli, "value_function", broken)
     target = tmp_path / "values.csv"

@@ -16,8 +16,8 @@ TWO_REGIME = make_params(1.0, -1.0, 1.0, 2.0, 0.0)
 OSC = make_params(0.0, 0.0, 1.0, 2.0, 0.0)
 
 
-def p_at(params, t, x, z, settings=None):
-    return transition_density(DensityQuery(params, t, x, z, settings))
+def p_at(params, t, x, z):
+    return transition_density(DensityQuery(params, t, x, z))
 
 
 def test_standard_brownian_point():
@@ -189,11 +189,10 @@ def test_long_horizon_density_is_the_stationary_law(t, x, z):
 def _forced_route(monkeypatch, talbot):
     # a zero hint-scale limit sends every point to Talbot, an infinite one none
     monkeypatch.setattr(density_module, "_HINT_SCALE_LIMIT", 0.0 if talbot else math.inf)
-    monkeypatch.setattr(density_module, "_TALBOT_PECLET_LIMIT", math.inf)
 
 
-# TWO_REGIME's hint-scale switch lies at t = 4093.5 for every x, z; at t = 5000
-# its Peclet switch lies at |z - x| = 16
+# TWO_REGIME's hint-scale switch lies at t = 4093.5 for every x, z; the last two
+# points carry Peclet numbers 15.9 and 16.1 past the switch
 @pytest.mark.parametrize("t, x, z", [
     (2000.0, 0.1, 0.2), (8000.0, 0.1, 0.2), (2000.0, -0.5, 0.3), (8000.0, -0.5, 0.3),
     (2000.0, 0.3, -0.4), (8000.0, 0.3, -0.4), (5000.0, 0.1, 16.0), (5000.0, 0.1, 16.2)])
@@ -209,18 +208,41 @@ def test_density_routes_agree_on_both_sides_of_the_switch(monkeypatch, t, x, z):
     assert talbot == pytest.approx(quadrature, rel=1e-9)
 
 
-def test_small_volatility_transport_peak_stays_on_the_quadrature():
+# (mu1, mu2, sigma1, sigma2, a), t, x, z and 40-digit mpmath Talbot on the
+# resolvent; the first two read 2.1e-12 and 4.8e-19 on the crossing quadrature
+LONG_HORIZON_PINS = [
+    ((1.0, -1.0, 1.0, 2.0, 0.0), 1e5, 0.1, 16.3, 7.218383990710e-5),
+    ((1.0, -1.0, 1.0, 2.0, 0.0), 1e5, 0.1, 20.0, 1.134998244062e-5),
+    ((2.2556, -2.5562, 1.4391, 0.3629, 0.0), 8660.8421, -1.7201, -0.7539, 2.239765558496e-1),
+    ((0.6027, -2.016, 0.0522, 0.9972, 0.0), 9457.1585, 2.0204, 2.6211, 2.261605778161e-5),
+    ((2.4913, -2.9255, 0.7492, 0.1517, 0.0), 722.5395, -2.4741, -1.4935, 8.375382252843e-6),
+    ((1.6359, -1.0902, 0.5994, 1.536, 0.0), 5174.6876, 1.8021, 16.4108, 1.436381772133e-7),
+]
+
+
+@pytest.mark.parametrize("fields, t, x, z, want", LONG_HORIZON_PINS)
+def test_long_horizon_density_matches_mpmath_without_the_crossing_quadrature(
+        monkeypatch, fields, t, x, z, want):
+    def crossing(*args, **kwargs):
+        raise AssertionError("the crossing quadrature ran")
+    monkeypatch.setattr(density_module, "_crossing_integral", crossing)
+    assert abs(p_at(make_params(*fields), t, x, z) - want) <= max(1e-9, 1e-7 * want)
+
+
+def test_small_volatility_transport_peak_takes_the_certified_gaussian_pair():
     # sigma2 = 0.01 puts the hint-scale ratio below the switch at t = 0.3, but the
     # peak is carried by the drift over |z - x| = |mu2| t, where the Talbot contour
-    # loses its damping (Peclet number 3000); the closed-form Gaussian holds here
+    # loses its damping (the node sums read 8.9e5 and 7.7e14); the closed-form
+    # Gaussian pair's bound certifies it here
     p = make_params(1.0, -1.0, 2.0, 0.01, 0.0)
     assert p_at(p, 0.3, 0.5, 0.2) == pytest.approx(72.83656203947193, rel=1e-12)
 
 
-def test_long_horizon_density_refuses_what_talbot_cannot_vouch_for():
-    strict = QuadSettings(abs_tol=1e-300, rel_tol=1e-15)
+def test_long_horizon_density_refuses_what_talbot_cannot_vouch_for(monkeypatch):
+    # the crossing quadrature would read 0.0 here against the stationary 0.226
+    monkeypatch.setattr(density_module, "_talbot_density", lambda *args: None)
     with pytest.raises(AccuracyError):
-        p_at(TWO_REGIME, 1e9, 0.1, 0.2, strict)
+        p_at(TWO_REGIME, 1e9, 0.1, 0.2)
 
 
 def test_density_regression_pin():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from threshold_diffusion import (DomainError, NoStationaryLawError, PotentialQuery,
                                  QuadSettings, deltas, g_minus, g_plus, integrate_finite,
-                                 make_params, potential_density, potential_q_to_zero_limit)
+                                 make_params, potential_density, stationary_density)
 
 TWO_REGIME = make_params(1.0, -1.0, 1.0, 2.0, 0.0)
 
@@ -173,7 +173,7 @@ def test_mirror_identity(case):
 
 def test_q_to_zero_point_value():
     p = make_params(1.0, -1.0, 1.0, 1.0, 0.0)
-    assert potential_q_to_zero_limit(p, 0.0) == pytest.approx(1.0, rel=1e-13)
+    assert stationary_density(p, 0.0) == pytest.approx(1.0, rel=1e-13)
 
 
 def test_q_to_zero_total_mass():
@@ -181,7 +181,7 @@ def test_q_to_zero_total_mass():
         p = make_params(mu1, mu2, s1, s2, 0.2)
 
         def f(zs):
-            return np.array([potential_q_to_zero_limit(p, float(z)) for z in zs])
+            return np.array([stationary_density(p, float(z)) for z in zs])
         span = 40.0 * max(s1, s2) ** 2 / min(mu1, -mu2)
         val, _ = integrate_finite(f, p.a - span, p.a + span, seed_points=(p.a,))
         assert val == pytest.approx(1.0, abs=1e-8)
@@ -190,7 +190,7 @@ def test_q_to_zero_total_mass():
 def test_q_to_zero_matches_small_q():
     p = TWO_REGIME
     for z in (-2.0, -1.0, 0.0, 1.0, 2.0):
-        limit = potential_q_to_zero_limit(p, z)
+        limit = stationary_density(p, z)
         small_q = potential_density(PotentialQuery(p, 1e-5, 0.3, z))
         assert small_q == pytest.approx(limit, abs=1e-3)
 
@@ -198,7 +198,7 @@ def test_q_to_zero_matches_small_q():
 def test_q_to_zero_requires_confining_drifts():
     for mu1, mu2 in ((-1.0, -1.0), (1.0, 1.0), (0.0, -1.0), (1.0, 0.0)):
         with pytest.raises(NoStationaryLawError):
-            potential_q_to_zero_limit(make_params(mu1, mu2, 1.0, 1.0, 0.0), 0.5)
+            stationary_density(make_params(mu1, mu2, 1.0, 1.0, 0.0), 0.5)
 
 
 def test_potential_regression_pins():
