@@ -103,14 +103,12 @@ def optimal_policy(problem):
 
 def constant_bar_policy(problem):
     """Always the high-volatility pair (comparison policy)."""
-    s = problem.sigma_bar
-    return lambda states, t: np.full_like(np.asarray(states, dtype=float), s)
+    return _ThresholdPolicy(problem, alpha(problem), problem.sigma_bar, problem.sigma_bar)
 
 
 def constant_low_policy(problem):
     """Always the low-volatility pair (comparison policy)."""
-    s = problem.sigma_low
-    return lambda states, t: np.full_like(np.asarray(states, dtype=float), s)
+    return _ThresholdPolicy(problem, alpha(problem), problem.sigma_low, problem.sigma_low)
 
 
 def reversed_threshold_policy(problem):

@@ -1,11 +1,15 @@
 """Euler-Maruyama simulation of the threshold diffusion and of controlled runs.
 
 Reproducibility contract: each path owns a counter-based RNG stream,
-a Philox4x64-10 generator keyed by the pair (seed, path_index). Uniform
+the Philox4x64-10 stream keyed by the pair (seed, path_index). A block of
+paths builds one generator and re-keys it to each path's key, setting the
+counter to where that path's stream resumes, so every path reads exactly
+the stream a fresh Philox(key=(seed, path_index)) would give. Uniform
 variates come from numpy's 53-bit Generator.random; normals are produced
 by Wichura's AS241 inverse-CDF polynomial implemented below, so the
 bit stream never depends on numpy's normal sampler. Serial and parallel
-execution therefore produce identical ensembles, block splits included.
+execution therefore produce identical ensembles, block and chunk splits
+included.
 
 The scheme freezes the regime at the left endpoint of every step; the
 coefficients are discontinuous at the threshold, so survival-type
@@ -20,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .control import ControlProblem, _ThresholdPolicy
 from .errors import DomainError, InvalidParameterError, PolicyError
-from .params import _finite_real, _integer
+from .params import DiffusionParams, _finite_real, _integer
 
 # shifts [0,1) uniforms strictly inside (0,1) so the inverse CDF stays finite
 _U_SHIFT = 2.0 ** -54
@@ -59,16 +64,32 @@ def _horner(coeffs, r):
     return acc
 
 
-def _ppf_slab(u, out):
-    q = u - 0.5
-    central = np.abs(q) <= 0.425
-    if central.any():
-        qc = q[central]
-        r = 0.180625 - qc * qc
-        out[central] = qc * _horner(_PPND_A, r) / _horner(_PPND_B, r)
-    tails = ~central
-    if tails.any():
-        ut = u[tails]
+def _horner_into(coeffs, r, acc):
+    """_horner's arithmetic, in place on acc: c0 r + c1, then (...) r + c2, ..."""
+    np.multiply(r, coeffs[0], out=acc)
+    acc += coeffs[1]
+    for c in coeffs[2:]:
+        acc *= r
+        acc += c
+    return acc
+
+
+def _ppf_slab(u, out, work):
+    """AS241 on one contiguous slab. The central rational runs branch-free on
+    every value; its denominator stays above 2e-3 for |q| <= 1/2, so the tail
+    values it also computes are finite. They are then overwritten by index."""
+    q, r, num, den = (w[:u.size] for w in work[0])
+    tails = work[1][:u.size]
+    np.subtract(u, 0.5, out=q)
+    np.abs(q, out=r)
+    np.greater(r, 0.425, out=tails)
+    np.multiply(q, q, out=r)
+    np.subtract(0.180625, r, out=r)
+    np.multiply(q, _horner_into(_PPND_A, r, num), out=out)
+    out /= _horner_into(_PPND_B, r, den)
+    idx = np.flatnonzero(tails)
+    if idx.size:
+        ut = u[idx]
         r = np.sqrt(-np.log(np.minimum(ut, 1.0 - ut)))
         v = np.empty_like(r)
         near = r <= 5.0
@@ -77,21 +98,34 @@ def _ppf_slab(u, out):
         far = ~near
         rf = r[far] - 5.0
         v[far] = _horner(_PPND_E, rf) / _horner(_PPND_F, rf)
-        out[tails] = np.where(ut < 0.5, -v, v)
+        out[idx] = np.where(ut < 0.5, -v, v)
 
 
-# slab length for the inverse CDF; keeps the ~10 working arrays cache-resident
+# slab length for the inverse CDF; keeps the working arrays cache-resident
 _PPF_SLAB = 131072
 
 
-def _norm_ppf(u):
-    """Inverse standard-normal CDF (AS241), vectorized, u strictly in (0,1)."""
-    u = np.ascontiguousarray(u, dtype=float)
-    out = np.empty(u.shape)
-    uf = u.reshape(-1)
-    of = out.reshape(-1)
-    for i in range(0, uf.size, _PPF_SLAB):
-        _ppf_slab(uf[i:i + _PPF_SLAB], of[i:i + _PPF_SLAB])
+def _norm_ppf(u, out=None):
+    """Inverse standard-normal CDF (AS241), vectorized, u strictly in (0,1).
+
+    Writes into `out` when given (same shape as u). The transpose of a
+    C-ordered 2-D array, such as a path-major slab of uniforms read
+    step-major, is evaluated in its memory order and written back
+    transposed.
+    """
+    u = np.asarray(u, dtype=float)
+    if out is None:
+        out = np.empty(u.shape)
+    flip = u.ndim == 2 and not u.flags.c_contiguous and u.T.flags.c_contiguous
+    src = (u.T if flip else np.ascontiguousarray(u)).reshape(-1)
+    direct = not flip and out.flags.c_contiguous
+    res = out.reshape(-1) if direct else np.empty(src.size)
+    n = min(_PPF_SLAB, src.size)
+    work = (np.empty((4, n)), np.empty(n, dtype=bool))
+    for i in range(0, src.size, _PPF_SLAB):
+        _ppf_slab(src[i:i + _PPF_SLAB], res[i:i + _PPF_SLAB], work)
+    if not direct:
+        np.copyto(out, res.reshape(u.T.shape).T if flip else res.reshape(u.shape))
     return out
 
 
@@ -99,12 +133,39 @@ def _path_generator(seed, index):
     return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
-def _draw_block_normals(gens, n_cols):
-    u = np.empty((len(gens), n_cols))
-    for i, g in enumerate(gens):
-        u[i, :] = g.random(n_cols)
-    u += _U_SHIFT
-    return _norm_ppf(u)
+def _draw_block_normals(gen, paths, col0, n_cols):
+    """Normals for columns col0 .. col0 + n_cols - 1 of each path's stream,
+    step-major: row k holds column col0 + k of every path in `paths`.
+
+    gen comes from _path_generator(seed, ...) and is re-keyed to (seed, i)
+    for each path i. Philox emits four 64-bit words per counter value and
+    Generator.random takes one word per double, so column col0 starts
+    col0 % 4 words into the block of counter col0 // 4 + 1: the counter is
+    set to col0 // 4 with an empty buffer and col0 % 4 words are discarded.
+    Uniforms are drawn one cache-sized slab of paths at a time, and each
+    slab is turned into normals straight into its columns of the output.
+    """
+    bitgen = gen.bit_generator
+    state = bitgen.state
+    key, counter = state["state"]["key"], state["state"]["counter"]
+    counter[:] = 0
+    counter[0] = col0 // 4
+    state["buffer_pos"] = 4
+    skip = col0 % 4
+    out = np.empty((n_cols, len(paths)))
+    per = max(1, _PPF_SLAB // n_cols)
+    u = np.empty((min(per, len(paths)), n_cols))
+    for j in range(0, len(paths), per):
+        rows = u[:len(paths[j:j + per])]
+        for row, i in zip(rows, paths[j:j + per]):
+            key[1] = i
+            bitgen.state = state
+            if skip:
+                bitgen.random_raw(skip)
+            gen.random(out=row)
+        rows += _U_SHIFT
+        _norm_ppf(rows.T, out[:, j:j + per])
+    return out
 
 
 def _step_layout(horizon, dt):
@@ -116,11 +177,33 @@ def _step_layout(horizon, dt):
     return n_full, rem
 
 
+def _check_run(x0, horizon, dt, n_paths, seed):
+    """Validate the fields every simulation request shares."""
+    if not (_finite_real(horizon) and horizon > 0):
+        raise InvalidParameterError(f"horizon must be positive, got {horizon!r}")
+    if not (_finite_real(dt) and dt > 0):
+        raise InvalidParameterError(f"dt must be positive, got {dt!r}")
+    if dt > horizon:
+        raise InvalidParameterError(
+            f"dt must not exceed horizon, got dt={dt!r} > T={horizon!r}")
+    if not (_integer(n_paths) and n_paths >= 1):
+        raise InvalidParameterError(f"n_paths must be an integer >= 1, got {n_paths!r}")
+    if not (_integer(seed) and 0 <= int(seed) < 2 ** 64):
+        raise InvalidParameterError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+    if not _finite_real(x0):
+        raise InvalidParameterError(f"x0 must be a finite number, got {x0!r}")
+
+
+def _check_threads(threads):
+    if not (_integer(threads) and threads >= 1):
+        raise InvalidParameterError(f"threads must be an integer >= 1, got {threads!r}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Plain (uncontrolled) simulation request."""
 
-    params: object
+    params: DiffusionParams
     x0: float
     horizon: float
     dt: float
@@ -128,20 +211,15 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        if not (_finite_real(self.horizon) and self.horizon > 0):
-            raise InvalidParameterError(f"horizon must be positive, got {self.horizon!r}")
-        if not (_finite_real(self.dt) and self.dt > 0):
-            raise InvalidParameterError(f"dt must be positive, got {self.dt!r}")
-        if self.dt > self.horizon:
+        if not isinstance(self.params, DiffusionParams):
             raise InvalidParameterError(
-                f"dt must not exceed horizon, got dt={self.dt!r} > T={self.horizon!r}")
-        if not (_integer(self.n_paths) and self.n_paths >= 1):
-            raise InvalidParameterError(f"n_paths must be an integer >= 1, got {self.n_paths!r}")
-        if not (_integer(self.seed) and 0 <= int(self.seed) < 2 ** 64):
-            raise InvalidParameterError(
-                f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        if not _finite_real(self.x0):
-            raise InvalidParameterError(f"x0 must be a finite number, got {self.x0!r}")
+                f"params must be a DiffusionParams, got {self.params!r}")
+        _check_run(self.x0, self.horizon, self.dt, self.n_paths, self.seed)
+
+
+def _check_config(config):
+    if not isinstance(config, SimConfig):
+        raise InvalidParameterError(f"config must be a SimConfig, got {config!r}")
 
 
 @dataclass(frozen=True)
@@ -167,6 +245,8 @@ class PathEnsemble:
 
     def survival_frequency(self, level):
         """(frequency of terminal value >= level, standard error)."""
+        if not _finite_real(level):
+            raise DomainError(f"level must be a finite number, got {level!r}")
         ind = (self.terminal_values >= level).astype(float)
         p = float(ind.mean())
         se = float(ind.std(ddof=1) / math.sqrt(self.n_paths)) if self.n_paths > 1 else 0.0
@@ -178,6 +258,10 @@ class PathEnsemble:
         Returns (edges, frequencies, standard_errors); frequencies are
         probabilities of landing in each bin, not densities.
         """
+        if not (_integer(n_bins) and n_bins >= 1):
+            raise InvalidParameterError(f"n_bins must be an integer >= 1, got {n_bins!r}")
+        if not (_finite_real(lo) and _finite_real(hi) and lo < hi):
+            raise DomainError(f"histogram range needs finite lo < hi, got ({lo!r}, {hi!r})")
         counts, edges = np.histogram(self.terminal_values, bins=n_bins, range=(lo, hi))
         freq = counts / self.n_paths
         se = np.sqrt(freq * (1.0 - freq) / self.n_paths)
@@ -203,7 +287,8 @@ def _terminal_block(seed, idx0, count, x0, horizon, dt, step_factory):
     share state. Noise is drawn in chunks of columns; each path consumes its
     own stream sequentially, so the chunking leaves the results untouched.
     """
-    gens = [_path_generator(seed, idx0 + i) for i in range(count)]
+    gen = _path_generator(seed, idx0)
+    paths = range(idx0, idx0 + count)
     step_fn = step_factory(count)
     n_full, rem = _step_layout(horizon, dt)
     x = np.full(count, float(x0))
@@ -211,14 +296,12 @@ def _terminal_block(seed, idx0, count, x0, horizon, dt, step_factory):
     done = 0
     while done < n_full:
         m = min(chunk, n_full - done)
-        z = _draw_block_normals(gens, m)
-        zt = np.ascontiguousarray(z.T)
+        z = _draw_block_normals(gen, paths, done, m)
         for k in range(m):
-            step_fn(x, (done + k) * dt, dt, zt[k])
+            step_fn(x, (done + k) * dt, dt, z[k])
         done += m
     if rem > 0.0:
-        z = _draw_block_normals(gens, 1)
-        step_fn(x, n_full * dt, rem, z[:, 0])
+        step_fn(x, n_full * dt, rem, _draw_block_normals(gen, paths, n_full, 1)[0])
     return x
 
 
@@ -252,16 +335,29 @@ def _plain_step(params):
     return make
 
 
-def _run_blocks(config, threads, block_values):
+def _two_valued_step(x, below, on_below, elsewhere, z):
+    """x += d + v z, with (d, v) = on_below where `below` holds, else elsewhere.
+
+    Within one step the drift and volatility terms take two values each, so
+    they are scalars selected per path; each value comes from the same
+    products as the per-path arithmetic it replaces, so the bits agree.
+    """
+    v = np.where(below, on_below[1], elsewhere[1])
+    v *= z
+    v += np.where(below, on_below[0], elsewhere[0])
+    x += v
+
+
+def _run_blocks(n_paths, threads, block_values):
     """One output value per path, block by block: block_values(i0, count)
     returns those of paths i0 .. i0 + count - 1. Blocks run on a thread pool
     when threads > 1; the split never changes the values."""
-    block = _block_size(config.n_paths, threads)
-    out = np.empty(config.n_paths)
-    starts = range(0, config.n_paths, block)
+    block = _block_size(n_paths, threads)
+    out = np.empty(n_paths)
+    starts = range(0, n_paths, block)
 
     def work(i0):
-        count = min(block, config.n_paths - i0)
+        count = min(block, n_paths - i0)
         out[i0:i0 + count] = block_values(i0, count)
 
     if threads > 1 and len(starts) > 1:
@@ -273,9 +369,9 @@ def _run_blocks(config, threads, block_values):
     return out
 
 
-def _terminal_values(config, step_factory, threads):
-    return _run_blocks(config, threads, lambda i0, count: _terminal_block(
-        config.seed, i0, count, config.x0, config.horizon, config.dt, step_factory))
+def _terminal_values(seed, x0, horizon, dt, n_paths, step_factory, threads):
+    return _run_blocks(n_paths, threads, lambda i0, count: _terminal_block(
+        seed, i0, count, x0, horizon, dt, step_factory))
 
 
 def simulate_paths(config, threads=1):
@@ -284,27 +380,50 @@ def simulate_paths(config, threads=1):
     Deterministic given config.seed: same seed, same ensemble, independent
     of block or thread count.
     """
-    out = _terminal_values(config, _plain_step(config.params), threads)
+    _check_config(config)
+    _check_threads(threads)
+    out = _terminal_values(config.seed, config.x0, config.horizon, config.dt,
+                           config.n_paths, _plain_step(config.params), threads)
     return PathEnsemble(out, config.n_paths, config.seed, config.dt,
                         config.x0, config.horizon)
 
 
-def simulate_policy(problem, policy, dt, n_paths, seed, threads=1):
-    """Simulate the controlled state equation under a volatility policy.
+def _threshold_policy_step(problem, policy):
+    """Step factory for a _ThresholdPolicy whose two volatilities the problem
+    admits: the policy's moving level splits the paths, with no call to it."""
+    owner = policy.problem
 
-    policy(states, t) must return, for each state, one of the problem's two
-    admissible volatilities (sigma_low or sigma_bar, exact values); the
-    paired drift is chosen automatically. A non-admissible return raises
-    PolicyError at its first occurrence.
-    """
+    def pair(vol, dt_step, sq):
+        vol = float(vol)
+        return (problem.mu_bar if vol == problem.sigma_bar else problem.mu_low) * dt_step, vol * sq
+
+    def make(count):
+        def step(x, t, dt_step, z):
+            sq = math.sqrt(dt_step)
+            level = owner.a + policy.alpha * (owner.T - t)
+            _two_valued_step(x, x <= level, pair(policy.at_or_below, dt_step, sq),
+                             pair(policy.above, dt_step, sq), z)
+        return step
+    return make
+
+
+def _policy_step(problem, policy):
+    """Step factory calling policy(states, t) every step and checking its answer."""
     sbar, slow = problem.sigma_bar, problem.sigma_low
     mubar, mulow = problem.mu_bar, problem.mu_low
 
     def make(count):
         def step(x, t, dt_step, z):
-            vol = np.asarray(policy(x, t), dtype=float)
+            returned = policy(x, t)
+            try:
+                vol = np.asarray(returned, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise PolicyError(f"policy returned no volatilities at t={t!r}: {exc}") from exc
             if vol.ndim == 0:
                 vol = np.full_like(x, float(vol))
+            if vol.shape != x.shape:
+                raise PolicyError(f"policy returned shape {vol.shape} for {x.shape} states "
+                                  f"at t={t!r}")
             bad = ~((vol == sbar) | (vol == slow))
             if bad.any():
                 raise PolicyError(
@@ -313,9 +432,32 @@ def simulate_policy(problem, policy, dt, n_paths, seed, threads=1):
             drift = np.where(vol == sbar, mubar, mulow)
             x += drift * dt_step + vol * math.sqrt(dt_step) * z
         return step
+    return make
 
-    config = SimConfig(None, problem.x0, problem.T, dt, n_paths, seed)
-    out = _terminal_values(config, make, threads)
+
+def simulate_policy(problem, policy, dt, n_paths, seed, threads=1):
+    """Simulate the controlled state equation under a volatility policy.
+
+    policy(states, t) must return, for each state, one of the problem's two
+    admissible volatilities (sigma_low or sigma_bar, exact values); the
+    paired drift is chosen automatically. A non-admissible return, or one
+    not shaped like the states, raises PolicyError at its first occurrence.
+    The library's threshold policies are stepped without calling them, with
+    the same arithmetic, when the problem admits both of their volatilities.
+    """
+    if not isinstance(problem, ControlProblem):
+        raise InvalidParameterError(f"problem must be a ControlProblem, got {problem!r}")
+    if not callable(policy):
+        raise PolicyError(f"policy must be callable as policy(states, t), got {policy!r}")
+    _check_run(problem.x0, problem.T, dt, n_paths, seed)
+    _check_threads(threads)
+    admissible = (problem.sigma_low, problem.sigma_bar)
+    if (isinstance(policy, _ThresholdPolicy) and policy.at_or_below in admissible
+            and policy.above in admissible):
+        factory = _threshold_policy_step(problem, policy)
+    else:
+        factory = _policy_step(problem, policy)
+    out = _terminal_values(seed, problem.x0, problem.T, dt, n_paths, factory, threads)
     return PathEnsemble(out, n_paths, seed, dt, problem.x0, problem.T)
 
 
@@ -326,6 +468,8 @@ def empirical_hitting_transform(config, level, q, threads=1):
     transform already encodes killing, so no infinite hitting time appears).
     Returns (estimate, standard_error). Exact 1 when level == x0.
     """
+    _check_config(config)
+    _check_threads(threads)
     if not (_finite_real(q) and q > 0):
         raise DomainError(f"q must be positive, got {q!r}")
     if not _finite_real(level):
@@ -334,52 +478,70 @@ def empirical_hitting_transform(config, level, q, threads=1):
         return 1.0, 0.0
     sign = 1.0 if config.x0 > level else -1.0
     n_full, rem = _step_layout(config.horizon, config.dt)
-    out = _run_blocks(config, threads, lambda i0, count: _hitting_block(
+    out = _run_blocks(config.n_paths, threads, lambda i0, count: _hitting_block(
         config, level, q, sign, i0, count, n_full, rem))
     est = float(out.mean())
     se = float(out.std(ddof=1) / math.sqrt(config.n_paths)) if config.n_paths > 1 else 0.0
     return est, se
 
 
+# noise columns of the first hitting chunk; later chunks double up to the cap,
+# so paths that hit early stop drawing normals early
+_HIT_CHUNK_FIRST = 64
+_HIT_CHUNK_MAX = 1024
+
+
 def _hitting_block(config, level, q, sign, i0, count, n_full, rem):
     """First-crossing contributions for one path block, with compaction of
-    finished paths between noise chunks."""
+    finished paths between noise chunks.
+
+    A path crosses when sign (x - level) <= 0, i.e. x <= level for sign 1
+    and x >= level for sign -1. Within a chunk a path that has crossed is
+    parked at sign * inf, where the step keeps it and it never crosses
+    again, so a step with no new crossing costs one comparison and one count.
+    """
     params = config.params
     mu2, s2 = params.mu2, params.sigma2
     dmu, ds = params.mu1 - params.mu2, params.sigma1 - params.sigma2
     a = params.a
-    dt = config.dt
-    sq = math.sqrt(dt)
 
-    gens = [_path_generator(config.seed, i0 + i) for i in range(count)]
+    def pairs(dt_step):
+        # the values of (mu2 + dmu b) dt_step and (s2 + ds b) sqrt(dt_step), b in {1, 0}
+        sq = math.sqrt(dt_step)
+        return tuple(((mu2 + dmu * b) * dt_step, (s2 + ds * b) * sq) for b in (1.0, 0.0))
+
+    crossed = np.less_equal if sign > 0 else np.greater_equal
+    parked = sign * math.inf
+    dt = config.dt
+    full = pairs(dt)
+    gen = _path_generator(config.seed, i0)
     x = np.full(count, float(config.x0))
     alive = np.arange(count)
     contrib = np.zeros(count)
-    chunk = 1024
+    chunk = _HIT_CHUNK_FIRST
     done = 0
-    while len(gens) and done < n_full:
+    while alive.size and done < n_full:
         m = min(chunk, n_full - done)
-        zt = np.ascontiguousarray(_draw_block_normals(gens, m).T)
-        hit_step = np.full(len(gens), np.int64(-1))
+        z = _draw_block_normals(gen, (i0 + alive).tolist(), done, m)
+        hit_step = np.zeros(alive.size, dtype=np.int64)
         for k in range(m):
-            below = x <= a
-            x += (mu2 + dmu * below) * dt + (s2 + ds * below) * sq * zt[k]
-            newly = (hit_step < 0) & (sign * (x - level) <= 0.0)
-            if newly.any():
-                hit_step[newly] = done + k + 1
+            _two_valued_step(x, x <= a, *full, z[k])
+            hit = crossed(x, level)
+            if np.count_nonzero(hit):
+                hit_step[hit] = done + k + 1
+                x[hit] = parked
         done += m
-        dead = hit_step >= 0
+        chunk = min(2 * chunk, _HIT_CHUNK_MAX)
+        dead = hit_step > 0
         if dead.any():
             contrib[alive[dead]] = np.exp(-q * dt * hit_step[dead])
             keep = ~dead
             x = x[keep]
             alive = alive[keep]
-            gens = [g for g, kp in zip(gens, keep) if kp]
-    if len(gens) and rem > 0.0:
-        z = _draw_block_normals(gens, 1)
-        below = x <= a
-        x += (mu2 + dmu * below) * rem + (s2 + ds * below) * math.sqrt(rem) * z[:, 0]
-        hit = sign * (x - level) <= 0.0
+    if alive.size and rem > 0.0:
+        z = _draw_block_normals(gen, (i0 + alive).tolist(), n_full, 1)
+        _two_valued_step(x, x <= a, *pairs(rem), z[0])
+        hit = crossed(x, level)
         if hit.any():
             contrib[alive[hit]] = math.exp(-q * config.horizon)
     return contrib

@@ -1,15 +1,20 @@
 """Path simulation: reproducibility, statistics, policy runs, hitting MC."""
 
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from threshold_diffusion import (ControlProblem, DomainError, InvalidParameterError,
-                                 PathEnsemble, PolicyError, SimConfig,
-                                 empirical_hitting_transform, make_params,
+                                 PathEnsemble, PolicyError, SimConfig, constant_bar_policy,
+                                 constant_low_policy, empirical_hitting_transform,
+                                 make_params, optimal_policy, reversed_threshold_policy,
                                  simulate_paths, simulate_policy)
-from threshold_diffusion.simulate import _norm_ppf
+from threshold_diffusion import simulate
+from threshold_diffusion.simulate import (_U_SHIFT, _draw_block_normals, _norm_ppf,
+                                          _path_generator)
 
 TWO_REGIME = make_params(1.0, -1.0, 1.0, 2.0, 0.0)
 
@@ -156,3 +161,165 @@ def test_policy_run_rejects_fractional_path_count():
     prob = ControlProblem(0.0, 2.0, 0.0, 1.0, 0.0, 1.0, x0=0.0)
     with pytest.raises(InvalidParameterError, match="n_paths"):
         simulate_policy(prob, lambda states, t: np.full_like(states, 1.0), 1e-2, 10.5, 0)
+
+
+def _digest(values):
+    return hashlib.sha256(np.ascontiguousarray(values, dtype=float).tobytes()).hexdigest()
+
+
+# SHA-256 of ensembles taken before the engine's streams, normals and steps
+# were restructured; any change to the bit stream shows here.
+PIN_PROBLEM = ControlProblem(0.5, 2.0, -0.3, 1.0, 0.2, 0.5037, x0=0.1)
+POLICIES = (optimal_policy, constant_bar_policy, constant_low_policy, reversed_threshold_policy)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_plain_ensemble_digest_pin(threads):
+    # 1000 full steps and a 3e-4 closing step; two blocks at one thread
+    cfg = SimConfig(TWO_REGIME, 0.1, 1.0003, 1e-3, 5000, 42)
+    assert _digest(simulate_paths(cfg, threads=threads).terminal_values) == (
+        "a012348716930dd94e589be42893879ed1e247ad67ca070d05763fbcf69b053d")
+
+
+@pytest.mark.parametrize("factory, digest", [
+    (optimal_policy, "5ee71376e733f8003cfad1b6e7973af6f3df2b46db00cbab6c9a5a7b53f1c7c0"),
+    (constant_bar_policy, "bb7c2e49558cf0793cc94724206ead0b4513a8c3c69cec0ba34945fadabefd8a"),
+    (constant_low_policy, "c6b72b999fa12d4c447c1803b777415cac9df3ad09d8a9ad6886eddb78e3cfbf"),
+    (reversed_threshold_policy,
+     "56ec0673c847adaa7979960d384b1dd08a4e396d3017598dd42c95e901d3b003"),
+])
+def test_policy_ensemble_digest_pin(factory, digest):
+    ens = simulate_policy(PIN_PROBLEM, factory(PIN_PROBLEM), 1e-3, 4500, 7)
+    assert _digest(ens.terminal_values) == digest
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_hitting_transform_digest_pin(threads):
+    # 303 full steps and a 7e-4 closing step
+    cfg = SimConfig(TWO_REGIME, 0.5, 0.3037, 1e-3, 5000, 11)
+    est = empirical_hitting_transform(cfg, 0.0, 0.7, threads=threads)
+    assert _digest(np.array(est)) == (
+        "5e5744ca8936e2fe67620fded0df7d7629087b363ae918df6c71ae3f4d7e8b66")
+
+
+@pytest.mark.parametrize("slab", [simulate._PPF_SLAB, 16])
+@pytest.mark.parametrize("seed", [5, 2 ** 64 - 1])
+@pytest.mark.parametrize("col0", [0, 1, 3, 4, 977])
+def test_block_rekeying_resumes_each_path_stream(monkeypatch, slab, seed, col0):
+    # slab 16 puts each path in its own uniform slab
+    monkeypatch.setattr(simulate, "_PPF_SLAB", slab)
+    paths = [0, 7, 4100]
+    z = _draw_block_normals(_path_generator(seed, 0), paths, col0, 9)
+    assert z.shape == (9, len(paths))
+    for j, i in enumerate(paths):
+        fresh = np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
+        u = fresh.random(col0 + 9)[col0:]
+        assert np.array_equal(z[:, j], _norm_ppf(u + _U_SHIFT))
+
+
+@pytest.mark.parametrize("factory", POLICIES)
+@pytest.mark.parametrize("owner", [
+    PIN_PROBLEM,
+    # same volatilities, another level and horizon: the policy's own line applies
+    ControlProblem(0.1, 2.0, 0.4, 1.0, -0.3, 0.8, x0=0.0),
+])
+def test_threshold_policies_match_the_generic_path(factory, owner):
+    policy = factory(owner)
+    fast = simulate_policy(PIN_PROBLEM, policy, 1e-2, 700, 3)
+    generic = simulate_policy(PIN_PROBLEM, lambda states, t: policy(states, t), 1e-2, 700, 3)
+    assert np.array_equal(fast.terminal_values, generic.terminal_values)
+
+
+@pytest.mark.parametrize("factory", POLICIES)
+def test_threshold_policy_of_another_problem_is_checked(factory):
+    other = ControlProblem(0.5, 3.0, -0.3, 1.5, 0.2, 0.5037, x0=0.1)
+    with pytest.raises(PolicyError):
+        simulate_policy(PIN_PROBLEM, factory(other), 1e-2, 50, 0)
+
+
+_CFG = SimConfig(TWO_REGIME, 0.5, 0.1, 1e-2, 20, 0)
+_ENS = PathEnsemble(np.array([-0.5, 0.1, 0.2, 0.9]), 4, 0, 0.1, 0.0, 1.0)
+_POLICY = optimal_policy(PIN_PROBLEM)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: simulate_policy(PIN_PROBLEM, lambda s, t: np.full(3, 2.0), 1e-2, 20, 0),
+     PolicyError),
+    (lambda: simulate_policy(PIN_PROBLEM, lambda s, t: None, 1e-2, 20, 0), PolicyError),
+    (lambda: simulate_policy(PIN_PROBLEM, lambda s, t: "high", 1e-2, 20, 0), PolicyError),
+    (lambda: simulate_policy(PIN_PROBLEM, 2.0, 1e-2, 20, 0), PolicyError),
+    (lambda: simulate_policy(None, _POLICY, 1e-2, 20, 0), InvalidParameterError),
+    (lambda: SimConfig(None, 0.0, 1.0, 1e-2, 20, 0), InvalidParameterError),
+    (lambda: simulate_paths(None), InvalidParameterError),
+    (lambda: empirical_hitting_transform(None, 0.0, 1.0), InvalidParameterError),
+    (lambda: simulate_paths(_CFG, threads="2"), InvalidParameterError),
+    (lambda: simulate_paths(_CFG, threads=0), InvalidParameterError),
+    (lambda: simulate_paths(_CFG, threads=2.5), InvalidParameterError),
+    (lambda: simulate_paths(_CFG, threads=True), InvalidParameterError),
+    (lambda: simulate_policy(PIN_PROBLEM, _POLICY, 1e-2, 20, 0, threads=0),
+     InvalidParameterError),
+    (lambda: empirical_hitting_transform(_CFG, 0.5, 1.0, threads=2.5), InvalidParameterError),
+    (lambda: _ENS.survival_frequency(None), DomainError),
+    (lambda: _ENS.survival_frequency(float("nan")), DomainError),
+    (lambda: _ENS.histogram(0, -1.0, 1.0), InvalidParameterError),
+    (lambda: _ENS.histogram(2.5, -1.0, 1.0), InvalidParameterError),
+    (lambda: _ENS.histogram(4, 1.0, 1.0), DomainError),
+    (lambda: _ENS.histogram(4, 1.0, -1.0), DomainError),
+    (lambda: _ENS.histogram(4, None, 1.0), DomainError),
+], ids=["wrong-shape", "none-vols", "text-vols", "not-callable", "no-problem", "no-params",
+        "paths-no-config", "hitting-no-config", "threads-str", "threads-0", "threads-float",
+        "threads-bool", "policy-threads-0", "hitting-threads-float", "level-none",
+        "level-nan", "bins-0", "bins-float", "empty-range", "reversed-range", "range-none"])
+def test_mc_entry_points_raise_library_errors(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def _masked_as241(u):
+    """The AS241 evaluation with boolean masks, as the engine computed it before
+    the central rational went branch-free; kept here as the bit-level oracle."""
+    def horner(coeffs, r):
+        acc = np.full_like(r, coeffs[0])
+        for c in coeffs[1:]:
+            acc *= r
+            acc += c
+        return acc
+
+    out = np.empty(u.shape)
+    q = u - 0.5
+    central = np.abs(q) <= 0.425
+    qc = q[central]
+    r = 0.180625 - qc * qc
+    out[central] = qc * horner(simulate._PPND_A, r) / horner(simulate._PPND_B, r)
+    tails = ~central
+    ut = u[tails]
+    r = np.sqrt(-np.log(np.minimum(ut, 1.0 - ut)))
+    v = np.empty_like(r)
+    near = r <= 5.0
+    rn = r[near] - 1.6
+    v[near] = horner(simulate._PPND_C, rn) / horner(simulate._PPND_D, rn)
+    far = ~near
+    rf = r[far] - 5.0
+    v[far] = horner(simulate._PPND_E, rf) / horner(simulate._PPND_F, rf)
+    out[tails] = np.where(ut < 0.5, -v, v)
+    return out
+
+
+def test_inverse_normal_cdf_is_bit_equal_to_the_masked_evaluation():
+    edges = np.array([2.0 ** -54, 1e-300, 0.075, 0.925, 1.0 - 2.0 ** -53])
+    r5 = math.exp(-25.0)  # the r = 5 switch between the two tail rationals
+    at_r5 = np.array([r5, 1.0 - r5])
+    near = np.concatenate([np.nextafter(at_r5, 0.0), at_r5, np.nextafter(at_r5, 1.0),
+                           np.nextafter(edges[2:4], 0.0), np.nextafter(edges[2:4], 1.0)])
+    rand = np.random.default_rng(20240).random(100_000) + _U_SHIFT
+    u = np.concatenate([edges, near, rand])
+    # the transpose of a C-ordered array takes the engine's step-major route
+    n = 7 * (u.size // 7)
+    step_major = u[:n].reshape(7, -1).copy().T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _norm_ppf(u)
+        flipped = _norm_ppf(step_major)
+    want = _masked_as241(u)
+    assert np.array_equal(got, want)
+    assert np.array_equal(flipped, want[:n].reshape(7, -1).T)
