@@ -56,17 +56,9 @@ _PPND_F = (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.846318317510
            5.99832206555887937690e-1, 1.0)
 
 
-def _horner(coeffs, r):
-    acc = np.full_like(r, coeffs[0])
-    for c in coeffs[1:]:
-        acc *= r
-        acc += c
-    return acc
-
-
-def _horner_into(coeffs, r, acc):
-    """_horner's arithmetic, in place on acc: c0 r + c1, then (...) r + c2, ..."""
-    np.multiply(r, coeffs[0], out=acc)
+def _horner(coeffs, r, acc=None):
+    """Horner's rule, c0 r + c1, then (...) r + c2, ...; in place on acc when given."""
+    acc = np.multiply(r, coeffs[0], out=acc)
     acc += coeffs[1]
     for c in coeffs[2:]:
         acc *= r
@@ -85,8 +77,8 @@ def _ppf_slab(u, out, work):
     np.greater(r, 0.425, out=tails)
     np.multiply(q, q, out=r)
     np.subtract(0.180625, r, out=r)
-    np.multiply(q, _horner_into(_PPND_A, r, num), out=out)
-    out /= _horner_into(_PPND_B, r, den)
+    np.multiply(q, _horner(_PPND_A, r, num), out=out)
+    out /= _horner(_PPND_B, r, den)
     idx = np.flatnonzero(tails)
     if idx.size:
         ut = u[idx]
