@@ -1,11 +1,12 @@
 """Command-line surface: grid evaluation of the library's quantities.
 
 Subcommands: density, potential, stationary, value, simulate, exit-lt,
-validate. The six table commands build rows over their grid and hand them
-to one writer, _write_table, which renders CSV (default) or JSON with 17
-significant digits, '.' decimal separator and '\\n' line endings regardless
-of locale. Everything is computed before the output file is opened, so
-accuracy failures leave no partial file behind. --threads (or
+validate. The six table commands build columns over their grid (potential
+and exit-lt in one numpy pass over it) and hand them to one writer,
+_write_table, which renders CSV (default) or JSON with 17 significant
+digits, '.' decimal separator and '\\n' line endings regardless of locale.
+Everything is computed before the output file is opened, so accuracy
+failures and non-finite values leave no partial file behind. --threads (or
 THRESHOLD_DIFFUSION_THREADS) exists on simulate and validate only, the two
 commands that simulate.
 
@@ -17,6 +18,7 @@ any check fails.
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import traceback
@@ -28,9 +30,9 @@ from .control import ControlProblem, value_function
 from .density import DensityQuery, stationary_density, transition_density
 from .errors import (AccuracyError, DomainError, InvalidParameterError, PolicyError,
                      ThresholdDiffusionError)
-from .exit import ExitQuery, two_sided_exit
+from .exit import two_sided_exit_grid
 from .params import make_params
-from .potential import PotentialQuery, potential_density
+from .potential import potential_grid
 from .simulate import SimConfig, simulate_paths
 
 _THREADS_ENV = "THRESHOLD_DIFFUSION_THREADS"
@@ -128,10 +130,6 @@ def _resolve_threads(value):
     if value < 1:
         raise InvalidParameterError(f"thread count must be >= 1, got {value}")
     return value
-
-
-def _fmt(v):
-    return f"{float(v):.17g}"
 
 
 def _emit(text, path):
@@ -259,31 +257,58 @@ def _params(args):
     return make_params(args.mu1, args.mu2, args.sigma1, args.sigma2, args.a)
 
 
-def _write_table(args, columns, rows, skip=0, headings=None, summary=None):
-    """Render rows (tuples over columns) as CSV or JSON and write them to --out.
+def _json_rows(columns, rows, depth):
+    """The rows as json.dumps(list of dicts, indent=2) renders them at nesting
+    depth `depth`, with one % call per row; values are Python ints and finite
+    floats, whose %r is the repr json.dumps writes."""
+    if not rows:
+        return "[]"
+    pad = "  " * depth
+    fields = ",\n".join(f"{pad}  {json.dumps(c).replace('%', '%%')}: %r" for c in columns)
+    template = f"{pad}{{\n{fields}\n{pad}}}"
+    return ("[\n" + ",\n".join(template % row for row in rows)
+            + "\n" + "  " * (depth - 1) + "]")
 
-    JSON is one list of objects over every column. CSV leaves out the first
-    `skip` columns, which the command line or the headings already carry,
-    and prints the header once per block: with headings, the rows split
-    into len(headings) equal blocks, each under a "# heading" line. A
-    summary dict wraps the JSON rows as {"summary", "paths"}; with CSV it
-    is printed as one JSON line on the stream the table is not on.
+
+def _write_table(args, columns, data, skip=0, headings=None, summary=None):
+    """Render a table as CSV or JSON and write it to --out.
+
+    data holds one 1-D array or list per column, all of one length; the
+    values are numbers. JSON is one list of objects over every column, as
+    json.dumps(..., indent=2) writes it. CSV leaves out the first `skip`
+    columns, which the command line or the headings already carry, writes
+    each value with 17 significant digits and prints the header once per
+    block: with headings, the rows split into len(headings) equal blocks,
+    each under a "# heading" line. A summary dict wraps the JSON rows as
+    {"summary", "paths"}; with CSV it is printed as one JSON line on the
+    stream the table is not on. A value that is not finite raises
+    DomainError before anything is written: strict parsers reject JSON's
+    Infinity and NaN, and CSV's inf would not round-trip either.
     """
+    data = [np.asarray(col) for col in data]
+    for name, col in zip(columns, data):
+        if not np.isfinite(col).all():
+            raise DomainError(f"column {name!r} has a non-finite value; the table is not written")
+    if summary is not None and not all(math.isfinite(v) for v in summary.values()):
+        raise DomainError(f"summary {summary!r} has a non-finite value; the table is not written")
+    rows = list(zip(*(col.tolist() for col in data)))
     if args.format == "json":
-        doc = [dict(zip(columns, row)) for row in rows]
-        if summary is not None:
-            doc = {"summary": summary, "paths": doc}
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+        if summary is None:
+            text = _json_rows(columns, rows, 1)
+        else:
+            text = ('{\n  "summary": ' + json.dumps(summary, indent=2).replace("\n", "\n  ")
+                    + ',\n  "paths": ' + _json_rows(columns, rows, 2) + "\n}")
+        _emit(text + "\n", args.out)
         return
     header = ",".join(columns[skip:]) + "\n"
+    template = ",".join(["%.17g"] * (len(columns) - skip)) + "\n"
     size = len(rows) // len(headings) if headings else len(rows)
     parts = []
     for k, heading in enumerate(headings or [None]):
         if heading is not None:
             parts.append(f"# {heading}\n")
         parts.append(header)
-        parts.extend(",".join(map(_fmt, row[skip:])) + "\n"
-                     for row in rows[k * size:(k + 1) * size])
+        parts.extend(template % row[skip:] for row in rows[k * size:(k + 1) * size])
     _emit("".join(parts), args.out)
     if summary is not None:
         print(json.dumps(summary), file=sys.stderr if args.out == "-" else sys.stdout)
@@ -294,33 +319,33 @@ def cmd_density(args):
     rows, headings = [], []
     for t in args.t:
         for x in args.x:
-            headings.append(f"t={_fmt(t)} x={_fmt(x)}")
+            headings.append("t=%.17g x=%.17g" % (t, x))
             rows.extend((t, x, z, transition_density(DensityQuery(params, t, x, z)))
                         for z in map(float, args.z_grid))
-    _write_table(args, ("t", "x", "z", "p"), rows, skip=2, headings=headings)
+    _write_table(args, ("t", "x", "z", "p"), list(zip(*rows)), skip=2, headings=headings)
     return 0
 
 
 def cmd_potential(args):
-    params = _params(args)
-    rows = [(args.q, args.x, z, potential_density(PotentialQuery(params, args.q, args.x, z)))
-            for z in map(float, args.z_grid)]
-    _write_table(args, ("q", "x", "z", "u"), rows, skip=2)
+    zs = args.z_grid
+    u = potential_grid(_params(args), args.q, args.x, zs)
+    _write_table(args, ("q", "x", "z", "u"),
+                 (np.full(zs.size, args.q), np.full(zs.size, args.x), zs, u), skip=2)
     return 0
 
 
 def cmd_stationary(args):
     params = _params(args)
-    zs = [args.z] if args.z is not None else [float(z) for z in args.z_grid]
-    _write_table(args, ("z", "pi"), [(z, stationary_density(params, z)) for z in zs])
+    zs = [args.z] if args.z is not None else args.z_grid.tolist()
+    _write_table(args, ("z", "pi"), (zs, [stationary_density(params, z) for z in zs]))
     return 0
 
 
 def cmd_value(args):
     problem = ControlProblem(args.mu_bar, args.sigma_bar, args.mu_low, args.sigma_low,
                              args.a, args.T)
-    xs = args.x if args.x is not None else [float(v) for v in args.x_grid]
-    _write_table(args, ("x", "V"), [(x, value_function(problem, x)) for x in xs])
+    xs = args.x if args.x is not None else args.x_grid.tolist()
+    _write_table(args, ("x", "V"), (xs, [value_function(problem, x) for x in xs]))
     return 0
 
 
@@ -330,17 +355,16 @@ def cmd_simulate(args):
     ens = simulate_paths(config, threads=args.threads)
     survival, se = ens.survival_frequency(params.a)
     _write_table(args, ("path_index", "terminal_value"),
-                 [(i, float(v)) for i, v in enumerate(ens.terminal_values)],
+                 (np.arange(args.n_paths), ens.terminal_values),
                  summary={"survival": survival, "se": se, "n": args.n_paths,
                           "dt": args.dt, "seed": args.seed})
     return 0
 
 
 def cmd_exit_lt(args):
-    params = _params(args)
-    rows = [(float(q),) + two_sided_exit(ExitQuery(params, float(q), args.x, args.y, args.z))
-            for q in args.q_grid]
-    _write_table(args, ("q", "down", "up"), rows)
+    qs = args.q_grid
+    down, up = two_sided_exit_grid(_params(args), qs, args.x, args.y, args.z)
+    _write_table(args, ("q", "down", "up"), (qs, down, up))
     return 0
 
 

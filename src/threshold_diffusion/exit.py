@@ -3,11 +3,16 @@
 The decreasing solution g_minus and increasing solution g_plus of
 (1/2) sigma(x)^2 g'' + mu(x) g' = q g are piecewise exponentials glued
 C^1 at the threshold. All ratios are formed in log space so that states
-hundreds of units from the threshold stay finite.
+hundreds of units from the threshold stay finite. The evaluators take a
+1-D array of rates q and run in one numpy pass (two_sided_exit_grid
+tabulates the exit transforms that way); every scalar entry point is the
+one-element case of the same code.
 """
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DegenerateIntervalError, DomainError
 from .params import _finite_real, deltas
@@ -24,54 +29,55 @@ def _check_states(*states):
         raise DomainError(f"states must be numbers other than NaN, got {states!r}")
 
 
-@dataclass(frozen=True)
-class GPair:
-    """Log-space evaluators for the pair (g_minus, g_plus) at a fixed rate q."""
-
-    params: object
-    q: float
-
-    def __post_init__(self):
-        _check_q(self.q)
-        object.__setattr__(self, "_d", deltas(self.params, self.q))
-
-    def log_g_minus_at(self, x):
-        d = self._d
-        s = x - self.params.a
-        if s <= 0.0:
-            # 1 - c_minus = (d1m + d2p) / (d1m + d1p) in a form that cannot cancel
-            keep = (d.d1_minus + d.d2_plus) / (d.d1_minus + d.d1_plus)
-            return -d.d1_plus * s + math.log(
-                keep + d.c_minus * math.exp((d.d1_minus + d.d1_plus) * s))
-        return -d.d2_plus * s
-
-    def log_g_plus_at(self, x):
-        d = self._d
-        s = x - self.params.a
-        if s <= 0.0:
-            return d.d1_minus * s
-        keep = (d.d1_minus + d.d2_plus) / (d.d2_minus + d.d2_plus)  # 1 - c_plus
-        return d.d2_minus * s + math.log(
-            keep + d.c_plus * math.exp(-(d.d2_minus + d.d2_plus) * s))
+def _check_levels(x, y, z):
+    _check_states(x, y, z)
+    if not (y <= x <= z):
+        raise DomainError(f"levels must satisfy y <= x <= z, got y={y!r}, x={x!r}, z={z!r}")
 
 
-def _exp(log_value, what):
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        raise DomainError(f"{what} overflows a float") from None
+def _rates(params, q):
+    """DeltaSet over the one-element grid of a scalar rate q > 0."""
+    _check_q(q)
+    return deltas(params, np.array([q], dtype=float))
+
+
+def _log_g_minus(params, d, x):
+    """log g_minus(x) over the rates d, each an array over q."""
+    s = x - params.a
+    if s <= 0.0:
+        # 1 - c_minus = (d1m + d2p) / (d1m + d1p) in a form that cannot cancel
+        keep = (d.d1_minus + d.d2_plus) / (d.d1_minus + d.d1_plus)
+        return -d.d1_plus * s + np.log(keep + d.c_minus * np.exp((d.d1_minus + d.d1_plus) * s))
+    return -d.d2_plus * s
+
+
+def _log_g_plus(params, d, x):
+    """log g_plus(x) over the rates d, each an array over q."""
+    s = x - params.a
+    if s <= 0.0:
+        return d.d1_minus * s
+    keep = (d.d1_minus + d.d2_plus) / (d.d2_minus + d.d2_plus)  # 1 - c_plus
+    return d.d2_minus * s + np.log(keep + d.c_plus * np.exp(-(d.d2_minus + d.d2_plus) * s))
+
+
+def _g(params, q, x, log_g, name):
+    _check_states(x)
+    log_val = log_g(params, _rates(params, q), x)
+    with np.errstate(over="ignore"):  # g itself may exceed a float; refused below
+        val = float(np.exp(log_val)[0])
+    if math.isinf(val):
+        raise DomainError(f"{name} at x={x!r} overflows a float")
+    return val
 
 
 def g_minus(params, q, x):
     """Decreasing q-harmonic function, normalized to 1 at the threshold."""
-    _check_states(x)
-    return _exp(GPair(params, q).log_g_minus_at(x), f"g_minus at x={x!r}")
+    return _g(params, q, x, _log_g_minus, "g_minus")
 
 
 def g_plus(params, q, x):
     """Increasing q-harmonic function, normalized to 1 at the threshold."""
-    _check_states(x)
-    return _exp(GPair(params, q).log_g_plus_at(x), f"g_plus at x={x!r}")
+    return _g(params, q, x, _log_g_plus, "g_plus")
 
 
 @dataclass(frozen=True)
@@ -86,10 +92,7 @@ class ExitQuery:
 
     def __post_init__(self):
         _check_q(self.q)
-        _check_states(self.x, self.y, self.z)
-        if not (self.y <= self.x <= self.z):
-            raise DomainError(
-                f"levels must satisfy y <= x <= z, got y={self.y!r}, x={self.x!r}, z={self.z!r}")
+        _check_levels(self.x, self.y, self.z)
 
 
 def two_sided_exit(query):
@@ -99,27 +102,43 @@ def two_sided_exit(query):
     up_lt = E_x[exp(-q T_z); T_z < T_y]. Both lie in [0, 1] and sum to at
     most 1; the q-killing already encodes paths that never exit.
     """
-    if query.y == query.z:
-        raise DegenerateIntervalError(f"interval [{query.y!r}, {query.z!r}] is degenerate")
-    if query.x == query.y:
-        return 1.0, 0.0
-    if query.x == query.z:
-        return 0.0, 1.0
-    g = GPair(query.params, query.q)
-    lmx, lpx = g.log_g_minus_at(query.x), g.log_g_plus_at(query.x)
-    lmy, lpy = g.log_g_minus_at(query.y), g.log_g_plus_at(query.y)
-    lmz, lpz = g.log_g_minus_at(query.z), g.log_g_plus_at(query.z)
+    down, up = _two_sided(query.params, np.array([query.q], dtype=float),
+                          query.x, query.y, query.z)
+    return float(down[0]), float(up[0])
+
+
+def two_sided_exit_grid(params, q, x, y, z):
+    """two_sided_exit for each rate of the 1-D float array q, in one pass.
+
+    Returns the arrays (down_lt, up_lt) over q.
+    """
+    _check_levels(x, y, z)
+    return _two_sided(params, q, x, y, z)
+
+
+def _two_sided(params, q, x, y, z):
+    """(down_lt, up_lt) arrays over the rates q, for levels already checked."""
+    d = deltas(params, q)
+    if y == z:
+        raise DegenerateIntervalError(f"interval [{y!r}, {z!r}] is degenerate")
+    if x == y:
+        return np.ones_like(q), np.zeros_like(q)
+    if x == z:
+        return np.zeros_like(q), np.ones_like(q)
+    lmx, lpx = _log_g_minus(params, d, x), _log_g_plus(params, d, x)
+    lmy, lpy = _log_g_minus(params, d, y), _log_g_plus(params, d, y)
+    lmz, lpz = _log_g_minus(params, d, z), _log_g_plus(params, d, z)
 
     # numerators and the denominator g-(y)g+(z) - g-(z)g+(y) > 0, all divided by
     # g-(y)g+(z); each exponent sums log-ratios of one function at two states,
     # so a large log g never meets a small one before they are subtracted
-    den = -math.expm1((lmz - lmy) + (lpy - lpz))
-    if den <= 1e-300:
+    den = -np.expm1((lmz - lmy) + (lpy - lpz))
+    if not (den > 1e-300).all():
         raise DegenerateIntervalError(
             "two-sided exit denominator underflowed; levels are numerically indistinguishable")
-    down = math.exp(lmx - lmy) * -math.expm1((lmz - lmx) + (lpx - lpz)) / den
-    up = math.exp(lpx - lpz) * -math.expm1((lpy - lpx) + (lmx - lmy)) / den
-    return min(max(down, 0.0), 1.0), min(max(up, 0.0), 1.0)
+    down = np.exp(lmx - lmy) * -np.expm1((lmz - lmx) + (lpx - lpz)) / den
+    up = np.exp(lpx - lpz) * -np.expm1((lpy - lpx) + (lmx - lmy)) / den
+    return np.clip(down, 0.0, 1.0), np.clip(up, 0.0, 1.0)
 
 
 def one_sided_down(params, q, x, y):
@@ -129,8 +148,8 @@ def one_sided_down(params, q, x, y):
         raise DomainError(f"one_sided_down requires y <= x, got y={y!r} > x={x!r}")
     if y == x:
         return 1.0
-    g = GPair(params, q)
-    return math.exp(g.log_g_minus_at(x) - g.log_g_minus_at(y))
+    d = _rates(params, q)
+    return float(np.exp(_log_g_minus(params, d, x) - _log_g_minus(params, d, y))[0])
 
 
 def one_sided_up(params, q, x, z):
@@ -140,5 +159,5 @@ def one_sided_up(params, q, x, z):
         raise DomainError(f"one_sided_up requires x <= z, got x={x!r} > z={z!r}")
     if z == x:
         return 1.0
-    g = GPair(params, q)
-    return math.exp(g.log_g_plus_at(x) - g.log_g_plus_at(z))
+    d = _rates(params, q)
+    return float(np.exp(_log_g_plus(params, d, x) - _log_g_plus(params, d, z))[0])

@@ -100,7 +100,8 @@ class DeltaSet:
 
 
 def _delta_pair(mu, sigma, q, sqrt=math.sqrt):
-    """(d_plus, d_minus) for one regime; pass cmath.sqrt for complex q.
+    """(d_plus, d_minus) for one regime; pass cmath.sqrt for complex q, np.sqrt for
+    a float array of rates.
 
     The root that adds |mu| to w is formed directly and the other one from
     d_plus * d_minus = 2q / s^2: forming w - |mu| by subtraction loses every
@@ -108,17 +109,27 @@ def _delta_pair(mu, sigma, q, sqrt=math.sqrt):
     """
     s2 = sigma * sigma
     large = (sqrt(2.0 * q * s2 + mu * mu) + abs(mu)) / s2
-    small = 2.0 * q / (s2 * large) if large else 0.0  # large = 0 only at q = mu = 0
+    try:
+        small = 2.0 * q / (s2 * large)
+    except ZeroDivisionError:  # large = 0 only where mu = 0 and 2 q s^2 is 0
+        small = 0.0
     return (large, small) if mu >= 0 else (small, large)
 
 
 def deltas(params, q):
     """Compute the DeltaSet for rate q >= 0.
 
+    q may also be a 1-D float array of rates > 0, evaluated in one pass; every
+    field is then an array over q, element for element equal to the scalar
+    call's value (the rates and weights take only correctly rounded
+    operations).
+
     q = 0 is allowed and yields the degenerate limits d_plus = 2*max(mu,0)/s^2,
     d_minus = 2*max(-mu,0)/s^2. If a pasting-weight denominator vanishes there
     (both rates of a regime zero), the weights are evaluated at q = 1e-12.
     """
+    if isinstance(q, np.ndarray):
+        return _delta_grid(params, q)
     if not math.isfinite(q):
         raise DomainError(f"q must be finite, got {q!r}")
     if q < 0:
@@ -128,18 +139,34 @@ def deltas(params, q):
     if not math.isfinite(d1p + d1m + d2p + d2m):
         raise DomainError(f"q={q!r} is too large: 2 q sigma^2 overflows")
 
-    cm_den = d1m + d1p
-    cp_den = d2m + d2p
-    if cm_den == 0.0 or cp_den == 0.0:
+    at = (d1p, d1m, d2p, d2m)
+    if d1m + d1p == 0.0 or d2m + d2p == 0.0:
         # drift 0 and q = 0 collapse a regime's rates; take the small-q limit
-        e1p, e1m = _delta_pair(params.mu1, params.sigma1, 1e-12)
-        e2p, e2m = _delta_pair(params.mu2, params.sigma2, 1e-12)
-        c_minus = (e1p - e2p) / (e1m + e1p)
-        c_plus = (e2m - e1m) / (e2m + e2p)
-    else:
-        c_minus = (d1p - d2p) / cm_den
-        c_plus = (d2m - d1m) / cp_den
-    return DeltaSet(q, d1p, d1m, d2p, d2m, c_minus, c_plus)
+        at = (_delta_pair(params.mu1, params.sigma1, 1e-12)
+              + _delta_pair(params.mu2, params.sigma2, 1e-12))
+    return DeltaSet(q, d1p, d1m, d2p, d2m, *_weights(*at))
+
+
+def _delta_grid(params, q):
+    """deltas over a 1-D float array of rates q > 0."""
+    bad = q[~(np.isfinite(q) & (q > 0.0))]
+    if bad.size:
+        raise DomainError(f"q must be positive, got {float(bad[0])!r}")
+    with np.errstate(all="ignore"):  # a rate that is not a finite float is refused below
+        rates = (_delta_pair(params.mu1, params.sigma1, q, np.sqrt)
+                 + _delta_pair(params.mu2, params.sigma2, q, np.sqrt))
+        total = sum(rates)
+    # an overflowing 2 q s^2 makes the large root inf; an underflowing one (mu = 0)
+    # makes it 0 and the small root inf, where a positive q has no collapsed limit
+    if not np.isfinite(total).all():
+        raise DomainError(f"q={float(q[~np.isfinite(total)][0])!r} is out of range: "
+                          "2 q sigma^2 overflows or underflows a float")
+    return DeltaSet(q, *rates, *_weights(*rates))
+
+
+def _weights(d1p, d1m, d2p, d2m):
+    """The pasting weights (c_minus, c_plus) of the rates."""
+    return (d1p - d2p) / (d1m + d1p), (d2m - d1m) / (d2m + d2p)
 
 
 def h_kernel(t, x, mu):

@@ -3,18 +3,22 @@
 potential_density(q, x, z) dz = E_x[ X_{e_q} in dz ] where e_q is an
 independent exponential clock with rate q, so potential_density / q is the
 Laplace transform in t of the transition density. One closed form,
-_resolvent, computes it for real rates with math functions
-(potential_density, which hands it the rates of `deltas`) and for complex
-rates with cmath functions (Laplace inversion on the Talbot contour). It is
+_resolvent, computes it for a real rate over an array of z in one numpy
+pass (potential_grid, which hands it the rates of `deltas`;
+potential_density is its one-element case) and for complex rates at one z
+with cmath functions (Laplace inversion on the Talbot contour). It is
 piecewise exponential in z; all exponents are grouped before
 exponentiation and are nonpositive inside each branch's validity region,
-so no overflow occurs for states arbitrarily far from the threshold.
+and each branch is evaluated only on the points it covers, so no overflow
+occurs for states arbitrarily far from the threshold.
 _tail_transform is its closed-form integral over z >= a.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, NoStationaryLawError
 from .params import _delta_pair, _finite_real, deltas
@@ -30,17 +34,25 @@ class PotentialQuery:
     z: float
 
     def __post_init__(self):
-        if not (_finite_real(self.q) and self.q > 0):
-            raise DomainError(f"q must be positive, got {self.q!r}")
-        if not (_finite_real(self.x) and _finite_real(self.z)):
+        _check_rate_and_start(self.q, self.x)
+        if not _finite_real(self.z):
             raise DomainError("x and z must be finite")
 
 
-def _resolvent(params, q, x, z, sqrt=math.sqrt, exp=math.exp, rates=None):
-    """Potential density at rate q, unclamped; pass cmath functions for complex q.
+def _check_rate_and_start(q, x):
+    if not (_finite_real(q) and q > 0):
+        raise DomainError(f"q must be positive, got {q!r}")
+    if not _finite_real(x):
+        raise DomainError("x and z must be finite")
 
-    rates is (d1_plus, d1_minus, d2_plus, d2_minus) when the caller already
-    holds them; otherwise they are taken from _delta_pair with `sqrt`.
+
+def _resolvent(params, q, x, z, sqrt=math.sqrt, exp=np.exp, rates=None):
+    """Potential density at rate q, unclamped.
+
+    A real q takes a 1-D float array z and numpy's exp; a complex q takes
+    one float z and cmath's sqrt and exp. rates is (d1_plus, d1_minus,
+    d2_plus, d2_minus) when the caller already holds them; otherwise they
+    are taken from _delta_pair with `sqrt`.
 
     Written for a start at or above a, with the rates named by where they
     lead: `out` decays away from a and `back` toward it on the start's side,
@@ -48,6 +60,8 @@ def _resolvent(params, q, x, z, sqrt=math.sqrt, exp=math.exp, rates=None):
     below a is the same expression for -X, which swaps the regimes, the
     plus and minus rates and the sign of every distance. In that
     orientation z = x takes the dz >= 0 branch and z = a the start's side.
+    Over an array each branch is evaluated once, on the points it covers,
+    so every exponent is nonpositive when it is exponentiated.
     """
     a = params.a
     if rates is None:
@@ -55,32 +69,67 @@ def _resolvent(params, q, x, z, sqrt=math.sqrt, exp=math.exp, rates=None):
                  + _delta_pair(params.mu2, params.sigma2, q, sqrt))
     d1p, d1m, d2p, d2m = rates
     if x >= a:
-        out, back, cross, far = d2m, d2p, d1m, d1p
-        near_regime, far_regime = (params.mu2, params.sigma2), (params.mu1, params.sigma1)
+        rates = (d2m, d2p, d1m, d1p)  # out, back, cross, far
+        near, far = (params.mu2, params.sigma2), (params.mu1, params.sigma1)
         h, k, dz = x - a, z - a, z - x
     else:
-        out, back, cross, far = d1p, d1m, d2p, d2m
-        near_regime, far_regime = (params.mu1, params.sigma1), (params.mu2, params.sigma2)
+        rates = (d1p, d1m, d2p, d2m)
+        near, far = (params.mu1, params.sigma1), (params.mu2, params.sigma2)
         h, k, dz = a - x, a - z, x - z
-    if k < 0:
-        mu, sigma = far_regime
-        front = (far + cross) / (back + cross)
-        return q / sqrt(2.0 * q * sigma ** 2 + mu ** 2) * front * exp(-back * h + far * k)
-    mu, sigma = near_regime
-    direct = exp(-out * dz) if dz >= 0 else exp(back * dz)
+    out, back = rates[:2]
+    if not isinstance(z, np.ndarray):
+        if k < 0:
+            return _far_side(q, h, k, rates, far, sqrt, exp)
+        return _near_side(q, h, k, -out * dz if dz >= 0 else back * dz, rates, near, sqrt, exp)
+    val = np.empty_like(z)
+    beyond = k < 0
+    val[beyond] = _far_side(q, h, k[beyond], rates, far, sqrt, exp)
+    k, dz = k[~beyond], dz[~beyond]
+    val[~beyond] = _near_side(q, h, k, np.where(dz >= 0, -out * dz, back * dz), rates, near,
+                              sqrt, exp)
+    return val
+
+
+def _far_side(q, h, k, rates, regime, sqrt, exp):
+    """The resolvent at k < 0, across a from the start; names as in _resolvent
+    and regime = (mu, sigma) on that side."""
+    _, back, cross, far = rates
+    mu, sigma = regime
+    front = (far + cross) / (back + cross)
+    return q / sqrt(2.0 * q * sigma ** 2 + mu ** 2) * front * exp(-back * h + far * k)
+
+
+def _near_side(q, h, k, direct, rates, regime, sqrt, exp):
+    """The resolvent at k >= 0, on the start's side of a; `direct` is the free
+    term's exponent, -out dz ahead of the start and back dz behind it."""
+    out, back, cross, _ = rates
+    mu, sigma = regime
     reflected = (out - cross) / (back + cross) * exp(-out * k - back * h)
-    return (q / sqrt(2.0 * q * sigma ** 2 + mu ** 2)) * (direct + reflected)
+    return (q / sqrt(2.0 * q * sigma ** 2 + mu ** 2)) * (exp(direct) + reflected)
+
+
+def potential_grid(params, q, x, z):
+    """potential_density at each point of the 1-D float array z, in one pass."""
+    _check_rate_and_start(q, x)
+    if not np.isfinite(z).all():
+        raise DomainError("x and z must be finite")
+    return _potential(params, q, x, z)
+
+
+def _potential(params, q, x, z):
+    """potential_grid for arguments already checked."""
+    d = deltas(params, q)
+    val = _resolvent(params, q, x, z, rates=(d.d1_plus, d.d1_minus, d.d2_plus, d.d2_minus))
+    if not np.isfinite(val).all():
+        raise DomainError(f"potential density overflows at q={q!r}, x={x!r}, "
+                          f"z={float(z[~np.isfinite(val)][0])!r}")
+    return np.maximum(val, 0.0)
 
 
 def potential_density(query):
     """Density of the q-potential measure at z for start state x."""
-    d = deltas(query.params, query.q)
-    val = _resolvent(query.params, query.q, query.x, query.z,
-                     rates=(d.d1_plus, d.d1_minus, d.d2_plus, d.d2_minus))
-    if not math.isfinite(val):
-        raise DomainError(f"potential density overflows at q={query.q!r}, "
-                          f"x={query.x!r}, z={query.z!r}")
-    return max(val, 0.0)
+    return float(_potential(query.params, query.q, query.x,
+                            np.array([query.z], dtype=float))[0])
 
 
 def _tail_transform(params, q, x):

@@ -32,7 +32,8 @@ from .params import DiffusionParams, _finite_real, _integer
 _U_SHIFT = 2.0 ** -54
 # paths evolved together; large enough to amortize numpy dispatch
 _BLOCK_PATHS = 4096
-# noise doubles drawn per chunk; bounds per-worker memory, not results
+# noise doubles drawn per chunk (the last chunk of a block may take an eighth
+# more); bounds per-worker memory, not results
 _CHUNK_BUDGET = 4_000_000
 
 # Wichura (1988) algorithm AS241, PPND16 constants
@@ -267,8 +268,15 @@ def _block_size(n_paths, threads):
     return min(n_paths, per)
 
 
-def _chunk_steps(block):
-    return max(64, min(2048, _CHUNK_BUDGET // max(block, 1)))
+def _chunk_steps(block, left):
+    """Columns in the next noise chunk of a block when `left` columns remain.
+
+    The budget's share of columns, or all that remain when they exceed it
+    by at most an eighth: a short chunk of its own would pay a whole re-key
+    pass over the block's paths for a few columns.
+    """
+    chunk = max(64, min(2048, _CHUNK_BUDGET // max(block, 1)))
+    return left if left <= chunk + chunk // 8 else chunk
 
 
 def _terminal_block(seed, idx0, count, x0, horizon, dt, step_factory):
@@ -284,10 +292,9 @@ def _terminal_block(seed, idx0, count, x0, horizon, dt, step_factory):
     step_fn = step_factory(count)
     n_full, rem = _step_layout(horizon, dt)
     x = np.full(count, float(x0))
-    chunk = _chunk_steps(count)
     done = 0
     while done < n_full:
-        m = min(chunk, n_full - done)
+        m = _chunk_steps(count, n_full - done)
         z = _draw_block_normals(gen, paths, done, m)
         for k in range(m):
             step_fn(x, (done + k) * dt, dt, z[k])

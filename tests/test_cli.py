@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from threshold_diffusion import (AccuracyError, ControlProblem, DensityQuery, ExitQuery,
@@ -66,6 +67,23 @@ def table_case(command):
             {"survival": survival, "se": se, "n": 50, "dt": 0.01, "seed": 3})
 
 
+def reference_render(fmt, columns, skip, headings, rows, summary):
+    """The table as a writer built on json.dumps and one format per value renders it."""
+    if fmt == "json":
+        doc = [dict(zip(columns, row)) for row in rows]
+        if summary is not None:
+            doc = {"summary": summary, "paths": doc}
+        return json.dumps(doc, indent=2) + "\n"
+    parts, size = [], len(rows) // len(headings or [None])
+    for k, heading in enumerate(headings or [None]):
+        if heading is not None:
+            parts.append(heading + "\n")
+        parts.append(",".join(columns[skip:]) + "\n")
+        parts += [",".join(f"{float(v):.17g}" for v in row[skip:]) + "\n"
+                  for row in rows[k * size:(k + 1) * size]]
+    return "".join(parts)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("command", ["density", "potential", "stationary", "value", "exit-lt",
                                      "simulate"])
@@ -73,6 +91,8 @@ def test_table_values_round_trip_their_library_calls(capsys, command, fmt):
     argv, columns, skip, headings, rows, summary = table_case(command)
     rc, out, err = run(capsys, argv + ["--format", fmt])
     assert rc == 0
+    # byte for byte what json.dumps(indent=2) and a per-value .17g join write
+    assert out == reference_render(fmt, columns, skip, headings, rows, summary)
     if fmt == "json":
         doc = json.loads(out)
         if summary is not None:
@@ -96,6 +116,21 @@ def test_table_values_round_trip_their_library_calls(capsys, command, fmt):
     assert got == [row[skip:] for row in rows]
     if summary is not None:
         assert json.loads(err) == summary
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_non_finite_values_exit_2_and_leave_no_file(capsys, tmp_path, fmt):
+    # the Euler step overflows: the terminal values are inf, which strict JSON
+    # parsers reject as Infinity and CSV would write as inf
+    target = tmp_path / f"paths.{fmt}"
+    with np.errstate(over="ignore"):
+        rc, out, err = run(capsys, ["simulate", "--mu1", "1e308", "--mu2", "1e308",
+                                    "--sigma1", "1", "--sigma2", "1", "--a", "0", "--x0", "0",
+                                    "--horizon", "2", "--dt", "1", "--n-paths", "2",
+                                    "--seed", "1", "--format", fmt, "--out", str(target)])
+    assert rc == 2
+    assert "non-finite" in err and out == ""
+    assert not target.exists()
 
 
 def test_threads_env_reaches_only_the_simulating_commands(capsys, monkeypatch):
@@ -235,6 +270,13 @@ def test_simulate_json_embeds_summary(capsys):
     ["density", *BM_FLAGS, "--t", "1", "--x", "0", "--z-grid", "0:1:2", "--threads", "2"],
     ["value", "--mu-bar", "0", "--sigma-bar", "2", "--mu-low", "0", "--sigma-low", "1",
      "--a", "0", "--T", "1"],
+    # a rate q <= 0 anywhere in the grid, also with the start at y, where the
+    # transforms need no rates
+    ["exit-lt", *TR_FLAGS, "--x", "0", "--y", "-1", "--z", "1", "--q-grid", "0:2:5"],
+    ["exit-lt", *TR_FLAGS, "--x", "0", "--y", "-1", "--z", "1", "--q-grid", "-1:2:4"],
+    ["exit-lt", *TR_FLAGS, "--x", "-1", "--y", "-1", "--z", "1", "--q-grid", "-1:2:4"],
+    ["potential", *TR_FLAGS, "--q", "0", "--x", "0.5", "--z-grid", "-1:1:3"],
+    ["potential", *TR_FLAGS, "--q", "1", "--x", "inf", "--z-grid", "-1:1:3"],
 ])
 def test_invalid_requests_exit_2(capsys, argv):
     rc, _, _ = run(capsys, argv)

@@ -1,6 +1,7 @@
 """q-harmonic functions and exit-time Laplace transforms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from threshold_diffusion import exit as exit_module
 from threshold_diffusion import (DegenerateIntervalError, DomainError, ExitQuery,
                                  g_minus, g_plus, make_params, one_sided_down,
                                  one_sided_up, two_sided_exit)
+from threshold_diffusion.exit import two_sided_exit_grid
 
 TWO_REGIME = make_params(1.0, -1.0, 1.0, 2.0, 0.0)
 
@@ -141,6 +143,27 @@ def test_two_sided_pair_is_a_subprobability(query):
     assert 0.0 <= down <= 1.0
     assert 0.0 <= up <= 1.0
     assert down + up <= 1.0 + 1e-12
+
+
+@st.composite
+def exit_grids(draw):
+    query = draw(exit_problems())
+    x = draw(st.sampled_from((query.x, query.y, query.z)))  # inside or at either end
+    rate = st.floats(-3.0, 2.0).map(lambda e: 10.0 ** e)
+    # 1-17 rates covers every SIMD tail length
+    q = np.array(draw(st.lists(rate, min_size=1, max_size=17)))
+    return query.params, q, x, query.y, query.z
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(exit_grids())
+def test_grid_and_point_transforms_agree_bit_for_bit(case):
+    params, q, x, y, z = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy overflow, invalid or divide warnings fail
+        down, up = two_sided_exit_grid(params, q, x, y, z)
+        points = np.array([two_sided_exit(ExitQuery(params, float(r), x, y, z)) for r in q])
+    assert np.stack([down, up], axis=1).tobytes() == points.tobytes()
 
 
 def test_nan_states_are_rejected():

@@ -1,6 +1,7 @@
 """Resolvent (q-potential) density against independent oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from threshold_diffusion import (DomainError, NoStationaryLawError, PotentialQuery,
                                  QuadSettings, deltas, g_minus, g_plus, integrate_finite,
                                  make_params, potential_density, stationary_density)
+from threshold_diffusion.potential import potential_grid
 
 TWO_REGIME = make_params(1.0, -1.0, 1.0, 2.0, 0.0)
 
@@ -169,6 +171,30 @@ def test_mirror_identity(case):
     direct = potential_density(PotentialQuery(params, q, x, z))
     mirrored = potential_density(PotentialQuery(params.mirrored(), q, -x, -z))
     assert direct == pytest.approx(mirrored, rel=1e-12, abs=1e-300)
+
+
+@st.composite
+def potential_grids(draw):
+    params, q, x, _ = draw(potential_points())
+    d = deltas(params, q)
+    # the threshold, the start, and where each decaying exponential reaches e^-700
+    special = [params.a, x] + [params.a + side * 700.0 / rate for side, rate in (
+        (1.0, d.d2_minus), (1.0, d.d2_plus), (-1.0, d.d1_plus), (-1.0, d.d1_minus))]
+    point = st.one_of(st.sampled_from(special), st.floats(params.a - 3.0, params.a + 3.0))
+    # 1-17 points covers every SIMD tail length
+    return params, q, x, np.array(draw(st.lists(point, min_size=1, max_size=17)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(potential_grids())
+def test_grid_and_point_evaluations_agree_bit_for_bit(case):
+    params, q, x, z = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy overflow, invalid or divide warnings fail
+        grid = potential_grid(params, q, x, z)
+        points = np.array([potential_density(PotentialQuery(params, q, x, float(v)))
+                           for v in z])
+    assert grid.tobytes() == points.tobytes()
 
 
 def test_q_to_zero_point_value():

@@ -217,6 +217,20 @@ def test_block_rekeying_resumes_each_path_stream(monkeypatch, slab, seed, col0):
         assert np.array_equal(z[:, j], _norm_ppf(u + _U_SHIFT))
 
 
+@pytest.mark.parametrize("n_steps, widths", [(1000, [1000]), (2000, [976, 1024])])
+def test_a_short_noise_remainder_rides_in_the_last_chunk(monkeypatch, n_steps, widths):
+    # a 4096-path block's budget is 976 columns; a separate 24-column chunk would
+    # pay a whole re-key pass over the block's paths
+    drawn = []
+
+    def draw(gen, paths, col0, n_cols):
+        drawn.append(n_cols)
+        return _draw_block_normals(gen, paths, col0, n_cols)
+    monkeypatch.setattr(simulate, "_draw_block_normals", draw)
+    simulate_paths(SimConfig(TWO_REGIME, 0.1, n_steps * 1e-3, 1e-3, 4096, 3))
+    assert drawn == widths
+
+
 @pytest.mark.parametrize("factory", POLICIES)
 @pytest.mark.parametrize("owner", [
     PIN_PROBLEM,
