@@ -103,6 +103,8 @@ def _grid(text):
         raise argparse.ArgumentTypeError(f"expected lo:hi:n, got {text!r}")
     if n < 2:
         raise argparse.ArgumentTypeError(f"grid needs n >= 2 points, got {n}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(hi - lo)):
+        raise argparse.ArgumentTypeError(f"grid needs finite lo, hi and hi - lo, got {text!r}")
     if not lo < hi:
         raise argparse.ArgumentTypeError(f"grid needs lo < hi, got {lo!r} >= {hi!r}")
     return np.linspace(lo, hi, n)

@@ -277,7 +277,10 @@ def test_simulate_json_embeds_summary(capsys):
     ["exit-lt", *TR_FLAGS, "--x", "-1", "--y", "-1", "--z", "1", "--q-grid", "-1:2:4"],
     ["potential", *TR_FLAGS, "--q", "0", "--x", "0.5", "--z-grid", "-1:1:3"],
     ["potential", *TR_FLAGS, "--q", "1", "--x", "inf", "--z-grid", "-1:1:3"],
+    # finite ends whose span overflows, refused before numpy sees them
+    ["density", *BM_FLAGS, "--t", "1", "--x", "0", "--z-grid", "-1e308:1e308:3"],
 ])
+@pytest.mark.filterwarnings("error")
 def test_invalid_requests_exit_2(capsys, argv):
     rc, _, _ = run(capsys, argv)
     assert rc == 2

@@ -202,11 +202,43 @@ def test_hitting_transform_digest_pin(threads):
         "5e5744ca8936e2fe67620fded0df7d7629087b363ae918df6c71ae3f4d7e8b66")
 
 
-@pytest.mark.parametrize("slab", [simulate._PPF_SLAB, 16])
+# Pinned at the engine that still ran 4096-path blocks and parked crossed paths,
+# before the hitting engine moved to one block per thread. The level lies on the
+# far side of a, so each path changes regime before it can hit; 5000 paths leave
+# a short last block at three threads.
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("x0, level, digest", [
+    (0.5, -0.3, "3fba23f7067f523e1549cd6f790e9c10fd9cb2974bbb7cf9ffeb9ca166c4eb79"),
+    (-0.5, 0.3, "15bea82afa15d90c562b9cbb1dce9f327acc7e5a3f8963955a251d6d1edca95a"),
+], ids=["down-across-a", "up-across-a"])
+def test_hitting_transform_across_the_threshold_digest_pin(threads, x0, level, digest):
+    # 1003 full steps and a 7e-4 closing step
+    cfg = SimConfig(TWO_REGIME, x0, 1.0037, 1e-3, 5000, 13)
+    est = empirical_hitting_transform(cfg, level, 0.7, threads=threads)
+    assert _digest(np.array(est)) == digest
+
+
+def test_hitting_noise_chunks_stay_within_the_budget(monkeypatch):
+    # one block of 20 000 paths at threads=1; doubling alone would ask for
+    # 256 columns of 20 000 paths while most of them are still alive
+    drawn = []
+
+    def draw(gen, paths, col0, n_cols):
+        drawn.append((len(paths), n_cols))
+        return _draw_block_normals(gen, paths, col0, n_cols)
+    monkeypatch.setattr(simulate, "_draw_block_normals", draw)
+    cfg = SimConfig(TWO_REGIME, 0.5, 2.0003, 1e-3, 20_000, 5)
+    empirical_hitting_transform(cfg, -0.3, 0.7)
+    assert drawn[0] == (20_000, simulate._HIT_CHUNK_FIRST)
+    assert all(paths * n_cols <= simulate._CHUNK_BUDGET for paths, n_cols in drawn)
+
+
+@pytest.mark.parametrize("slab", [131072, 16])
 @pytest.mark.parametrize("seed", [5, 2 ** 64 - 1])
 @pytest.mark.parametrize("col0", [0, 1, 3, 4, 977])
 def test_block_rekeying_resumes_each_path_stream(monkeypatch, slab, seed, col0):
-    # slab 16 puts each path in its own uniform slab
+    # slab 131072 draws all three paths in one uniform slab, slab 16 gives
+    # each path its own
     monkeypatch.setattr(simulate, "_PPF_SLAB", slab)
     paths = [0, 7, 4100]
     z = _draw_block_normals(_path_generator(seed, 0), paths, col0, 9)
@@ -325,7 +357,11 @@ def test_inverse_normal_cdf_is_bit_equal_to_the_masked_evaluation():
     at_r5 = np.array([r5, 1.0 - r5])
     near = np.concatenate([np.nextafter(at_r5, 0.0), at_r5, np.nextafter(at_r5, 1.0),
                            np.nextafter(edges[2:4], 0.0), np.nextafter(edges[2:4], 1.0)])
-    rand = np.random.default_rng(20240).random(100_000) + _U_SHIFT
+    # more than two slabs, the last one partial, with r > 5 values (edges holds
+    # two) in three slabs, so the far rational is patched in by index per slab
+    rand = np.random.default_rng(20240).random(2 * simulate._PPF_SLAB + 4099) + _U_SHIFT
+    rand[[simulate._PPF_SLAB + 5, 2 * simulate._PPF_SLAB + 11, -3]] = [1e-12, 1e-200,
+                                                                       1.0 - 1e-12]
     u = np.concatenate([edges, near, rand])
     # the transpose of a C-ordered array takes the engine's step-major route
     n = 7 * (u.size // 7)
