@@ -17,7 +17,6 @@ pair when its bound certifies that the crossing part is negligible, else
 AccuracyError.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -87,11 +86,9 @@ def _crossing_integral(params, t, rate, c1, c2, log_scale):
 
 def _talbot_density(params, t, x, z):
     """Talbot inversion of potential_density / q, or None when it cannot vouch for itself."""
-    def F(q):
-        return _resolvent(params, q, x, z, cmath.sqrt, cmath.exp) / q
-
     # kept two orders inside the quadrature route's tolerance, as value_function does
-    return _vouched(F, t, 0.01 * _DEFAULT.abs_tol, 0.01 * _DEFAULT.rel_tol)
+    return _vouched(lambda q: _resolvent(params, q, x, z) / q, t,
+                    0.01 * _DEFAULT.abs_tol, 0.01 * _DEFAULT.rel_tol)
 
 
 def transition_density(query):

@@ -100,8 +100,8 @@ class DeltaSet:
 
 
 def _delta_pair(mu, sigma, q, sqrt=math.sqrt):
-    """(d_plus, d_minus) for one regime; pass cmath.sqrt for complex q, np.sqrt for
-    a float array of rates.
+    """(d_plus, d_minus) for one regime; pass np.sqrt for an array of rates, real or
+    complex (math.sqrt keeps the scalar path in Python floats for the guard below).
 
     The root that adds |mu| to w is formed directly and the other one from
     d_plus * d_minus = 2q / s^2: forming w - |mu| by subtraction loses every

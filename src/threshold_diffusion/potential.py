@@ -3,10 +3,10 @@
 potential_density(q, x, z) dz = E_x[ X_{e_q} in dz ] where e_q is an
 independent exponential clock with rate q, so potential_density / q is the
 Laplace transform in t of the transition density. One closed form,
-_resolvent, computes it for a real rate over an array of z in one numpy
+_resolvent, computes it in numpy for a real rate over an array of z in one
 pass (potential_grid, which hands it the rates of `deltas`;
-potential_density is its one-element case) and for complex rates at one z
-with cmath functions (Laplace inversion on the Talbot contour). It is
+potential_density is its one-element case) and for an array of complex
+rates at one z (Laplace inversion on the Talbot contour). It is
 piecewise exponential in z; all exponents are grouped before
 exponentiation and are nonpositive inside each branch's validity region,
 and each branch is evaluated only on the points it covers, so no overflow
@@ -14,7 +14,6 @@ occurs for states arbitrarily far from the threshold.
 _tail_transform is its closed-form integral over z >= a.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -46,13 +45,13 @@ def _check_rate_and_start(q, x):
         raise DomainError("x and z must be finite")
 
 
-def _resolvent(params, q, x, z, sqrt=math.sqrt, exp=np.exp, rates=None):
+def _resolvent(params, q, x, z, rates=None):
     """Potential density at rate q, unclamped.
 
-    A real q takes a 1-D float array z and numpy's exp; a complex q takes
-    one float z and cmath's sqrt and exp. rates is (d1_plus, d1_minus,
-    d2_plus, d2_minus) when the caller already holds them; otherwise they
-    are taken from _delta_pair with `sqrt`.
+    A real q takes a 1-D float array z; a 1-D complex array of rates q
+    takes one float z. rates is (d1_plus, d1_minus, d2_plus, d2_minus) when
+    the caller already holds them; otherwise they are taken from
+    _delta_pair.
 
     Written for a start at or above a, with the rates named by where they
     lead: `out` decays away from a and `back` toward it on the start's side,
@@ -65,8 +64,8 @@ def _resolvent(params, q, x, z, sqrt=math.sqrt, exp=np.exp, rates=None):
     """
     a = params.a
     if rates is None:
-        rates = (_delta_pair(params.mu1, params.sigma1, q, sqrt)
-                 + _delta_pair(params.mu2, params.sigma2, q, sqrt))
+        rates = (_delta_pair(params.mu1, params.sigma1, q, np.sqrt)
+                 + _delta_pair(params.mu2, params.sigma2, q, np.sqrt))
     d1p, d1m, d2p, d2m = rates
     if x >= a:
         rates = (d2m, d2p, d1m, d1p)  # out, back, cross, far
@@ -79,33 +78,30 @@ def _resolvent(params, q, x, z, sqrt=math.sqrt, exp=np.exp, rates=None):
     out, back = rates[:2]
     if not isinstance(z, np.ndarray):
         if k < 0:
-            return _far_side(q, h, k, rates, far, sqrt, exp)
-        return _near_side(q, h, k, -out * dz if dz >= 0 else back * dz, rates, near, sqrt, exp)
+            return _far_side(q, h, k, rates, far)
+        return _near_side(q, h, k, -out * dz if dz >= 0 else back * dz, rates, near)
     val = np.empty_like(z)
     beyond = k < 0
-    val[beyond] = _far_side(q, h, k[beyond], rates, far, sqrt, exp)
+    val[beyond] = _far_side(q, h, k[beyond], rates, far)
     k, dz = k[~beyond], dz[~beyond]
-    val[~beyond] = _near_side(q, h, k, np.where(dz >= 0, -out * dz, back * dz), rates, near,
-                              sqrt, exp)
+    val[~beyond] = _near_side(q, h, k, np.where(dz >= 0, -out * dz, back * dz), rates, near)
     return val
 
 
-def _far_side(q, h, k, rates, regime, sqrt, exp):
+def _far_side(q, h, k, rates, regime):
     """The resolvent at k < 0, across a from the start; names as in _resolvent
     and regime = (mu, sigma) on that side."""
-    _, back, cross, far = rates
-    mu, sigma = regime
+    (_, back, cross, far), (mu, sigma) = rates, regime
     front = (far + cross) / (back + cross)
-    return q / sqrt(2.0 * q * sigma ** 2 + mu ** 2) * front * exp(-back * h + far * k)
+    return q / np.sqrt(2.0 * q * sigma ** 2 + mu ** 2) * front * np.exp(-back * h + far * k)
 
 
-def _near_side(q, h, k, direct, rates, regime, sqrt, exp):
+def _near_side(q, h, k, direct, rates, regime):
     """The resolvent at k >= 0, on the start's side of a; `direct` is the free
     term's exponent, -out dz ahead of the start and back dz behind it."""
-    out, back, cross, _ = rates
-    mu, sigma = regime
-    reflected = (out - cross) / (back + cross) * exp(-out * k - back * h)
-    return (q / sqrt(2.0 * q * sigma ** 2 + mu ** 2)) * (exp(direct) + reflected)
+    (out, back, cross, _), (mu, sigma) = rates, regime
+    reflected = (out - cross) / (back + cross) * np.exp(-out * k - back * h)
+    return (q / np.sqrt(2.0 * q * sigma ** 2 + mu ** 2)) * (np.exp(direct) + reflected)
 
 
 def potential_grid(params, q, x, z):
@@ -134,7 +130,8 @@ def potential_density(query):
 
 def _tail_transform(params, q, x):
     """Laplace transform in t of P_x(X_t >= a): the integral of
-    potential_density / q over z >= a, for complex q off the negative axis.
+    potential_density / q over z >= a, for an array of complex q off the
+    negative axis.
 
     Both branches are sums of exponentials in z; integrating them and using
     d_plus d_minus = 2q / s^2, d_plus + d_minus = 2w / s^2 leaves
@@ -142,14 +139,14 @@ def _tail_transform(params, q, x):
         x >= a:  (1 - d1_minus / (d1_minus + d2_plus) exp(-d2_plus (x - a))) / q
         x <  a:  d2_plus / (d1_minus + d2_plus) exp(d1_minus (x - a)) / q
 
-    which agree at x = a. Overflow on the contour raises OverflowError.
+    which agree at x = a. Where the contour overflows the value is not finite.
     """
-    _, d1m = _delta_pair(params.mu1, params.sigma1, q, cmath.sqrt)
-    d2p, _ = _delta_pair(params.mu2, params.sigma2, q, cmath.sqrt)
+    _, d1m = _delta_pair(params.mu1, params.sigma1, q, np.sqrt)
+    d2p, _ = _delta_pair(params.mu2, params.sigma2, q, np.sqrt)
     h = x - params.a
     if h >= 0:
-        return (1.0 - d1m / (d1m + d2p) * cmath.exp(-d2p * h)) / q
-    return d2p / (d1m + d2p) * cmath.exp(d1m * h) / q
+        return (1.0 - d1m / (d1m + d2p) * np.exp(-d2p * h)) / q
+    return d2p / (d1m + d2p) * np.exp(d1m * h) / q
 
 
 def potential_q_to_zero_limit(params, z):

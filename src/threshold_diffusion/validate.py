@@ -10,7 +10,6 @@ the CLI's --tol flag, mainly to demonstrate the failure path); statistical
 margins stay at 3 standard errors regardless.
 """
 
-import cmath
 import contextlib
 import io
 import math
@@ -154,7 +153,7 @@ def criterion_4(tol=None, threads=1):
             worst_q = max(worst_q, abs(val - want))
     worst_inv = 0.0
     for x, z in points:
-        got = invert(lambda q: _resolvent(params, q, x, z, cmath.sqrt, cmath.exp) / q, 1.0)
+        got = invert(lambda q: _resolvent(params, q, x, z) / q, 1.0)
         want = transition_density(DensityQuery(params, 1.0, x, z))
         worst_inv = max(worst_inv, abs(got - want))
     passed = worst_q <= tol and worst_inv <= tol

@@ -13,6 +13,9 @@ from threshold_diffusion import (ControlProblem, DomainError, InvalidParameterEr
                                  reversed_threshold_policy, simulate_policy, value_function)
 from threshold_diffusion import control
 
+# a numpy warning that escapes the contour fails the test
+pytestmark = pytest.mark.filterwarnings("error")
+
 SYMMETRIC = ControlProblem(0.0, 2.0, 0.0, 1.0, 0.0, 1.0, x0=0.0)
 DRIFTED = ControlProblem(1.0, 2.0, -1.0, 1.0, 0.0, 1.0, x0=0.0)
 # criterion 9's third problem, the symmetric one at a longer horizon, and a falling threshold line
@@ -177,3 +180,23 @@ def test_value_is_a_probability_nondecreasing_in_start(case):
     assert all(0.0 <= v <= 1.0 for v in vals)
     for lo, hi in zip(vals, vals[1:]):
         assert hi >= lo - 1e-9
+
+
+def constant_policy_bound(problem, x):
+    """The better constant policy's value, max over both pairs of
+    Phi((x - a + mu T) / (sigma sqrt(T))); V can never be below it."""
+    return max(0.5 * math.erfc(-(x - problem.a + mu * problem.T)
+                               / (sigma * math.sqrt(2.0 * problem.T)))
+               for mu, sigma in ((problem.mu_bar, problem.sigma_bar),
+                                 (problem.mu_low, problem.sigma_low)))
+
+
+# Two silent misses of the z-quadrature fallback: the first reads 1.9e-12, the
+# second 0.0235 with the tilted start 27 terminal standard deviations above a.
+@pytest.mark.xfail(strict=True, reason="the z-quadrature fallback misses the mass")
+@pytest.mark.parametrize("problem, x", [
+    (ControlProblem(1.0, 1.001, -1.0, 1.0, 0.0, 1.0), 0.0),
+    (ControlProblem(-1.7291, 0.1531, -1.3546, 0.1200, 0.0, 0.2271), 1.9977),
+])
+def test_value_is_at_least_the_better_constant_policy(problem, x):
+    assert value_function(problem, x) >= constant_policy_bound(problem, x) - 1e-9

@@ -1,15 +1,20 @@
 """Laplace inversion on transforms with known time-domain pairs."""
 
-import cmath
 import math
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from threshold_diffusion import (DensityQuery, DomainError, InvalidParameterError, invert,
-                                 make_params, oscillating_bm_density, transition_density)
+from threshold_diffusion import (AccuracyError, DensityQuery, DomainError,
+                                 InvalidParameterError, invert, make_params,
+                                 oscillating_bm_density, transition_density)
 from threshold_diffusion.potential import _resolvent
+
+# a numpy warning that escapes the contour fails the test
+pytestmark = pytest.mark.filterwarnings("error")
 
 
 def test_exponential_pair():
@@ -25,8 +30,8 @@ def test_gaussian_density_pair(t):
     # transform of the drifted unit-volatility heat kernel at displacement d
     mu, d = 0.3, 0.7
     def F(q):
-        root = cmath.sqrt(2.0 * q + mu * mu)
-        return cmath.exp(mu * d - abs(d) * root) / root
+        root = np.sqrt(2.0 * q + mu * mu)
+        return np.exp(mu * d - abs(d) * root) / root
     want = math.exp(-(d - mu * t) ** 2 / (2.0 * t)) / math.sqrt(2.0 * math.pi * t)
     assert invert(F, t) == pytest.approx(want, rel=1e-9)
 
@@ -36,7 +41,7 @@ def test_potential_transform_inverts_to_density():
     x, z = 0.0, 0.5
 
     def F(q):
-        return _resolvent(params, q, x, z, cmath.sqrt, cmath.exp) / q
+        return _resolvent(params, q, x, z) / q
 
     want = oscillating_bm_density(1.0, 2.0, 0.0, 1.0, x, z)
     assert invert(F, 1.0) == pytest.approx(want, abs=1e-10)
@@ -46,8 +51,8 @@ def test_talbot_on_known_pairs():
     assert invert(lambda q: 1.0 / (q + 1.0), 1.0) == pytest.approx(math.exp(-1.0), abs=1e-7)
 
     def F(q):
-        root = cmath.sqrt(2.0 * q)
-        return cmath.exp(-root) / root
+        root = np.sqrt(2.0 * q)
+        return np.exp(-root) / root
     want = math.exp(-0.5) / math.sqrt(2.0 * math.pi)
     assert invert(F, 1.0) == pytest.approx(want, abs=1e-7)
 
@@ -57,12 +62,70 @@ def test_rejects_nonpositive_time():
         invert(lambda q: 1.0 / q, 0.0)
     with pytest.raises(DomainError):
         invert(lambda q: 1.0 / q, -2.0)
+    for t in (None, math.nan, math.inf, "1"):
+        with pytest.raises(DomainError):
+            invert(lambda q: 1.0 / q, t)
 
 
 def test_settings_validation():
-    for nodes in (4, 7, 8.5, 24.0, True, "24", None):
+    # past 1774 nodes exp(2 nodes / 5) overflows; only the refusal is exercised
+    for nodes in (4, 7, 8.5, 24.0, True, "24", None, 1775, 10 ** 12):
         with pytest.raises(InvalidParameterError):
             invert(lambda q: 1.0 / q, 1.0, nodes)
+    # F must return one complex value per rate
+    for F in (lambda q: 1.0, lambda q: None, lambda q: "x", lambda q: [object()] * q.size,
+              lambda q: (1.0 / q)[:-1], lambda q: np.stack([1.0 / q, 1.0 / q])):
+        with pytest.raises(InvalidParameterError):
+            invert(F, 1.0)
+
+
+@pytest.mark.parametrize("nodes", [8, 24, 32])
+def test_transform_is_called_once_on_the_node_array(nodes):
+    calls = []
+
+    def F(q):
+        calls.append(q)
+        return 1.0 / (q + 1.0)
+
+    assert invert(F, 1.0, nodes) == pytest.approx(math.exp(-1.0), abs=1e-5)
+    assert len(calls) == 1
+    q = calls[0]
+    assert isinstance(q, np.ndarray) and q.dtype == complex and q.shape == (nodes,)
+
+
+def talbot_loop(F, t, nodes):
+    """The fixed-Talbot sum node by node, one F call per node, in Python complex;
+    returns the sum and the sum of its terms' magnitudes."""
+    r = 2.0 * nodes / (5.0 * t)
+    terms = [0.5 * math.exp(r * t) * complex(F(np.array([r + 0j]))[0]).real]
+    for k in range(1, nodes):
+        theta = k * math.pi / nodes
+        cot = math.cos(theta) / math.sin(theta)
+        s = r * theta * complex(cot, 1.0)
+        sigma = theta + (theta * cot - 1.0) * cot
+        terms.append((complex(np.exp(s * t)) * complex(F(np.array([s]))[0])
+                      * complex(1.0, sigma)).real)
+    return (r / nodes) * math.fsum(terms), (r / nodes) * math.fsum(map(abs, terms))
+
+
+@pytest.mark.parametrize("nodes", [8, 24, 32])
+@pytest.mark.parametrize("t", [0.1, 1.0, 10.0])
+def test_node_array_sum_matches_the_node_by_node_loop(nodes, t):
+    params = make_params(1.0, -1.0, 1.0, 2.0, 0.0)
+
+    def F(q):
+        return _resolvent(params, q, 0.5, -0.5) / q
+
+    want, magnitude = talbot_loop(F, t, nodes)
+    # the same terms summed in another order: a few rounding units per term
+    assert abs(invert(F, t, nodes) - want) <= 4 * nodes * sys.float_info.epsilon * magnitude
+
+
+def test_non_finite_sum_is_an_accuracy_error():
+    with pytest.raises(AccuracyError):
+        invert(lambda q: q * np.nan, 1.0)
+    with pytest.raises(AccuracyError):
+        invert(lambda q: np.exp(1e3 * q), 1.0)
 
 
 @st.composite
@@ -84,5 +147,5 @@ def densities(draw):
 @given(densities())
 def test_talbot_on_complex_resolvent_matches_transition_density(case):
     params, t, x, z = case
-    got = invert(lambda q: _resolvent(params, q, x, z, cmath.sqrt, cmath.exp) / q, t)
+    got = invert(lambda q: _resolvent(params, q, x, z) / q, t)
     assert got == pytest.approx(transition_density(DensityQuery(params, t, x, z)), abs=1e-6)
