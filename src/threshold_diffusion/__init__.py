@@ -49,13 +49,11 @@ from .params import (
     DiffusionParams,
     deltas,
     h_kernel,
-    h_laplace,
     make_params,
 )
 from .potential import PotentialQuery, potential_density
 from .quadrature import (
     QuadSettings,
-    convolve_h_pair,
     integrate_finite,
     integrate_semi_infinite,
 )
@@ -90,14 +88,12 @@ __all__ = [
     "alpha",
     "constant_bar_policy",
     "constant_low_policy",
-    "convolve_h_pair",
     "deltas",
     "density_jump_at_threshold",
     "empirical_hitting_transform",
     "g_minus",
     "g_plus",
     "h_kernel",
-    "h_laplace",
     "integrate_finite",
     "integrate_semi_infinite",
     "invert",

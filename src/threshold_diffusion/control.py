@@ -19,18 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityQuery, transition_density
 from .errors import AccuracyError, DomainError, InvalidParameterError
 from .inversion import _vouched
-from .params import DiffusionParams, _finite_real
+from .params import DiffusionParams, _finite_real, h_kernel
 from .potential import _tail_transform
-from .quadrature import QuadSettings, integrate_finite
+from .quadrature import QuadSettings, _h_mode, _layer_seeds, integrate_finite
 
-# The Talbot value is kept only when _vouched's second node count agrees with it
-# within _TALBOT_GAP and it lies in [0, 1], both to two orders inside the
-# quadrature route's 1e-7 tolerance.
+# A Talbot value is kept only when _vouched's second node count agrees with it
+# within _TALBOT_GAP; the whole-horizon value must also lie in [0, 1]. The split
+# at the first hit integrates to 1e-10, so the two routes agree within about 1e-9.
 _TALBOT_GAP = 1e-9
 _TALBOT_RANGE_SLACK = 1e-9
+_SPLIT_SETTINGS = QuadSettings(abs_tol=1e-10, rel_tol=1e-10)
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ def alpha(problem):
 
 def optimal_threshold(problem, t):
     """Switching level a + alpha (T - t); equals a at the horizon."""
-    if not (0.0 <= t <= problem.T):
+    if not (_finite_real(t) and 0.0 <= t <= problem.T):
         raise DomainError(f"t must lie in [0, T]=[0, {problem.T!r}], got {t!r}")
     return problem.a + alpha(problem) * (problem.T - t)
 
@@ -129,19 +129,17 @@ def value_function(problem, x):
     The fast route inverts the closed-form Laplace transform of
     P(Y_T >= a) for the tilted state with the fixed-Talbot rule, and keeps
     that value only if it is finite, within 1e-9 of an inversion on more
-    nodes and within 1e-9 of [0, 1] (then it is clamped). A fixed
-    contour loses accuracy for tilted starts far from a, so otherwise the
-    value falls back to a quadrature of the tilted transition density over
-    [a, zmax], where zmax covers 12 terminal standard deviations plus the
-    largest possible drift sweep; the sub-Gaussian tail allowance beyond
-    zmax joins the quadrature error. A quadrature result outside [0, 1] by
-    more than 1e-4 raises AccuracyError; smaller excursions are clamped.
+    nodes and within 1e-9 of [0, 1] (then it is clamped). A fixed contour
+    loses accuracy for tilted starts far from a; there the value is split
+    at the first hit of a instead (_first_passage_value), which raises
+    AccuracyError when its own inversions cannot vouch for themselves.
     """
     if not _finite_real(x):
         raise DomainError(f"x must be a finite number, got {x!r}")
     params, al = _equivalent_params(problem)
-    val = _talbot_value(params, problem.T, x - al * problem.T)
-    return val if val is not None else _quadrature_value(problem, x)
+    y0 = x - al * problem.T
+    val = _talbot_value(params, problem.T, y0)
+    return val if val is not None else _first_passage_value(params, problem.T, y0)
 
 
 def _talbot_value(params, T, y0):
@@ -152,26 +150,41 @@ def _talbot_value(params, T, y0):
     return min(max(val, 0.0), 1.0)
 
 
-def _quadrature_value(problem, x):
-    """z-quadrature of the tilted transition density over [a, zmax]."""
-    params, al = _equivalent_params(problem)
-    T = problem.T
-    y0 = x - al * T
-    drift_span = abs(problem.mu_bar) + abs(problem.mu_low) + abs(al)
-    zmax = problem.a + 12.0 * problem.sigma_bar * math.sqrt(T) + drift_span * T
-    outer = QuadSettings(abs_tol=1e-7, rel_tol=1e-7, max_subdivisions=400)
+def _first_passage_value(params, T, y0):
+    """P(Y_T >= a) from y0, split at the first hit of a (strong Markov property).
 
-    def f(zs):
-        return np.array([transition_density(DensityQuery(params, T, y0, z))
-                         for z in np.asarray(zs, dtype=float)])
+    With f the first-passage density toward a of the regime on y0's side and
+    u(s) = P_a(Y_s >= a), which has no transport delay and inverts well,
 
-    val, err = integrate_finite(f, problem.a, zmax, settings=outer,
-                                seed_points=(y0,) if problem.a < y0 < zmax else None)
-    margin = (zmax - max(y0, problem.a) - drift_span * T) / (problem.sigma_bar * math.sqrt(T))
-    tail = math.exp(-0.5 * margin * margin) if margin > 0 else 1.0
-    err += tail
-    if val < -1e-4 or val > 1.0 + 1e-4:
-        raise AccuracyError(
-            f"value function estimate {val!r} lies outside [0, 1] beyond tolerance",
-            estimate=val, error_estimate=err)
-    return min(max(val, 0.0), 1.0)
+        y0 < a:  V = int_0^T f(tau) u(T - tau) dtau
+        y0 > a:  V = 1 - int_0^T f(tau) (1 - u(T - tau)) dtau.
+
+    The integral is cut at T/2 and its second half taken in s = T - tau, so f's
+    early mass and u's layer at s -> 0 are each integrated in their own variable.
+    """
+    a = params.a
+    mu, sigma = (params.mu1, params.sigma1) if y0 <= a else (params.mu2, params.sigma2)
+    y = abs(y0 - a) / sigma
+    v = mu / sigma if y0 < a else -mu / sigma  # standardized drift toward a
+    if y - max(v, 0.0) * T > 40.0 * math.sqrt(T):
+        return 0.0 if y0 < a else 1.0  # a is hit by T with probability below 1e-300
+
+    def g(s):  # u(s) below a and 1 - u(s) above it, for a time or an array of times
+        u = _vouched(lambda q: _tail_transform(params, q, a), s, _TALBOT_GAP, 0.0)
+        if u is None:
+            raise AccuracyError(f"P_a(Y_s >= a) does not invert within {_TALBOT_GAP} "
+                                f"for s in (0, {T!r}]")
+        return u if y0 < a else 1.0 - u
+
+    if y == 0.0:
+        hit = g(T)  # f is a point mass at tau = 0
+    else:
+        mode = _h_mode(y, v)
+        width = math.sqrt(y / v ** 3) if v > 0.0 else 0.0
+        peak = [mode + k * width for k in (-4, -2, -1, 0, 1, 2, 4)]
+        early, _ = integrate_finite(lambda tau: h_kernel(tau, y, -v) * g(T - tau),
+                                    0.0, 0.5 * T, _SPLIT_SETTINGS, peak)
+        late, _ = integrate_finite(lambda s: h_kernel(T - s, y, -v) * g(s), 0.0, 0.5 * T,
+                                   _SPLIT_SETTINGS, [T - p for p in peak] + _layer_seeds(T, 0.0))
+        hit = early + late
+    return min(max(hit if y0 < a else 1.0 - hit, 0.0), 1.0)

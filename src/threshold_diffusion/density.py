@@ -86,7 +86,7 @@ def _crossing_integral(params, t, rate, c1, c2, log_scale):
 
 def _talbot_density(params, t, x, z):
     """Talbot inversion of potential_density / q, or None when it cannot vouch for itself."""
-    # kept two orders inside the quadrature route's tolerance, as value_function does
+    # kept two orders inside the quadrature route's tolerance
     return _vouched(lambda q: _resolvent(params, q, x, z) / q, t,
                     0.01 * _DEFAULT.abs_tol, 0.01 * _DEFAULT.rel_tol)
 

@@ -130,8 +130,8 @@ def deltas(params, q):
     """
     if isinstance(q, np.ndarray):
         return _delta_grid(params, q)
-    if not math.isfinite(q):
-        raise DomainError(f"q must be finite, got {q!r}")
+    if not _finite_real(q):
+        raise DomainError(f"q must be a finite number, got {q!r}")
     if q < 0:
         raise DomainError(f"q must be nonnegative, got {q!r}")
     d1p, d1m = _delta_pair(params.mu1, params.sigma1, q)
@@ -199,20 +199,3 @@ def h_kernel(t, x, mu):
         return float(out)
     return out
 
-
-def h_laplace(q, x, mu):
-    """Laplace transform in t of h_kernel: exp(-(mu + sign(x) sqrt(mu^2 + 2q)) x).
-
-    Defined for q >= 0; equals 0 at x = 0 (the kernel itself vanishes there).
-    """
-    q = np.asarray(q, dtype=float)
-    if np.any(q < 0.0):
-        raise DomainError("h_laplace requires q >= 0")
-    x = np.asarray(x, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    with np.errstate(under="ignore"):
-        out = np.exp(-(mu + np.sign(x) * np.sqrt(mu * mu + 2.0 * q)) * x)
-    out = np.where(x == 0.0, 0.0, out)
-    if out.ndim == 0:
-        return float(out)
-    return out

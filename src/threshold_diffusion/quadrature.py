@@ -336,16 +336,3 @@ def _convolve_batch(t, x1, mu1, x2, mu2, log_scale=0.0, settings=None):
 
     return _adaptive(kernel, bounds, s, "convolution quadrature")
 
-
-def convolve_h_pair(t, x1, mu1, x2, mu2, settings=None, log_scale=0.0):
-    """Time convolution of two first-passage kernels over (0, t).
-
-    Returns exp(log_scale) * integral_0^t h(t-tau; x1, mu1) h(tau; x2, mu2) dtau.
-    Vanishes when x1 = 0 or x2 = 0; for mu1 = mu2 = mu and positive
-    displacements it reproduces h(t; x1+x2, mu).
-    """
-    if x1 == 0.0 or x2 == 0.0:
-        return 0.0
-    values, _ = _convolve_batch(t, x1, mu1, x2, mu2, log_scale=log_scale,
-                                settings=settings)
-    return float(values[0])

