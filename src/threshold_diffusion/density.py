@@ -20,6 +20,8 @@ AccuracyError.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import AccuracyError, DomainError
 from .inversion import _vouched
 from .params import _finite_real, deltas
@@ -80,7 +82,9 @@ def _crossing_integral(params, t, rate, c1, c2, log_scale):
                                   (b + c2) / s2, params.mu2 / s2, log_scale=log_scale)
         return vals
 
-    val, _ = integrate_semi_infinite(outer, 0.0, rate)
+    # far from a the kernels' squared exponents overflow to inf, and exp takes them to 0
+    with np.errstate(over="ignore"):
+        val, _ = integrate_semi_infinite(outer, 0.0, rate)
     return val
 
 

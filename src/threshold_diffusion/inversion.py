@@ -7,7 +7,7 @@ called once, on the numpy array of all the contour's complex rates. In
 double precision the rule is most accurate near 24 nodes; more nodes
 amplify rounding, so a second node count serves as an error estimate
 rather than a refinement, and _vouched keeps a 24-node value only when a
-32-node inversion agrees.
+32-node inversion agrees; F is called once for both, on all 56 rates.
 """
 
 import functools
@@ -35,6 +35,23 @@ def _contour(nodes):
     return unit, (r / nodes) * np.exp(unit) * weights
 
 
+def _sums(F, t, unit, parts):
+    """Re(F(unit / t)[part] @ w) / t for each (part, w) in parts, part a slice of
+    the rates; F is called once, on all the rates, for a time or an array of them."""
+    array = isinstance(t, np.ndarray)
+    s = unit / (t[:, None] if array else t)
+    with np.errstate(all="ignore"):  # a rate F overflows at leaves the sum non-finite
+        vals = F(s)
+        try:
+            vals = np.asarray(vals, dtype=complex)
+        except (TypeError, ValueError) as exc:
+            raise InvalidParameterError(f"F must return complex values: {exc}") from exc
+        if vals.shape != s.shape:
+            raise InvalidParameterError(f"F must return one value per rate, got {vals.shape}")
+        sums = [(vals[..., part] @ w).real / t for part, w in parts]
+    return sums if array else [float(v) for v in sums]
+
+
 def invert(F, t, nodes=24):
     """Evaluate the inverse transform of F at time t > 0 on `nodes` Talbot nodes.
 
@@ -55,28 +72,25 @@ def invert(F, t, nodes=24):
         raise InvalidParameterError(
             f"talbot nodes must be an integer in [8, {_MAX_NODES}], got {nodes!r}")
     unit, weights = _contour(nodes)
-    s = unit / (t[:, None] if array else t)
-    with np.errstate(all="ignore"):  # a rate F overflows at leaves the sum non-finite
-        vals = F(s)
-        try:
-            vals = np.asarray(vals, dtype=complex)
-        except (TypeError, ValueError) as exc:
-            raise InvalidParameterError(f"F must return complex values: {exc}") from exc
-        if vals.shape != s.shape:
-            raise InvalidParameterError(f"F must return one value per rate, got {vals.shape}")
-        total = (vals @ weights).real / t
+    total, = _sums(F, t, unit, [(slice(None), weights)])
     if not np.isfinite(total).all():
         raise AccuracyError(f"talbot sum on {nodes} nodes at t={t!r} is not finite")
-    return total if array else float(total)
+    return total
+
+
+@functools.cache
+def _check_pair():
+    """The 24-node rates followed by the 32-node rates, and each one's slice and weights."""
+    (unit24, weights24), (unit32, weights32) = _contour(24), _contour(32)
+    return np.concatenate((unit24, unit32)), [(slice(24), weights24), (slice(24, 56), weights32)]
 
 
 def _vouched(F, t, abs_tol, rel_tol):
     """The 24-node inverse of F at t (a time or an array of them), or None when a
-    sum is not finite or a 32-node inversion differs from it by more than
-    max(abs_tol, rel_tol |value|) at any time."""
-    try:
-        val = invert(F, t, 24)
-        gap = abs(val - invert(F, t, 32))
-    except AccuracyError:
+    sum is not finite or the 32-node inverse differs from it by more than
+    max(abs_tol, rel_tol |value|) at any time. F is called once, on the 24 rates
+    followed by the 32 (shape (56,), or (len(t), 56) for an array of times)."""
+    val, other = _sums(F, t, *_check_pair())
+    if not (np.isfinite(val).all() and np.isfinite(other).all()):
         return None
-    return val if np.all(gap <= np.maximum(abs_tol, rel_tol * abs(val))) else None
+    return val if np.all(abs(val - other) <= np.maximum(abs_tol, rel_tol * abs(val))) else None

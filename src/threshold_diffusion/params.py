@@ -179,18 +179,22 @@ def h_kernel(t, x, mu):
     Parameters
     ----------
     t : float or ndarray
-        Time argument, must be > 0.
+        Time argument, must be finite and > 0.
     x, mu : float or ndarray
-        Displacement and drift, broadcast against t.
+        Finite displacement and drift, broadcast against t.
 
     Returns 0.0 exactly when x = 0 or when the exponent falls below the
-    double-precision underflow threshold.
+    double-precision underflow threshold. Arguments that are not finite
+    numbers (None and NaN included) raise DomainError.
     """
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
+    try:
+        t, x, mu = (np.asarray(v, dtype=float) for v in (t, x, mu))
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"h_kernel takes numbers: {exc}") from exc
+    if not np.all(t > 0.0):  # NaN fails too
         raise DomainError("h_kernel requires t > 0")
-    x = np.asarray(x, dtype=float)
-    mu = np.asarray(mu, dtype=float)
+    if not (np.isfinite(t).all() and np.isfinite(x).all() and np.isfinite(mu).all()):
+        raise DomainError("h_kernel requires finite t, x and mu")
     expo = -((x + mu * t) ** 2) / (2.0 * t)
     with np.errstate(under="ignore"):
         out = np.abs(x) / np.sqrt(2.0 * np.pi * t ** 3) * np.exp(expo)

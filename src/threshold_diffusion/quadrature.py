@@ -197,7 +197,7 @@ def integrate_finite(f, lo, hi, settings=None, seed_points=None):
     or raises AccuracyError once the subdivision budget is exhausted.
     """
     s = settings if settings is not None else _DEFAULT
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+    if not (_finite_real(lo) and _finite_real(hi)):
         raise DomainError(f"bounds must be finite, got [{lo!r}, {hi!r}]")
     if lo > hi:
         raise DomainError(f"lo must be <= hi, got [{lo!r}, {hi!r}]")
@@ -223,9 +223,9 @@ def integrate_semi_infinite(f, lo, decay_rate_hint, settings=None):
     domain is extended if that bound is still too large.
     """
     s = settings if settings is not None else _DEFAULT
-    if not (math.isfinite(decay_rate_hint) and decay_rate_hint > 0):
+    if not (_finite_real(decay_rate_hint) and decay_rate_hint > 0):
         raise DomainError(f"decay_rate_hint must be positive, got {decay_rate_hint!r}")
-    if not math.isfinite(lo):
+    if not _finite_real(lo):
         raise DomainError(f"lo must be finite, got {lo!r}")
     rate = float(decay_rate_hint)
     eps = _TRUNCATION_EPSILON

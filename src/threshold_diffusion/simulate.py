@@ -36,6 +36,9 @@ _BLOCK_PATHS = 4096
 # more; a hitting chunk also holds a second increment and a flag per normal);
 # bounds per-worker memory, not results
 _CHUNK_BUDGET = 4_000_000
+# horizon / dt may not exceed this many Euler steps per path; criterion 8 takes
+# 1e5, and without a cap a subnormal dt would ask for 1e300 steps
+_MAX_STEPS = 1e9
 
 # Wichura (1988) algorithm AS241, PPND16 constants
 _PPND_A = (2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
@@ -184,6 +187,10 @@ def _check_run(x0, horizon, dt, n_paths, seed):
     if dt > horizon:
         raise InvalidParameterError(
             f"dt must not exceed horizon, got dt={dt!r} > T={horizon!r}")
+    if horizon > _MAX_STEPS * dt:
+        raise InvalidParameterError(
+            f"horizon / dt must not exceed {_MAX_STEPS:.0e} steps per path, got "
+            f"T={horizon!r}, dt={dt!r}")
     if not (_integer(n_paths) and n_paths >= 1):
         raise InvalidParameterError(f"n_paths must be an integer >= 1, got {n_paths!r}")
     if not (_integer(seed) and 0 <= int(seed) < 2 ** 64):
@@ -199,7 +206,7 @@ def _check_threads(threads):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Plain (uncontrolled) simulation request."""
+    """Plain (uncontrolled) simulation request; horizon / dt is at most 1e9 steps."""
 
     params: DiffusionParams
     x0: float

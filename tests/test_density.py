@@ -1,6 +1,7 @@
 """Transition density: closed-form oracles, jump law, stationarity, MC."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -169,6 +170,13 @@ def test_density_overflow_at_huge_t_is_a_library_error():
     # drifts away from a keep this on the quadrature route, whose Gaussian overflows
     with pytest.raises(AccuracyError):
         p_at(make_params(-1.0, 1.0, 1.0, 2.0, 0.0), 1e300, 0.1, 0.2)
+
+
+def test_density_far_below_a_is_zero_without_warnings():
+    # the convolution kernel's squared exponents overflow to inf there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert p_at(make_params(1.0, -1.0, 1.0, 2.0, 0.0), 1.0, 0.5, -1e300) == 0.0
 
 
 def test_density_at_huge_t_under_confining_drifts_is_the_stationary_law():

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from threshold_diffusion import (AccuracyError, DensityQuery, DomainError,
                                  InvalidParameterError, invert, make_params,
                                  oscillating_bm_density, transition_density)
-from threshold_diffusion.potential import _resolvent
+from threshold_diffusion.inversion import _vouched
+from threshold_diffusion.potential import _resolvent, _tail_transform
 
 # a numpy warning that escapes the contour fails the test; Hypothesis's own report
 # hook warns about a deprecated mypy_extensions name, which is not the test's fault
@@ -173,3 +174,54 @@ def test_talbot_on_complex_resolvent_matches_transition_density(case):
     params, t, x, z = case
     got = invert(lambda q: _resolvent(params, q, x, z) / q, t)
     assert got == pytest.approx(transition_density(DensityQuery(params, t, x, z)), abs=1e-6)
+
+
+@pytest.mark.parametrize("t", [1.0, np.array([0.01, 1.0, 30.0])])
+def test_vouched_calls_the_transform_once_on_both_contours(t):
+    calls = []
+
+    def F(q):
+        calls.append(q.shape)
+        return 1.0 / (q + 1.0)
+
+    got = _vouched(F, t, 1e-9, 0.0)
+    assert calls == [(56,) if np.ndim(t) == 0 else (len(t), 56)]
+    assert np.allclose(got, np.exp(-t), rtol=0.0, atol=1e-9)
+
+
+def two_inversions(F, t, abs_tol, rel_tol):
+    """The check as two invert calls: the 24-node value when the 32-node one agrees."""
+    try:
+        val = invert(F, t, 24)
+        gap = abs(val - invert(F, t, 32))
+    except AccuracyError:
+        return None
+    return val if np.all(gap <= np.maximum(abs_tol, rel_tol * abs(val))) else None
+
+
+@st.composite
+def transforms(draw):
+    # wide enough that both answers occur: far starts, long horizons and tight
+    # tolerances are where the two node counts part
+    unit = st.floats(0.0, 1.0)
+    params = make_params(-3.0 + 6.0 * draw(unit), -3.0 + 6.0 * draw(unit),
+                         0.1 + 2.9 * draw(unit), 0.1 + 2.9 * draw(unit), 0.0)
+    x, z = (-6.0 + 12.0 * draw(unit) for _ in range(2))
+    if draw(st.booleans()):
+        F = lambda q: _resolvent(params, q, x, z) / q  # noqa: E731
+    else:
+        F = lambda q: _tail_transform(params, q, x)  # noqa: E731
+    times = [10.0 ** (-3.0 + 5.0 * draw(unit)) for _ in range(draw(st.integers(1, 4)))]
+    t = np.array(times) if draw(st.booleans()) else times[0]
+    return F, t, 10.0 ** (-13.0 + 7.0 * draw(unit)), draw(st.sampled_from([0.0, 1e-9, 1e-6]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(transforms())
+def test_vouched_matches_two_inversions(case):
+    F, t, abs_tol, rel_tol = case
+    got, want = _vouched(F, t, abs_tol, rel_tol), two_inversions(F, t, abs_tol, rel_tol)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert type(got) is type(want)
+        assert np.all(got == want)

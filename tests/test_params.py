@@ -172,6 +172,18 @@ def test_h_kernel_rejects_bad_t():
         h_kernel(-1.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", [None, math.nan, math.inf, -math.inf, "x"])
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_h_kernel_rejects_non_finite_arguments(slot, bad):
+    args = [1.0, 1.0, 0.0]
+    args[slot] = bad
+    with pytest.raises(DomainError):
+        h_kernel(*args)
+    args[slot] = [1.0, bad]
+    with pytest.raises(DomainError):
+        h_kernel(*args)
+
+
 def h_laplace(q, x, mu):
     """Laplace transform in t of h_kernel at q >= 0: exp(-(mu + sign(x) sqrt(mu^2 + 2q)) x)."""
     return math.exp(-(mu + math.copysign(math.sqrt(mu * mu + 2.0 * q), x)) * x)

@@ -80,6 +80,16 @@ def test_semi_infinite_needs_positive_hint():
         integrate_semi_infinite(lambda u: np.exp(-np.asarray(u)), 0.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", [None, "1", math.nan, math.inf, 1j])
+def test_bounds_and_hint_that_are_not_numbers_are_domain_errors(bad):
+    f = lambda u: np.exp(-np.asarray(u))  # noqa: E731
+    for call in (lambda: integrate_finite(f, 0.0, bad), lambda: integrate_finite(f, bad, 1.0),
+                 lambda: integrate_semi_infinite(f, 0.0, bad),
+                 lambda: integrate_semi_infinite(f, bad, 1.0)):
+        with pytest.raises(DomainError):
+            call()
+
+
 def test_geometric_factor_of_crossing_integral():
     # the outer crossing integral of the density construction has an
     # exponential envelope whose exact mass is 1/(d2_plus + d1_minus)

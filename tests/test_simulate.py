@@ -157,6 +157,20 @@ def test_constant_low_policy_equals_plain_run():
     assert np.array_equal(pol.terminal_values, plain.terminal_values)
 
 
+def test_step_count_past_the_cap_is_refused():
+    # only the refusal is exercised: the first config would ask for 1e300 steps
+    with pytest.raises(InvalidParameterError, match="steps"):
+        SimConfig(TWO_REGIME, 0.0, 1.0, 1e-300, 10, 1)
+    with pytest.raises(InvalidParameterError, match="steps"):
+        SimConfig(TWO_REGIME, 0.0, 10.0, 9.99e-9, 10, 1)
+    prob = ControlProblem(0.0, 2.0, 0.0, 1.0, 0.0, 1.0, x0=0.0)
+    with pytest.raises(InvalidParameterError, match="steps"):
+        simulate_policy(prob, optimal_policy(prob), 1e-300, 10, 0)
+    # criterion 8's 1e5 steps and the cap itself stay legal
+    SimConfig(TWO_REGIME, 0.5, 10.0, 1e-4, 100_000, 80808)
+    SimConfig(TWO_REGIME, 0.0, 1.0, 1e-9, 10, 1)
+
+
 def test_policy_run_rejects_fractional_path_count():
     prob = ControlProblem(0.0, 2.0, 0.0, 1.0, 0.0, 1.0, x0=0.0)
     with pytest.raises(InvalidParameterError, match="n_paths"):
