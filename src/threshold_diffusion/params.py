@@ -15,6 +15,9 @@ from .errors import DomainError, InvalidParameterError
 
 # exp() underflows to subnormal/zero near -745; beyond that the kernel is an exact 0
 _EXP_UNDERFLOW = 745.0
+# the normal double range, and log(2 pi) / 2 for the kernel's prefactor in logs
+_TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def _finite_real(value):
@@ -184,8 +187,10 @@ def h_kernel(t, x, mu):
         Finite displacement and drift, broadcast against t.
 
     Returns 0.0 exactly when x = 0 or when the exponent falls below the
-    double-precision underflow threshold. Arguments that are not finite
-    numbers (None and NaN included) raise DomainError.
+    double-precision underflow threshold, and inf only where the kernel
+    itself exceeds the double range; no floating-point warning escapes.
+    Arguments that are not finite numbers (None and NaN included) raise
+    DomainError.
     """
     try:
         t, x, mu = (np.asarray(v, dtype=float) for v in (t, x, mu))
@@ -195,9 +200,17 @@ def h_kernel(t, x, mu):
         raise DomainError("h_kernel requires t > 0")
     if not (np.isfinite(t).all() and np.isfinite(x).all() and np.isfinite(mu).all()):
         raise DomainError("h_kernel requires finite t, x and mu")
-    expo = -((x + mu * t) ** 2) / (2.0 * t)
-    with np.errstate(under="ignore"):
-        out = np.abs(x) / np.sqrt(2.0 * np.pi * t ** 3) * np.exp(expo)
+    with np.errstate(all="ignore"):
+        # a square past the double range makes the exponent -inf, an exact 0
+        expo = -((x + mu * t) ** 2) / (2.0 * t)
+        t3 = t ** 3
+        out = np.abs(x) / np.sqrt(2.0 * np.pi * t3) * np.exp(expo)
+        # where t**3 leaves the normal range, or the prefactor overflows, the
+        # prefactor's log joins the exponent before the one exp
+        normal = np.isfinite(out) & (t3 >= _TINY) & (t3 <= _HUGE)
+        if not normal.all():
+            logs = np.log(np.abs(x)) - 1.5 * np.log(t) - _HALF_LOG_2PI + expo
+            out = np.where(normal, out, np.exp(logs))
     out = np.where(expo < -_EXP_UNDERFLOW, 0.0, out)
     if out.ndim == 0:
         return float(out)

@@ -9,7 +9,12 @@ variates come from numpy's 53-bit Generator.random; normals are produced
 by Wichura's AS241 inverse-CDF polynomial implemented below, so the
 bit stream never depends on numpy's normal sampler. Serial and parallel
 execution therefore produce identical ensembles, block and chunk splits
-included.
+included. Terminal ensembles run blocks of at most 2048 paths, the hitting
+transform one block per thread; each worker holds at most _NOISE_BUDGET
+bytes of noise at once, so memory grows with threads, not with n_paths.
+Each step factory turns a noise chunk into the increment terms its steps
+add, one cache-sized sub-chunk at a time, with the same products and sums
+in the same order as a step that computed them itself.
 
 The scheme freezes the regime at the left endpoint of every step; the
 coefficients are discontinuous at the threshold, so survival-type
@@ -30,12 +35,20 @@ from .params import DiffusionParams, _finite_real, _integer
 
 # shifts [0,1) uniforms strictly inside (0,1) so the inverse CDF stays finite
 _U_SHIFT = 2.0 ** -54
-# paths evolved together; large enough to amortize numpy dispatch
-_BLOCK_PATHS = 4096
-# noise doubles drawn per chunk (the last chunk of a block may take an eighth
-# more; a hitting chunk also holds a second increment and a flag per normal);
-# bounds per-worker memory, not results
-_CHUNK_BUDGET = 4_000_000
+# paths evolved together in a terminal ensemble: enough to amortize numpy
+# dispatch, few enough that a sub-chunk of increments stays in cache
+_BLOCK_PATHS = 2048
+# bytes of noise one worker holds at once, counting every per-normal array of
+# a chunk: the normal itself, which becomes an increment in place, and a
+# hitting chunk's crossing flag. Memory grows with threads, not with n_paths;
+# it bounds memory, not results.
+_NOISE_BUDGET = 32 << 20
+_NORMAL_BYTES = 8
+_HIT_NORMAL_BYTES = 9
+# doubles in a block's buffer for the second increment term a fill makes (the
+# first replaces the normals in place): 32 columns of a 2048-path block, made
+# and read while both sit in a 2 MB L2 cache
+_SUB_DOUBLES = 65536
 # horizon / dt may not exceed this many Euler steps per path; criterion 8 takes
 # 1e5, and without a cap a subnormal dt would ask for 1e300 steps
 _MAX_STEPS = 1e9
@@ -206,7 +219,11 @@ def _check_threads(threads):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Plain (uncontrolled) simulation request; horizon / dt is at most 1e9 steps."""
+    """Plain (uncontrolled) simulation request; horizon / dt is at most 1e9 steps.
+
+    It runs in blocks of at most 2048 paths, and each worker thread holds at
+    most 32 MiB of noise at once, however large n_paths is.
+    """
 
     params: DiffusionParams
     x0: float
@@ -280,83 +297,123 @@ def _block_size(n_paths, threads):
     return min(n_paths, per)
 
 
+def _budget_columns(paths, per_normal):
+    """Noise columns of `paths` paths the budget holds, at least one."""
+    return max(1, _NOISE_BUDGET // (paths * per_normal))
+
+
 def _chunk_steps(block, left):
     """Columns in the next noise chunk of a block when `left` columns remain.
 
-    The budget's share of columns, or all that remain when they exceed it
-    by at most an eighth: a short chunk of its own would pay a whole re-key
-    pass over the block's paths for a few columns.
+    The fewest chunks the budget allows, of even width: a short last chunk
+    would pay a whole re-key pass over the block's paths for a few columns.
     """
-    chunk = max(64, min(2048, _CHUNK_BUDGET // max(block, 1)))
-    return left if left <= chunk + chunk // 8 else chunk
+    chunks = -(-left // _budget_columns(block, _NORMAL_BYTES))
+    return -(-left // chunks)
+
+
+def _increment_rows(z, buf, fill):
+    """(on, off) rows for the steps of noise chunk z, made one sub-chunk of rows
+    at a time: fill(rows, on) turns rows of z into one increment term in place
+    and writes another into `on`, a view of buf."""
+    sub = buf.size // z.shape[1]
+    for s in range(0, len(z), sub):
+        off = z[s:s + sub]
+        on = buf[:off.size].reshape(off.shape)
+        fill(off, on)
+        yield from zip(on, off)
 
 
 def _terminal_block(seed, idx0, count, x0, horizon, dt, step_factory):
     """Evolve one path block to the horizon, regime frozen per step.
 
-    step_factory(count) builds a step(X, t, dt_step, Z) closure owning any
-    per-block work buffers, so blocks running on different threads never
-    share state. Noise is drawn in chunks of columns; each path consumes its
-    own stream sequentially, so the chunking leaves the results untouched.
+    step_factory(count) returns steps_for, which owns this block's work
+    buffers, so blocks running on different threads never share state.
+    steps_for(dt_step) gives (fill, step) for steps of that size: fill as in
+    _increment_rows, and step(x, t, on, off) advancing x from time t with
+    one row of each. Noise is drawn in chunks of columns; each path consumes
+    its own stream sequentially, so the chunking leaves the results untouched.
     """
     gen = _path_generator(seed, idx0)
     paths = range(idx0, idx0 + count)
-    step_fn = step_factory(count)
+    steps_for = step_factory(count)
+    buf = np.empty(max(_SUB_DOUBLES, count))
     n_full, rem = _step_layout(horizon, dt)
     x = np.full(count, float(x0))
+    fill, step = steps_for(dt)
     done = 0
     while done < n_full:
         m = _chunk_steps(count, n_full - done)
-        z = _draw_block_normals(gen, paths, done, m)
-        for k in range(m):
-            step_fn(x, (done + k) * dt, dt, z[k])
+        _terminal_steps(x, _draw_block_normals(gen, paths, done, m), buf, fill, step,
+                        done, dt)
         done += m
     if rem > 0.0:
-        step_fn(x, n_full * dt, rem, _draw_block_normals(gen, paths, n_full, 1)[0])
+        _terminal_steps(x, _draw_block_normals(gen, paths, n_full, 1), buf, *steps_for(rem),
+                        n_full, dt)
     return x
 
 
+def _terminal_steps(x, z, buf, fill, step, k0, dt):
+    """Step x through noise chunk z, whose row k is step k0 + k at time (k0 + k) dt;
+    the chunk is freed on return, before the next one is drawn."""
+    for k, (on, off) in enumerate(_increment_rows(z, buf, fill), k0):
+        step(x, k * dt, on, off)
+
+
 def _plain_step(params):
-    """Step factory for the uncontrolled process, buffered for the hot path.
+    """Step factory for the uncontrolled process.
 
     The update x += (mu2 + dmu b) dt + (s2 + ds b) sq z with b = 1{x <= a}
-    is regrouped as x += mu2 dt + s2 sq z + b (dmu dt + ds sq z) so the whole
-    step runs in-place on preallocated work arrays.
+    is regrouped as x += ((dmu dt + ds sq z) b + s2 sq z) + mu2 dt. The two
+    noise terms are made ahead of the steps, and a step multiplies by b as
+    a 0/1 double: no select, whose cost grows where b is unpredictable.
     """
     mu2, s2 = params.mu2, params.sigma2
     dmu, ds = params.mu1 - params.mu2, params.sigma1 - params.sigma2
     a = params.a
 
     def make(count):
-        mask = np.empty(count, dtype=bool)
-        w1 = np.empty(count)
-        w2 = np.empty(count)
+        w = np.empty(count)
 
-        def step(x, t, dt_step, z):
+        def steps_for(dt_step):
             sq = math.sqrt(dt_step)
-            np.less_equal(x, a, out=mask)
-            np.multiply(z, ds * sq, out=w1)
-            np.add(w1, dmu * dt_step, out=w1)
-            np.multiply(w1, mask, out=w1)
-            np.multiply(z, s2 * sq, out=w2)
-            np.add(w1, w2, out=w1)
-            np.add(w1, mu2 * dt_step, out=w1)
-            np.add(x, w1, out=x)
-        return step
+            c1, d1, c2, d2 = ds * sq, dmu * dt_step, s2 * sq, mu2 * dt_step
+
+            def fill(z, on):
+                np.multiply(z, c1, out=on)
+                on += d1
+                z *= c2
+
+            def step(x, t, on, off):
+                np.less_equal(x, a, out=w)
+                np.multiply(w, on, out=w)
+                np.add(w, off, out=w)
+                np.add(w, d2, out=w)
+                x += w
+            return fill, step
+        return steps_for
     return make
 
 
-def _two_valued_step(x, below, on_below, elsewhere, z):
-    """x += d + v z, with (d, v) = on_below where `below` holds, else elsewhere.
+def _two_valued_fill(on_pair, off_pair):
+    """Fill for steps x += d + v z with (d, v) = on_pair where a path takes the
+    on-side increment, else off_pair: within one step the drift and
+    volatility terms take two values each, so they are scalars, and each
+    increment comes from the same product and sum as the per-path arithmetic
+    it replaces."""
+    (d_on, v_on), (d_off, v_off) = on_pair, off_pair
 
-    Within one step the drift and volatility terms take two values each, so
-    they are scalars selected per path; each value comes from the same
-    products as the per-path arithmetic it replaces, so the bits agree.
-    """
-    v = np.where(below, on_below[1], elsewhere[1])
-    v *= z
-    v += np.where(below, on_below[0], elsewhere[0])
-    x += v
+    def fill(z, on):
+        np.multiply(z, v_on, out=on)
+        on += d_on
+        z *= v_off
+        z += d_off
+    return fill
+
+
+def _take_off(x, t, on, off):
+    """Step of a policy whose two increments agree: no split to evaluate."""
+    x += off
 
 
 def _run_blocks(n_paths, threads, block, block_values):
@@ -399,51 +456,62 @@ def simulate_paths(config, threads=1):
                         config.x0, config.horizon)
 
 
+def _policy_pair(problem, vol, dt_step):
+    """(drift dt, vol sqrt(dt)) of one admissible volatility, drift paired with it."""
+    vol = float(vol)
+    drift = problem.mu_bar if vol == problem.sigma_bar else problem.mu_low
+    return drift * dt_step, vol * math.sqrt(dt_step)
+
+
 def _threshold_policy_step(problem, policy):
     """Step factory for a _ThresholdPolicy whose two volatilities the problem
     admits: the policy's moving level splits the paths, with no call to it."""
     owner = policy.problem
 
-    def pair(vol, dt_step, sq):
-        vol = float(vol)
-        return (problem.mu_bar if vol == problem.sigma_bar else problem.mu_low) * dt_step, vol * sq
-
     def make(count):
-        def step(x, t, dt_step, z):
-            sq = math.sqrt(dt_step)
+        mask = np.empty(count, dtype=bool)
+
+        def step(x, t, on, off):
             level = owner.a + policy.alpha * (owner.T - t)
-            _two_valued_step(x, x <= level, pair(policy.at_or_below, dt_step, sq),
-                             pair(policy.above, dt_step, sq), z)
-        return step
+            x += np.where(np.less_equal(x, level, out=mask), on, off)
+
+        def steps_for(dt_step):
+            on_pair = _policy_pair(problem, policy.at_or_below, dt_step)
+            off_pair = _policy_pair(problem, policy.above, dt_step)
+            return (_two_valued_fill(on_pair, off_pair),
+                    step if on_pair != off_pair else _take_off)
+        return steps_for
     return make
 
 
 def _policy_step(problem, policy):
-    """Step factory calling policy(states, t) every step and checking its answer."""
+    """Step factory calling policy(states, t) every step and checking its answer;
+    the paths it gives sigma_bar take the on-side increment."""
     sbar, slow = problem.sigma_bar, problem.sigma_low
-    mubar, mulow = problem.mu_bar, problem.mu_low
 
-    def make(count):
-        def step(x, t, dt_step, z):
-            returned = policy(x, t)
-            try:
-                vol = np.asarray(returned, dtype=float)
-            except (TypeError, ValueError) as exc:
-                raise PolicyError(f"policy returned no volatilities at t={t!r}: {exc}") from exc
-            if vol.ndim == 0:
-                vol = np.full_like(x, float(vol))
-            if vol.shape != x.shape:
-                raise PolicyError(f"policy returned shape {vol.shape} for {x.shape} states "
-                                  f"at t={t!r}")
-            bad = ~((vol == sbar) | (vol == slow))
-            if bad.any():
-                raise PolicyError(
-                    f"policy returned volatility {vol[bad][0]!r} at t={t!r}; "
-                    f"admissible values are {slow!r} and {sbar!r}")
-            drift = np.where(vol == sbar, mubar, mulow)
-            x += drift * dt_step + vol * math.sqrt(dt_step) * z
-        return step
-    return make
+    def step(x, t, on, off):
+        returned = policy(x, t)
+        try:
+            vol = np.asarray(returned, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise PolicyError(f"policy returned no volatilities at t={t!r}: {exc}") from exc
+        if vol.ndim == 0:
+            vol = np.full_like(x, float(vol))
+        if vol.shape != x.shape:
+            raise PolicyError(f"policy returned shape {vol.shape} for {x.shape} states "
+                              f"at t={t!r}")
+        high = vol == sbar
+        bad = ~(high | (vol == slow))
+        if bad.any():
+            raise PolicyError(
+                f"policy returned volatility {vol[bad][0]!r} at t={t!r}; "
+                f"admissible values are {slow!r} and {sbar!r}")
+        x += np.where(high, on, off)
+
+    def steps_for(dt_step):
+        return (_two_valued_fill(_policy_pair(problem, sbar, dt_step),
+                                 _policy_pair(problem, slow, dt_step)), step)
+    return lambda count: steps_for
 
 
 def simulate_policy(problem, policy, dt, n_paths, seed, threads=1):
@@ -510,26 +578,28 @@ def _hitting_block(config, level, q, sign, i0, count, n_full, rem):
     finished paths between noise chunks.
 
     A path crosses when sign (x - level) <= 0, i.e. x <= level for sign 1
-    and x >= level for sign -1. A chunk of noise, at most _CHUNK_BUDGET
-    normals or one column, is turned into the two increments d + v z a step
-    can take, with the products and sums of _two_valued_step, so a step is
-    a regime test, a select, an add and a crossing test recorded per path.
-    Crossed paths keep stepping until the chunk ends; the first recorded
-    crossing of each path gives its hitting step.
+    and x >= level for sign -1. A chunk of noise holds at most the budget's
+    bytes with its crossing flags, or one column. It is turned into the two
+    increments d + v z a step can take, below a and above it, one sub-chunk
+    at a time, so a step is a regime test, a select, an add and a crossing
+    test recorded per path. Crossed paths keep stepping until the chunk
+    ends; the first recorded crossing of each path gives its hitting step.
     """
     params = config.params
     mu2, s2 = params.mu2, params.sigma2
     dmu, ds = params.mu1 - params.mu2, params.sigma1 - params.sigma2
     a = params.a
 
-    def pairs(dt_step):
+    def fill_for(dt_step):
         # the values of (mu2 + dmu b) dt_step and (s2 + ds b) sqrt(dt_step), b in {1, 0}
         sq = math.sqrt(dt_step)
-        return tuple(((mu2 + dmu * b) * dt_step, (s2 + ds * b) * sq) for b in (1.0, 0.0))
+        return _two_valued_fill(*(((mu2 + dmu * b) * dt_step, (s2 + ds * b) * sq)
+                                  for b in (1.0, 0.0)))
 
     crossed = np.less_equal if sign > 0 else np.greater_equal
     dt = config.dt
-    (d_below, v_below), (d_above, v_above) = pairs(dt)
+    fill = fill_for(dt)
+    buf = np.empty(max(_SUB_DOUBLES, count))
     gen = _path_generator(config.seed, i0)
     x = np.full(count, float(config.x0))
     alive = np.arange(count)
@@ -537,16 +607,9 @@ def _hitting_block(config, level, q, sign, i0, count, n_full, rem):
     chunk = _HIT_CHUNK_FIRST
     done = 0
     while alive.size and done < n_full:
-        m = min(chunk, n_full - done, max(1, _CHUNK_BUDGET // alive.size))
-        z = _draw_block_normals(gen, (i0 + alive).tolist(), done, m)
-        below = z * v_below
-        below += d_below
-        z *= v_above
-        z += d_above
-        record = np.empty(z.shape, dtype=bool)
-        for k in range(m):
-            x += np.where(x <= a, below[k], z[k])
-            crossed(x, level, out=record[k])
+        m = min(chunk, n_full - done, _budget_columns(alive.size, _HIT_NORMAL_BYTES))
+        record = _hitting_steps(x, _draw_block_normals(gen, (i0 + alive).tolist(), done, m),
+                                buf, fill, a, crossed, level)
         first = record.argmax(axis=0)
         dead = record[first, np.arange(alive.size)]
         if dead.any():
@@ -554,14 +617,23 @@ def _hitting_block(config, level, q, sign, i0, count, n_full, rem):
             keep = ~dead
             x = x[keep]
             alive = alive[keep]
-        # free this chunk before drawing the next, or both are held at once
-        del z, below, record
+        # free this chunk's flags before drawing the next, or both are held at once
+        del record
         done += m
         chunk = min(2 * chunk, _HIT_CHUNK_MAX)
     if alive.size and rem > 0.0:
-        z = _draw_block_normals(gen, (i0 + alive).tolist(), n_full, 1)
-        _two_valued_step(x, x <= a, *pairs(rem), z[0])
-        hit = crossed(x, level)
+        hit = _hitting_steps(x, _draw_block_normals(gen, (i0 + alive).tolist(), n_full, 1),
+                             buf, fill_for(rem), a, crossed, level)[0]
         if hit.any():
             contrib[alive[hit]] = math.exp(-q * config.horizon)
     return contrib
+
+
+def _hitting_steps(x, z, buf, fill, a, crossed, level):
+    """Step x through noise chunk z; returns the crossing record, row k after step k.
+    The chunk itself is freed on return."""
+    record = np.empty(z.shape, dtype=bool)
+    for k, (on, off) in enumerate(_increment_rows(z, buf, fill)):
+        x += np.where(x <= a, on, off)
+        crossed(x, level, out=record[k])
+    return record

@@ -11,6 +11,12 @@ from threshold_diffusion import (DensityQuery, DiffusionParams, DomainError, Exi
                                  transition_density, two_sided_exit)
 from threshold_diffusion.quadrature import QuadSettings, integrate_semi_infinite
 
+# a numpy warning that escapes a kernel fails the test; Hypothesis's own report
+# hook warns about a deprecated mypy_extensions name, which is not the test's fault
+pytestmark = [pytest.mark.filterwarnings("error"),
+              pytest.mark.filterwarnings(
+                  "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")]
+
 
 def test_valid_construction():
     make_params(0.0, 0.0, 1.0, 1.0, 0.0)
@@ -163,6 +169,24 @@ def test_h_kernel_reflection_worked_example():
 
 def test_h_kernel_underflow_is_exact_zero():
     assert h_kernel(1e-6, 3.0, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("t, x, mu", [
+    (1e-110, 1.0, 0.0),      # t**3 underflows to 0
+    (1e-320, 1.0, 0.0),      # subnormal t; x**2 / (2 t) overflows
+    (1.0, 1e200, 1e200),     # the square in the exponent overflows
+    (1e-110, 1e-60, 0.0),    # t**3 underflows, yet the kernel is about 4e104
+    (1e150, 1e75, 0.0),      # t**3 overflows, yet the kernel is about 2.4e-151
+])
+def test_h_kernel_at_extreme_arguments_matches_mpmath(t, x, mu):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        t_, x_, mu_ = mp.mpf(t), mp.mpf(x), mp.mpf(mu)
+        want = abs(x_) / mp.sqrt(2 * mp.pi * t_ ** 3) * mp.exp(-(x_ + mu_ * t_) ** 2 / (2 * t_))
+    got = h_kernel(t, x, mu)
+    assert math.isfinite(got)
+    # below the underflow threshold the documented answer is an exact 0
+    assert got == (0.0 if want < mp.mpf("1e-320") else pytest.approx(float(want), rel=1e-12))
 
 
 def test_h_kernel_rejects_bad_t():

@@ -16,6 +16,12 @@ from threshold_diffusion import simulate
 from threshold_diffusion.simulate import (_U_SHIFT, _draw_block_normals, _norm_ppf,
                                           _path_generator)
 
+# a numpy warning that escapes the engine fails the test; Hypothesis's own report
+# hook warns about a deprecated mypy_extensions name, which is not the test's fault
+pytestmark = [pytest.mark.filterwarnings("error"),
+              pytest.mark.filterwarnings(
+                  "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")]
+
 TWO_REGIME = make_params(1.0, -1.0, 1.0, 2.0, 0.0)
 
 
@@ -232,19 +238,82 @@ def test_hitting_transform_across_the_threshold_digest_pin(threads, x0, level, d
     assert _digest(np.array(est)) == digest
 
 
-def test_hitting_noise_chunks_stay_within_the_budget(monkeypatch):
-    # one block of 20 000 paths at threads=1; doubling alone would ask for
-    # 256 columns of 20 000 paths while most of them are still alive
+def _recording_draws(monkeypatch):
+    """Record (paths, columns) of every noise chunk drawn from here on."""
     drawn = []
 
     def draw(gen, paths, col0, n_cols):
         drawn.append((len(paths), n_cols))
         return _draw_block_normals(gen, paths, col0, n_cols)
     monkeypatch.setattr(simulate, "_draw_block_normals", draw)
+    return drawn
+
+
+def test_hitting_noise_chunks_stay_within_the_budget(monkeypatch):
+    # one block of 20 000 paths at threads=1; doubling alone would ask for
+    # 256 columns of 20 000 paths while most of them are still alive, where
+    # the budget holds 186 columns of normals and crossing flags
+    drawn = _recording_draws(monkeypatch)
     cfg = SimConfig(TWO_REGIME, 0.5, 2.0003, 1e-3, 20_000, 5)
     empirical_hitting_transform(cfg, -0.3, 0.7)
     assert drawn[0] == (20_000, simulate._HIT_CHUNK_FIRST)
-    assert all(paths * n_cols <= simulate._CHUNK_BUDGET for paths, n_cols in drawn)
+    assert [n_cols for _, n_cols in drawn[1:3]] == [
+        128, simulate._budget_columns(drawn[2][0], simulate._HIT_NORMAL_BYTES)]
+    assert drawn[2][1] < 256
+    assert all(paths * n_cols * simulate._HIT_NORMAL_BYTES <= simulate._NOISE_BUDGET
+               for paths, n_cols in drawn)
+
+
+def test_every_noise_chunk_stays_within_the_byte_budget(monkeypatch):
+    # a budget of 12 columns of a 2048-path block: 3000 paths make a full block
+    # and a short one, so every kind of run draws many chunks
+    monkeypatch.setattr(simulate, "_NOISE_BUDGET", 12 * 2048 * simulate._NORMAL_BYTES)
+    problem = ControlProblem(0.5, 2.0, -0.3, 1.0, 0.2, 0.1003, x0=0.1)
+    policy = optimal_policy(problem)
+    runs = [
+        (lambda: simulate_paths(SimConfig(TWO_REGIME, 0.1, 0.1003, 1e-3, 3000, 1)),
+         simulate._NORMAL_BYTES),
+        (lambda: simulate_policy(problem, policy, 1e-3, 3000, 2), simulate._NORMAL_BYTES),
+        (lambda: simulate_policy(problem, lambda s, t: policy(s, t), 1e-3, 3000, 3),
+         simulate._NORMAL_BYTES),
+        (lambda: empirical_hitting_transform(
+            SimConfig(TWO_REGIME, 0.5, 0.1003, 1e-3, 3000, 4), 0.3, 0.7),
+         simulate._HIT_NORMAL_BYTES),
+    ]
+    for run, per_normal in runs:
+        drawn = _recording_draws(monkeypatch)
+        run()
+        assert len(drawn) >= 5
+        assert all(paths * n_cols * per_normal <= simulate._NOISE_BUDGET
+                   for paths, n_cols in drawn)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_small_blocks_budget_and_sub_chunks_leave_ensembles_bit_identical(monkeypatch,
+                                                                          threads):
+    # 50 full steps and a 1-column closing step of 3e-3
+    cfg = SimConfig(TWO_REGIME, 0.1, 0.503, 1e-2, 700, 17)
+    hit_cfg = SimConfig(TWO_REGIME, 0.5, 0.503, 1e-2, 700, 18)
+    problem = ControlProblem(0.5, 2.0, -0.3, 1.0, 0.2, 0.503, x0=0.1)
+    policy = reversed_threshold_policy(problem)
+    runs = [
+        lambda: simulate_paths(cfg, threads=threads).terminal_values,
+        lambda: simulate_policy(problem, policy, 1e-2, 700, 19, threads=threads).terminal_values,
+        lambda: simulate_policy(problem, lambda s, t: policy(s, t), 1e-2, 700, 19,
+                                threads=threads).terminal_values,
+        lambda: np.array(empirical_hitting_transform(hit_cfg, -0.3, 0.7, threads=threads)),
+    ]
+    want = [run() for run in runs]
+    # 256-path blocks whose budget holds 16 columns: 50 steps make chunks of 13 and
+    # 12 columns, read in sub-chunks of 5 (6 in the 188-path last block)
+    monkeypatch.setattr(simulate, "_BLOCK_PATHS", 256)
+    monkeypatch.setattr(simulate, "_NOISE_BUDGET", 16 * 256 * simulate._NORMAL_BYTES)
+    monkeypatch.setattr(simulate, "_SUB_DOUBLES", 5 * 256)
+    drawn = _recording_draws(monkeypatch)
+    for run, values in zip(runs, want):
+        assert np.array_equal(run(), values)
+    widths = {n_cols for _, n_cols in drawn}
+    assert {13, 12, 1} <= widths
 
 
 @pytest.mark.parametrize("slab", [131072, 16])
@@ -263,18 +332,15 @@ def test_block_rekeying_resumes_each_path_stream(monkeypatch, slab, seed, col0):
         assert np.array_equal(z[:, j], _norm_ppf(u + _U_SHIFT))
 
 
-@pytest.mark.parametrize("n_steps, widths", [(1000, [1000]), (2000, [976, 1024])])
-def test_a_short_noise_remainder_rides_in_the_last_chunk(monkeypatch, n_steps, widths):
-    # a 4096-path block's budget is 976 columns; a separate 24-column chunk would
-    # pay a whole re-key pass over the block's paths
-    drawn = []
-
-    def draw(gen, paths, col0, n_cols):
-        drawn.append(n_cols)
-        return _draw_block_normals(gen, paths, col0, n_cols)
-    monkeypatch.setattr(simulate, "_draw_block_normals", draw)
-    simulate_paths(SimConfig(TWO_REGIME, 0.1, n_steps * 1e-3, 1e-3, 4096, 3))
-    assert drawn == widths
+@pytest.mark.parametrize("n_steps, widths", [(1000, [500, 500]), (2000, [667, 667, 666])])
+def test_noise_chunks_are_even_and_as_few_as_the_budget_allows(monkeypatch, n_steps, widths):
+    # a budget of 976 columns of a 2048-path block: fixed 976-column chunks would
+    # end in a chunk of 24 or 48 columns, a whole re-key pass over the block's
+    # paths for a few columns; even chunks leave none that short
+    monkeypatch.setattr(simulate, "_NOISE_BUDGET", 976 * 2048 * simulate._NORMAL_BYTES)
+    drawn = _recording_draws(monkeypatch)
+    simulate_paths(SimConfig(TWO_REGIME, 0.1, n_steps * 1e-3, 1e-3, 2048, 3))
+    assert [n_cols for _, n_cols in drawn] == widths
 
 
 @pytest.mark.parametrize("factory", POLICIES)
