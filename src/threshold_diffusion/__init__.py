@@ -44,13 +44,7 @@ from .exit import (
     two_sided_exit,
 )
 from .inversion import invert
-from .params import (
-    DeltaSet,
-    DiffusionParams,
-    deltas,
-    h_kernel,
-    make_params,
-)
+from .params import DiffusionParams, make_params
 from .potential import PotentialQuery, potential_density
 from .quadrature import (
     QuadSettings,
@@ -71,7 +65,6 @@ __all__ = [
     "AccuracyError",
     "ControlProblem",
     "DegenerateIntervalError",
-    "DeltaSet",
     "DensityQuery",
     "DiffusionParams",
     "DomainError",
@@ -88,12 +81,10 @@ __all__ = [
     "alpha",
     "constant_bar_policy",
     "constant_low_policy",
-    "deltas",
     "density_jump_at_threshold",
     "empirical_hitting_transform",
     "g_minus",
     "g_plus",
-    "h_kernel",
     "integrate_finite",
     "integrate_semi_infinite",
     "invert",

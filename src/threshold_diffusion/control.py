@@ -90,10 +90,13 @@ class _ThresholdPolicy:
     at_or_below: float
     above: float
 
+    def level(self, t):
+        """The switching line a + alpha (T - t) at time t."""
+        return self.problem.a + self.alpha * (self.problem.T - t)
+
     def __call__(self, states, t):
-        level = self.problem.a + self.alpha * (self.problem.T - t)
         states = np.asarray(states, dtype=float)
-        return np.where(states <= level, self.at_or_below, self.above)
+        return np.where(states <= self.level(t), self.at_or_below, self.above)
 
 
 def optimal_policy(problem):

@@ -109,7 +109,7 @@ def transition_density(query):
     s1, s2, a = p.sigma1, p.sigma2, p.a
     # rates of the overshoot integrand's Laplace-side bound at q = 1/t
     d = deltas(p, 1.0 / t)
-    rate = d.d1_minus + d.d2_plus
+    rate, d2p = float(d.d1_minus + d.d2_plus), float(d.d2_plus)
     unresolved = rate * min(s1, s2) * math.sqrt(t) * _HINT_SCALE_LIMIT < 1.0
     if unresolved:
         val = _talbot_density(p, t, x, z)
@@ -121,7 +121,7 @@ def transition_density(query):
             log_scale = 2.0 * p.mu2 * (z - a) / (s2 * s2)
             weight, c1, c2 = 2.0 / (s2 * s2), 0.0, z + x - 2.0 * a
             # Laplace-side bound at q = 1/t on the whole crossing part
-            bound = (math.e / rate) * math.exp(log_scale - d.d2_plus * c2)
+            bound = (math.e / rate) * math.exp(log_scale - d2p * c2)
             if weight * bound * _SKIP_RATIO < abs(gauss):
                 return max(gauss, 0.0)
         else:

@@ -15,12 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateIntervalError, DomainError
-from .params import _finite_real, deltas
-
-
-def _check_q(q):
-    if not (_finite_real(q) and q > 0):
-        raise DomainError(f"q must be positive, got {q!r}")
+from .params import _check_rate, _finite_real, deltas
 
 
 def _check_states(*states):
@@ -37,7 +32,7 @@ def _check_levels(x, y, z):
 
 def _rates(params, q):
     """DeltaSet over the one-element grid of a scalar rate q > 0."""
-    _check_q(q)
+    _check_rate(q)
     return deltas(params, np.array([q], dtype=float))
 
 
@@ -91,7 +86,7 @@ class ExitQuery:
     z: float
 
     def __post_init__(self):
-        _check_q(self.q)
+        _check_rate(self.q)
         _check_levels(self.x, self.y, self.z)
 
 

@@ -1,8 +1,9 @@
-"""Model parameters and the scalar kernels everything else is built from.
+"""Model parameters and the kernels everything else is built from.
 
 Regime convention used across the whole library: at state x the process
 runs with drift mu1 and volatility sigma1 when x <= a, and with mu2,
-sigma2 when x > a.
+sigma2 when x > a. `deltas` (the regime rates and pasting weights at a rate
+q > 0) and `h_kernel` (a first-passage density) are internal to the package.
 """
 
 import math
@@ -56,14 +57,6 @@ class DiffusionParams:
             if not sys.float_info.min <= v * v <= sys.float_info.max:
                 raise InvalidParameterError(f"{name}={v!r} has no normal float square")
 
-    def drift_at(self, x):
-        """Drift coefficient at state x (vectorized)."""
-        return np.where(np.asarray(x, dtype=float) <= self.a, self.mu1, self.mu2)
-
-    def sigma_at(self, x):
-        """Volatility coefficient at state x (vectorized)."""
-        return np.where(np.asarray(x, dtype=float) <= self.a, self.sigma1, self.sigma2)
-
     def mirrored(self):
         """Parameters of the reflected process -X, which is again a threshold diffusion.
 
@@ -102,67 +95,48 @@ class DeltaSet:
     c_plus: float
 
 
-def _delta_pair(mu, sigma, q, sqrt=math.sqrt):
-    """(d_plus, d_minus) for one regime; pass np.sqrt for an array of rates, real or
-    complex (math.sqrt keeps the scalar path in Python floats for the guard below).
+def _check_rate(q):
+    """Refuse, with DomainError, a rate q that is not a finite number > 0, or a
+    float array of rates that holds one."""
+    if isinstance(q, np.ndarray):
+        bad = q[~(np.isfinite(q) & (q > 0.0))]
+        q = float(bad[0]) if bad.size else 1.0
+    if not (_finite_real(q) and q > 0):
+        raise DomainError(f"q must be positive, got {q!r}")
+
+
+def _delta_pair(mu, sigma, q):
+    """(d_plus, d_minus) for one regime, over a rate q or an array of rates, real
+    or complex; a float rate gives numpy scalars.
 
     The root that adds |mu| to w is formed directly and the other one from
     d_plus * d_minus = 2q / s^2: forming w - |mu| by subtraction loses every
     digit once 2 q s^2 falls below mu^2 times the rounding unit.
     """
     s2 = sigma * sigma
-    large = (sqrt(2.0 * q * s2 + mu * mu) + abs(mu)) / s2
-    try:
-        small = 2.0 * q / (s2 * large)
-    except ZeroDivisionError:  # large = 0 only where mu = 0 and 2 q s^2 is 0
-        small = 0.0
+    large = (np.sqrt(2.0 * q * s2 + mu * mu) + abs(mu)) / s2
+    small = 2.0 * q / (s2 * large)
     return (large, small) if mu >= 0 else (small, large)
 
 
 def deltas(params, q):
-    """Compute the DeltaSet for rate q >= 0.
+    """The DeltaSet at a rate q > 0, or over a 1-D float array of rates q > 0.
 
-    q may also be a 1-D float array of rates > 0, evaluated in one pass; every
-    field is then an array over q, element for element equal to the scalar
-    call's value (the rates and weights take only correctly rounded
-    operations).
-
-    q = 0 is allowed and yields the degenerate limits d_plus = 2*max(mu,0)/s^2,
-    d_minus = 2*max(-mu,0)/s^2. If a pasting-weight denominator vanishes there
-    (both rates of a regime zero), the weights are evaluated at q = 1e-12.
+    A float q gives numpy float64 fields; an array gives arrays over q, element
+    for element equal to the float call's value (the rates and weights take
+    only correctly rounded operations). A rate whose 2 q sigma^2 overflows, or
+    underflows to 0 in a regime without drift, raises DomainError.
     """
-    if isinstance(q, np.ndarray):
-        return _delta_grid(params, q)
-    if not _finite_real(q):
-        raise DomainError(f"q must be a finite number, got {q!r}")
-    if q < 0:
-        raise DomainError(f"q must be nonnegative, got {q!r}")
-    d1p, d1m = _delta_pair(params.mu1, params.sigma1, q)
-    d2p, d2m = _delta_pair(params.mu2, params.sigma2, q)
-    if not math.isfinite(d1p + d1m + d2p + d2m):
-        raise DomainError(f"q={q!r} is too large: 2 q sigma^2 overflows")
-
-    at = (d1p, d1m, d2p, d2m)
-    if d1m + d1p == 0.0 or d2m + d2p == 0.0:
-        # drift 0 and q = 0 collapse a regime's rates; take the small-q limit
-        at = (_delta_pair(params.mu1, params.sigma1, 1e-12)
-              + _delta_pair(params.mu2, params.sigma2, 1e-12))
-    return DeltaSet(q, d1p, d1m, d2p, d2m, *_weights(*at))
-
-
-def _delta_grid(params, q):
-    """deltas over a 1-D float array of rates q > 0."""
-    bad = q[~(np.isfinite(q) & (q > 0.0))]
-    if bad.size:
-        raise DomainError(f"q must be positive, got {float(bad[0])!r}")
+    _check_rate(q)
     with np.errstate(all="ignore"):  # a rate that is not a finite float is refused below
-        rates = (_delta_pair(params.mu1, params.sigma1, q, np.sqrt)
-                 + _delta_pair(params.mu2, params.sigma2, q, np.sqrt))
+        rates = (_delta_pair(params.mu1, params.sigma1, q)
+                 + _delta_pair(params.mu2, params.sigma2, q))
         total = sum(rates)
     # an overflowing 2 q s^2 makes the large root inf; an underflowing one (mu = 0)
-    # makes it 0 and the small root inf, where a positive q has no collapsed limit
+    # makes it 0 and the small root inf
     if not np.isfinite(total).all():
-        raise DomainError(f"q={float(q[~np.isfinite(total)][0])!r} is out of range: "
+        bad = np.atleast_1d(q)[~np.isfinite(np.atleast_1d(total))]
+        raise DomainError(f"q={float(bad[0])!r} is out of range: "
                           "2 q sigma^2 overflows or underflows a float")
     return DeltaSet(q, *rates, *_weights(*rates))
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NoStationaryLawError
-from .params import _delta_pair, _finite_real, deltas
+from .params import _check_rate, _delta_pair, _finite_real, deltas
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,7 @@ class PotentialQuery:
 
 
 def _check_rate_and_start(q, x):
-    if not (_finite_real(q) and q > 0):
-        raise DomainError(f"q must be positive, got {q!r}")
+    _check_rate(q)
     if not _finite_real(x):
         raise DomainError("x and z must be finite")
 
@@ -64,8 +63,8 @@ def _resolvent(params, q, x, z, rates=None):
     """
     a = params.a
     if rates is None:
-        rates = (_delta_pair(params.mu1, params.sigma1, q, np.sqrt)
-                 + _delta_pair(params.mu2, params.sigma2, q, np.sqrt))
+        rates = (_delta_pair(params.mu1, params.sigma1, q)
+                 + _delta_pair(params.mu2, params.sigma2, q))
     d1p, d1m, d2p, d2m = rates
     if x >= a:
         rates = (d2m, d2p, d1m, d1p)  # out, back, cross, far
@@ -141,8 +140,8 @@ def _tail_transform(params, q, x):
 
     which agree at x = a. Where the contour overflows the value is not finite.
     """
-    _, d1m = _delta_pair(params.mu1, params.sigma1, q, np.sqrt)
-    d2p, _ = _delta_pair(params.mu2, params.sigma2, q, np.sqrt)
+    _, d1m = _delta_pair(params.mu1, params.sigma1, q)
+    d2p, _ = _delta_pair(params.mu2, params.sigma2, q)
     h = x - params.a
     if h >= 0:
         return (1.0 - d1m / (d1m + d2p) * np.exp(-d2p * h)) / q

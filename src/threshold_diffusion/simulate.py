@@ -24,6 +24,7 @@ no bridge correction, same budget.
 """
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from .control import ControlProblem, _ThresholdPolicy
 from .errors import DomainError, InvalidParameterError, PolicyError
-from .params import DiffusionParams, _finite_real, _integer
+from .params import DiffusionParams, _check_rate, _finite_real, _integer
 
 # shifts [0,1) uniforms strictly inside (0,1) so the inverse CDF stays finite
 _U_SHIFT = 2.0 ** -54
@@ -213,8 +214,10 @@ def _check_run(x0, horizon, dt, n_paths, seed):
 
 
 def _check_threads(threads):
+    """The worker count to use: threads, at most one per CPU."""
     if not (_integer(threads) and threads >= 1):
         raise InvalidParameterError(f"threads must be an integer >= 1, got {threads!r}")
+    return min(int(threads), os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -449,7 +452,7 @@ def simulate_paths(config, threads=1):
     of block or thread count.
     """
     _check_config(config)
-    _check_threads(threads)
+    threads = _check_threads(threads)
     out = _terminal_values(config.seed, config.x0, config.horizon, config.dt,
                            config.n_paths, _plain_step(config.params), threads)
     return PathEnsemble(out, config.n_paths, config.seed, config.dt,
@@ -465,15 +468,12 @@ def _policy_pair(problem, vol, dt_step):
 
 def _threshold_policy_step(problem, policy):
     """Step factory for a _ThresholdPolicy whose two volatilities the problem
-    admits: the policy's moving level splits the paths, with no call to it."""
-    owner = policy.problem
-
+    admits: policy.level(t) splits the paths, with no call to the policy itself."""
     def make(count):
         mask = np.empty(count, dtype=bool)
 
         def step(x, t, on, off):
-            level = owner.a + policy.alpha * (owner.T - t)
-            x += np.where(np.less_equal(x, level, out=mask), on, off)
+            x += np.where(np.less_equal(x, policy.level(t), out=mask), on, off)
 
         def steps_for(dt_step):
             on_pair = _policy_pair(problem, policy.at_or_below, dt_step)
@@ -529,7 +529,7 @@ def simulate_policy(problem, policy, dt, n_paths, seed, threads=1):
     if not callable(policy):
         raise PolicyError(f"policy must be callable as policy(states, t), got {policy!r}")
     _check_run(problem.x0, problem.T, dt, n_paths, seed)
-    _check_threads(threads)
+    threads = _check_threads(threads)
     admissible = (problem.sigma_low, problem.sigma_bar)
     if (isinstance(policy, _ThresholdPolicy) and policy.at_or_below in admissible
             and policy.above in admissible):
@@ -548,9 +548,8 @@ def empirical_hitting_transform(config, level, q, threads=1):
     Returns (estimate, standard_error). Exact 1 when level == x0.
     """
     _check_config(config)
-    _check_threads(threads)
-    if not (_finite_real(q) and q > 0):
-        raise DomainError(f"q must be positive, got {q!r}")
+    threads = _check_threads(threads)
+    _check_rate(q)
     if not _finite_real(level):
         raise DomainError(f"level must be a finite number, got {level!r}")
     if level == config.x0:

@@ -1,5 +1,6 @@
 """Command-line surface: formats, merging, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 
@@ -12,6 +13,12 @@ from threshold_diffusion import (AccuracyError, ControlProblem, DensityQuery, Ex
                                  two_sided_exit, value_function)
 from threshold_diffusion import cli
 from threshold_diffusion.validate import criterion_3, criterion_11
+
+# a numpy warning that escapes the library fails the test; Hypothesis's own report
+# hook warns about a deprecated mypy_extensions name, which is not the test's fault
+pytestmark = [pytest.mark.filterwarnings("error"),
+              pytest.mark.filterwarnings(
+                  "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")]
 
 BM_FLAGS = ["--mu1", "0", "--mu2", "0", "--sigma1", "1", "--sigma2", "1", "--a", "0"]
 TR_FLAGS = ["--mu1", "1", "--mu2", "-1", "--sigma1", "1", "--sigma2", "2", "--a", "0"]
@@ -116,6 +123,41 @@ def test_table_values_round_trip_their_library_calls(capsys, command, fmt):
     assert got == [row[skip:] for row in rows]
     if summary is not None:
         assert json.loads(err) == summary
+
+
+# The README's commands at their sizes, with the SHA-256 of what each writes to
+# stdout. The digests were taken before the package's public surface shrank and
+# `deltas` lost its scalar branch; any change of an output byte shows here.
+README_RUNS = {
+    "density": ["density", "--mu1", "0", "--mu2", "0", "--sigma1", "1", "--sigma2", "2",
+                "--a", "0", "--t", "0.25,1", "--x", "0", "--z-grid", "-4:4:201"],
+    "potential": ["potential", *TR_FLAGS, "--q", "1", "--x", "0.3", "--z-grid", "-2:2:81"],
+    "stationary": ["stationary", "--mu1", "1", "--mu2", "-1", "--sigma1", "1", "--sigma2", "1",
+                   "--a", "0", "--z", "0"],
+    "value": ["value", "--mu-bar", "0", "--sigma-bar", "2", "--mu-low", "0", "--sigma-low", "1",
+              "--a", "0", "--T", "1", "--x", "0"],
+    "exit-lt": ["exit-lt", *TR_FLAGS, "--x", "0", "--y", "-1", "--z", "1",
+                "--q-grid", "0.5:4:8"],
+}
+README_DIGESTS = {
+    ("density", "csv"): "3157a896a1aa104df10988930660b36d0d2f057ab7ed974484d002834a23dbb7",
+    ("density", "json"): "6c8e014c7661f33439722dcb442f7d76317d7fd0e232c194e5693f6a2443062a",
+    ("potential", "csv"): "2f48dc7d405b2c8a335468835b7c3eb3c3e11df51478b4b425481e867892592d",
+    ("potential", "json"): "262be16f2b6a2db4e592d0cf940924389e2a3333bf819c5f2f3448c53a2ea338",
+    ("stationary", "csv"): "cc139afe0e4a7b3035b0196055c659ecc443adf549f2c2785c15cc2a7a488a6a",
+    ("stationary", "json"): "0a8b73b681851aa96f5a4be8dffa3de7bd8e563e85170a3ec0687d9f9a37d2e8",
+    ("value", "csv"): "b822023a9186644fe348f9b95b86b78154839c0f94a45b6299c5a4327a64415c",
+    ("value", "json"): "55e33e002c2e2941bd8242c53cc7bb9b4b7fac4f0f703af18640bfdb26789120",
+    ("exit-lt", "csv"): "12f5b6f641b50c2a44d1d56a52cb45ad3147b617648d231c4dfcd9d9a68f0a99",
+    ("exit-lt", "json"): "ba2dc3c00674df730c499a2ce8394a4b0e31297d056c0982e9f770501256f1c2",
+}
+
+
+@pytest.mark.parametrize("command, fmt", sorted(README_DIGESTS))
+def test_readme_commands_keep_their_bytes(capsys, command, fmt):
+    rc, out, err = run(capsys, README_RUNS[command] + ["--format", fmt])
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == README_DIGESTS[command, fmt]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

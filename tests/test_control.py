@@ -239,7 +239,7 @@ def sweep_problems(draw):
     return problem, draw(st.floats(-5.0, 5.0))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=400, deadline=None, derandomize=True)
 @given(sweep_problems())
 def test_value_is_at_least_the_better_constant_policy_over_the_sweep(case):
     problem, x = case

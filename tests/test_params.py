@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from threshold_diffusion import (DensityQuery, DiffusionParams, DomainError, ExitQuery,
-                                 InvalidParameterError, PotentialQuery, deltas, h_kernel,
-                                 make_params, potential_density, stationary_density,
+                                 InvalidParameterError, PotentialQuery, SimConfig, make_params,
+                                 potential_density, simulate_paths, stationary_density,
                                  transition_density, two_sided_exit)
+from threshold_diffusion.params import deltas, h_kernel
 from threshold_diffusion.quadrature import QuadSettings, integrate_semi_infinite
 
 # a numpy warning that escapes a kernel fails the test; Hypothesis's own report
@@ -89,15 +90,29 @@ def test_deltas_worked_example():
     assert d.d1_minus == pytest.approx(0.5, rel=1e-14)
 
 
-def test_deltas_q_zero_limit():
-    d = deltas(make_params(0.0, 1.0, 1.0, 1.0, 0.0), 0.0)
-    assert d.d2_plus == pytest.approx(2.0, rel=1e-14)
-    assert d.d2_minus == 0.0
-
-
 def test_deltas_negative_q_rejected():
+    for q in (-0.1, 0.0):  # every rate must be positive; q = 0 has no limit case
+        with pytest.raises(DomainError):
+            deltas(make_params(0.0, 0.0, 1.0, 1.0, 0.0), q)
+
+
+def test_deltas_refuse_a_rate_whose_square_term_underflows():
+    # without drift, 2 q sigma^2 = 2e-324 rounds to 0: both rates of regime 1 collapse
     with pytest.raises(DomainError):
-        deltas(make_params(0.0, 0.0, 1.0, 1.0, 0.0), -0.1)
+        deltas(make_params(0.0, 0.0, 1e-150, 1.0, 0.0), 1e-24)
+    with pytest.raises(DomainError):
+        deltas(make_params(0.0, 0.0, 1e-150, 1.0, 0.0), np.array([1.0, 1e-24]))
+
+
+def test_deltas_over_an_array_equal_the_calls_per_rate():
+    p = make_params(1.3, -0.4, 0.7, 2.1, 0.2)
+    q = np.array([1e-300, 1e-9, 0.37, 1.0, 55.0, 1e250])
+    grid = deltas(p, q)
+    fields = ("d1_plus", "d1_minus", "d2_plus", "d2_minus", "c_minus", "c_plus")
+    for k, rate in enumerate(q):
+        point = deltas(p, float(rate))
+        for name in fields:
+            assert getattr(point, name).tobytes() == getattr(grid, name)[k].tobytes()
 
 
 def test_delta_identities():
@@ -233,9 +248,16 @@ def test_h_total_mass_is_passage_probability():
 
 
 def test_boundary_state_belongs_to_regime_one():
-    # the library-wide convention: exactly-at-threshold uses regime 1
-    p = DiffusionParams(1.0, -1.0, 1.0, 2.0, 0.5)
-    assert p.drift_at(0.5) == 1.0
-    assert p.sigma_at(0.5) == 1.0
-    assert p.drift_at(0.5 + 1e-12) == -1.0
-    assert p.sigma_at(0.5 + 1e-12) == 2.0
+    # the library-wide convention: exactly-at-threshold uses regime 1. One Euler step
+    # from x0 = a follows (mu1, sigma1) whatever (mu2, sigma2) are; the step's
+    # regrouped sum rounds apart by at most an ulp, where a regime gap is ~0.1
+    a, dt = 0.5, 1e-2
+
+    def one_step(mu2, sigma2, x0):
+        config = SimConfig(DiffusionParams(1.0, mu2, 1.0, sigma2, a), x0, dt, dt, 4096, 3)
+        return simulate_paths(config).terminal_values
+
+    regime_one = one_step(1.0, 1.0, a)
+    for mu2, sigma2 in ((-1.0, 2.0), (3.0, 0.7)):
+        np.testing.assert_allclose(one_step(mu2, sigma2, a), regime_one, rtol=0.0, atol=4e-16)
+        assert np.abs(one_step(mu2, sigma2, a + 1e-12) - regime_one).max() > 0.1

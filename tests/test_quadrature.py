@@ -6,9 +6,16 @@ import numpy as np
 import pytest
 
 from threshold_diffusion import (AccuracyError, DomainError, IntegrandError,
-                                 InvalidParameterError, QuadSettings, deltas, h_kernel,
-                                 integrate_finite, integrate_semi_infinite, make_params)
+                                 InvalidParameterError, QuadSettings, integrate_finite,
+                                 integrate_semi_infinite, make_params)
+from threshold_diffusion.params import deltas, h_kernel
 from threshold_diffusion.quadrature import _convolve_batch
+
+# a numpy warning that escapes the library fails the test; Hypothesis's own report
+# hook warns about a deprecated mypy_extensions name, which is not the test's fault
+pytestmark = [pytest.mark.filterwarnings("error"),
+              pytest.mark.filterwarnings(
+                  "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")]
 
 
 def convolve(t, x1, mu1, x2, mu2):

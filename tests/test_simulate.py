@@ -25,6 +25,13 @@ pytestmark = [pytest.mark.filterwarnings("error"),
 TWO_REGIME = make_params(1.0, -1.0, 1.0, 2.0, 0.0)
 
 
+@pytest.fixture
+def eight_cpus(monkeypatch):
+    """Worker counts are clamped to the CPU count; report 8 CPUs so that a test
+    asking for three threads gets three-thread blocks on any host."""
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 8)
+
+
 def test_inverse_normal_cdf_against_scipy():
     ndtri = pytest.importorskip("scipy.special").ndtri
     u = np.concatenate([
@@ -47,6 +54,7 @@ def test_inverse_normal_cdf_shapes():
     assert np.array_equal(out.reshape(-1), flat)
 
 
+@pytest.mark.usefixtures("eight_cpus")
 def test_determinism_and_thread_invariance():
     # horizon chosen to leave a partial closing step
     cfg = SimConfig(TWO_REGIME, 0.1, 0.7503, 1e-2, 3000, 42)
@@ -193,6 +201,7 @@ PIN_PROBLEM = ControlProblem(0.5, 2.0, -0.3, 1.0, 0.2, 0.5037, x0=0.1)
 POLICIES = (optimal_policy, constant_bar_policy, constant_low_policy, reversed_threshold_policy)
 
 
+@pytest.mark.usefixtures("eight_cpus")
 @pytest.mark.parametrize("threads", [1, 3])
 def test_plain_ensemble_digest_pin(threads):
     # 1000 full steps and a 3e-4 closing step; two blocks at one thread
@@ -213,6 +222,7 @@ def test_policy_ensemble_digest_pin(factory, digest):
     assert _digest(ens.terminal_values) == digest
 
 
+@pytest.mark.usefixtures("eight_cpus")
 @pytest.mark.parametrize("threads", [1, 3])
 def test_hitting_transform_digest_pin(threads):
     # 303 full steps and a 7e-4 closing step
@@ -226,6 +236,7 @@ def test_hitting_transform_digest_pin(threads):
 # before the hitting engine moved to one block per thread. The level lies on the
 # far side of a, so each path changes regime before it can hit; 5000 paths leave
 # a short last block at three threads.
+@pytest.mark.usefixtures("eight_cpus")
 @pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("x0, level, digest", [
     (0.5, -0.3, "3fba23f7067f523e1549cd6f790e9c10fd9cb2974bbb7cf9ffeb9ca166c4eb79"),
@@ -399,6 +410,46 @@ _POLICY = optimal_policy(PIN_PROBLEM)
 def test_mc_entry_points_raise_library_errors(call, error):
     with pytest.raises(error):
         call()
+
+
+def test_worker_count_is_clamped_to_the_cpu_count(monkeypatch):
+    pools = []
+
+    class SerialPool:
+        """Stands in for ThreadPoolExecutor: records its size and runs tasks in order."""
+
+        def __init__(self, max_workers):
+            self.max_workers, self.tasks = max_workers, 0
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            items = list(items)
+            self.tasks += len(items)
+            return map(fn, items)
+
+    cfg = SimConfig(TWO_REGIME, 0.5, 0.1003, 1e-3, 5000, 4)
+
+    def runs(threads):
+        return (simulate_paths(cfg, threads=threads).terminal_values,
+                np.array(empirical_hitting_transform(cfg, 0.3, 0.7, threads=threads)))
+
+    want = runs(1)
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+    got = runs(100_000)
+    # two workers: plain blocks of 2048 paths (3 of them), one hitting block per worker
+    assert [(pool.max_workers, pool.tasks) for pool in pools] == [(2, 3), (2, 2)]
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)  # unknown: one worker
+    serial = runs(100_000)
+    assert len(pools) == 2
+    for values in (got, serial):
+        assert all(np.array_equal(g, w) for g, w in zip(values, want))
 
 
 def _masked_as241(u):
