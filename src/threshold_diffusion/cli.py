@@ -31,7 +31,7 @@ from .density import DensityQuery, stationary_density, transition_density
 from .errors import (AccuracyError, DomainError, InvalidParameterError, PolicyError,
                      ThresholdDiffusionError)
 from .exit import two_sided_exit_grid
-from .params import make_params
+from .params import DiffusionParams
 from .potential import potential_grid
 from .simulate import SimConfig, simulate_paths
 
@@ -170,9 +170,10 @@ def _add_control_flags(p):
     p.add_argument("--T", type=float, required=True, help="horizon")
 
 
-def _add_common_flags(p, threads=False):
+def _add_common_flags(p, threads=False, table=True):
     p.add_argument("--out", default="-", help="output path, '-' for stdout (default)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    if table:
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--config", help="key=value file merged under explicit flags")
     if threads:
         p.add_argument("--threads", type=int, default=None,
@@ -245,9 +246,7 @@ def _build_parser():
 
     p = sub.add_parser("validate", help="run the cross-oracle check battery")
     p.set_defaults(handler=cmd_validate)
-    p.add_argument("--tol", type=float, default=None,
-                   help="override analytic tolerances (statistical margins unchanged)")
-    _add_common_flags(p, threads=True)
+    _add_common_flags(p, threads=True, table=False)
 
     # the flags that take a value, for _fuse
     value_flags = frozenset(opt for sp in sub.choices.values() for a in sp._actions
@@ -256,7 +255,7 @@ def _build_parser():
 
 
 def _params(args):
-    return make_params(args.mu1, args.mu2, args.sigma1, args.sigma2, args.a)
+    return DiffusionParams(args.mu1, args.mu2, args.sigma1, args.sigma2, args.a)
 
 
 def _json_rows(columns, rows, depth):
@@ -376,7 +375,7 @@ def cmd_validate(args):
     all_passed = True
     for check in _validate.ALL_CRITERIA:
         try:
-            r = check(tol=args.tol, threads=threads)
+            r = check(threads=threads)
             entry = {"criterion": r.criterion, "name": r.name, "passed": r.passed,
                      "detail": r.detail, "seconds": r.seconds}
         except Exception as exc:

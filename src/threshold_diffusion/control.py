@@ -73,7 +73,7 @@ def optimal_threshold(problem, t):
     """Switching level a + alpha (T - t); equals a at the horizon."""
     if not (_finite_real(t) and 0.0 <= t <= problem.T):
         raise DomainError(f"t must lie in [0, T]=[0, {problem.T!r}], got {t!r}")
-    return problem.a + alpha(problem) * (problem.T - t)
+    return optimal_policy(problem).level(t)
 
 
 @dataclass(frozen=True)
@@ -183,7 +183,12 @@ def _first_passage_value(params, T, y0):
         hit = g(T)  # f is a point mass at tau = 0
     else:
         mode = _h_mode(y, v)
-        width = math.sqrt(y / v ** 3) if v > 0.0 else 0.0
+        # past v = 1e100, v ** 3 overflows; there, or wherever the peak is narrower
+        # than the spacing of doubles at its mode, no panel can resolve f
+        width = math.sqrt(y / v ** 3) if 0.0 < v < 1e100 else 0.0
+        if v > 0.0 and not mode < mode + width:
+            raise AccuracyError(f"the first-passage density toward a, of standardized "
+                                f"drift {v!r} over {y!r}, is too sharp to integrate")
         peak = [mode + k * width for k in (-4, -2, -1, 0, 1, 2, 4)]
         early, _ = integrate_finite(lambda tau: h_kernel(tau, y, -v) * g(T - tau),
                                     0.0, 0.5 * T, _SPLIT_SETTINGS, peak)

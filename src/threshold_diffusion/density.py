@@ -82,8 +82,9 @@ def _crossing_integral(params, t, rate, c1, c2, log_scale):
                                   (b + c2) / s2, params.mu2 / s2, log_scale=log_scale)
         return vals
 
-    # far from a the kernels' squared exponents overflow to inf, and exp takes them to 0
-    with np.errstate(over="ignore"):
+    # far from a the kernels' squared exponents overflow to inf, and exp takes them to
+    # 0; at a horizon of 1e-300 their prefactors overflow, which _gk15 refuses
+    with np.errstate(all="ignore"):
         val, _ = integrate_semi_infinite(outer, 0.0, rate)
     return val
 
@@ -120,9 +121,10 @@ def transition_density(query):
             gauss = _gaussian_pair(p, t, x, z)
             log_scale = 2.0 * p.mu2 * (z - a) / (s2 * s2)
             weight, c1, c2 = 2.0 / (s2 * s2), 0.0, z + x - 2.0 * a
-            # Laplace-side bound at q = 1/t on the whole crossing part
+            # Laplace-side bound at q = 1/t on the whole crossing part; where it and
+            # the pair both underflow, the density is 0 to double precision
             bound = (math.e / rate) * math.exp(log_scale - d2p * c2)
-            if weight * bound * _SKIP_RATIO < abs(gauss):
+            if weight * bound * _SKIP_RATIO <= abs(gauss):
                 return max(gauss, 0.0)
         else:
             gauss, log_scale = 0.0, 2.0 * p.mu1 * (z - a) / (s1 * s1)

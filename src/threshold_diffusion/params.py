@@ -14,10 +14,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidParameterError
 
-# exp() underflows to subnormal/zero near -745; beyond that the kernel is an exact 0
-_EXP_UNDERFLOW = 745.0
-# the normal double range, and log(2 pi) / 2 for the kernel's prefactor in logs
-_TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
+# log(2 pi) / 2, the kernel's prefactor in logs
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
@@ -65,9 +62,8 @@ class DiffusionParams:
         return DiffusionParams(-self.mu2, -self.mu1, self.sigma2, self.sigma1, -self.a)
 
 
-def make_params(mu1, mu2, sigma1, sigma2, a):
-    """Validated parameter object; errors name the offending field."""
-    return DiffusionParams(mu1, mu2, sigma1, sigma2, a)
+# the package's historical name for the constructor
+make_params = DiffusionParams
 
 
 @dataclass(frozen=True)
@@ -160,11 +156,10 @@ def h_kernel(t, x, mu):
     x, mu : float or ndarray
         Finite displacement and drift, broadcast against t.
 
-    Returns 0.0 exactly when x = 0 or when the exponent falls below the
-    double-precision underflow threshold, and inf only where the kernel
-    itself exceeds the double range; no floating-point warning escapes.
-    Arguments that are not finite numbers (None and NaN included) raise
-    DomainError.
+    The kernel is one exp of its whole logarithm, so it is 0.0 exactly when
+    x = 0 or where it underflows, and inf only where it exceeds the double
+    range; no floating-point warning escapes. Arguments that are not finite
+    numbers (None and NaN included) raise DomainError.
     """
     try:
         t, x, mu = (np.asarray(v, dtype=float) for v in (t, x, mu))
@@ -174,19 +169,10 @@ def h_kernel(t, x, mu):
         raise DomainError("h_kernel requires t > 0")
     if not (np.isfinite(t).all() and np.isfinite(x).all() and np.isfinite(mu).all()):
         raise DomainError("h_kernel requires finite t, x and mu")
+    # log 0 = -inf at x = 0, and a square past the double range is -inf too: exact 0s
     with np.errstate(all="ignore"):
-        # a square past the double range makes the exponent -inf, an exact 0
-        expo = -((x + mu * t) ** 2) / (2.0 * t)
-        t3 = t ** 3
-        out = np.abs(x) / np.sqrt(2.0 * np.pi * t3) * np.exp(expo)
-        # where t**3 leaves the normal range, or the prefactor overflows, the
-        # prefactor's log joins the exponent before the one exp
-        normal = np.isfinite(out) & (t3 >= _TINY) & (t3 <= _HUGE)
-        if not normal.all():
-            logs = np.log(np.abs(x)) - 1.5 * np.log(t) - _HALF_LOG_2PI + expo
-            out = np.where(normal, out, np.exp(logs))
-    out = np.where(expo < -_EXP_UNDERFLOW, 0.0, out)
+        out = np.exp(np.log(np.abs(x)) - (x + mu * t) ** 2 / (2.0 * t)
+                     - 1.5 * np.log(t) - _HALF_LOG_2PI)
     if out.ndim == 0:
         return float(out)
     return out
-

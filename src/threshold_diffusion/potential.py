@@ -114,7 +114,9 @@ def potential_grid(params, q, x, z):
 def _potential(params, q, x, z):
     """potential_grid for arguments already checked."""
     d = deltas(params, q)
-    val = _resolvent(params, q, x, z, rates=(d.d1_plus, d.d1_minus, d.d2_plus, d.d2_minus))
+    # at a rate near the double range's end a weight overflows; the value is refused below
+    with np.errstate(all="ignore"):
+        val = _resolvent(params, q, x, z, rates=(d.d1_plus, d.d1_minus, d.d2_plus, d.d2_minus))
     if not np.isfinite(val).all():
         raise DomainError(f"potential density overflows at q={q!r}, x={x!r}, "
                           f"z={float(z[~np.isfinite(val)][0])!r}")

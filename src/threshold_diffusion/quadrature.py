@@ -220,7 +220,8 @@ def integrate_semi_infinite(f, lo, decay_rate_hint, settings=None):
     implied tail bound drops below _TRUNCATION_EPSILON, with the envelope
     constant estimated from probe evaluations. The measured tail bound
     |f(u*)|/rate is folded into the returned error estimate, and the
-    domain is extended if that bound is still too large.
+    domain is extended if that bound is still too large. When every probe
+    reads 0, f is searched for nearer lo before (0.0, 0.0) is returned.
     """
     s = settings if settings is not None else _DEFAULT
     if not (_finite_real(decay_rate_hint) and decay_rate_hint > 0):
@@ -231,18 +232,25 @@ def integrate_semi_infinite(f, lo, decay_rate_hint, settings=None):
     eps = _TRUNCATION_EPSILON
 
     probe_offsets = np.array([0.125, 0.5, 1.0, 2.0, 4.0]) / rate
-    probes = lo + probe_offsets
-    pv = np.asarray(f(probes), dtype=float)
+    pv = np.asarray(f(lo + probe_offsets), dtype=float)
     if not np.all(np.isfinite(pv)):
         raise IntegrandError("integrand returned a non-finite value at a probe point")
+    if not pv.any():
+        # a loose hint puts every probe past the mass: look for it nearer lo, in one
+        # call on a ladder of halvings that spans the double range, and start again
+        # on the scale u where |f(u)| u, the mass per halving, is largest
+        ladder = probe_offsets[0] * 0.5 ** np.arange(1.0, 2048.0)
+        ladder = ladder[(lo + ladder > lo) & (ladder >= np.finfo(float).tiny)]
+        lv = np.asarray(f(lo + ladder), dtype=float)
+        if not np.all(np.isfinite(lv)):
+            raise IntegrandError("integrand returned a non-finite value at a probe point")
+        if not lv.any():
+            return 0.0, 0.0
+        return integrate_semi_infinite(f, lo, 0.125 / ladder[np.argmax(np.abs(lv) * ladder)], s)
     with np.errstate(over="ignore"):
         env = np.abs(pv) * np.exp(rate * probe_offsets)
-    c_env = float(np.max(env)) if np.any(env > 0) else 0.0
-
-    if c_env > 0:
-        span = math.log(c_env / (eps * rate)) / rate
-    else:
-        span = 0.0
+    # an envelope that underflows over eps * rate would take log to 0; any floor < 1 clamps alike
+    span = math.log(max(float(np.max(env)) / (eps * rate), 1e-300)) / rate
     span = min(max(span, 4.0 / rate), 2000.0 / rate)
 
     seeds = []

@@ -247,6 +247,13 @@ def _check_config(config):
         raise InvalidParameterError(f"config must be a SimConfig, got {config!r}")
 
 
+def _mean_se(values):
+    """(sample mean, standard error) of one value per path."""
+    n = len(values)
+    se = values.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
+    return float(values.mean()), float(se)
+
+
 @dataclass(frozen=True)
 class PathEnsemble:
     """Terminal states of a simulated ensemble plus basic estimators."""
@@ -264,18 +271,13 @@ class PathEnsemble:
 
     def mean(self):
         """(sample mean, standard error)."""
-        v = self.terminal_values
-        se = v.std(ddof=1) / math.sqrt(self.n_paths) if self.n_paths > 1 else 0.0
-        return float(v.mean()), float(se)
+        return _mean_se(self.terminal_values)
 
     def survival_frequency(self, level):
         """(frequency of terminal value >= level, standard error)."""
         if not _finite_real(level):
             raise DomainError(f"level must be a finite number, got {level!r}")
-        ind = (self.terminal_values >= level).astype(float)
-        p = float(ind.mean())
-        se = float(ind.std(ddof=1) / math.sqrt(self.n_paths)) if self.n_paths > 1 else 0.0
-        return p, se
+        return _mean_se((self.terminal_values >= level).astype(float))
 
     def histogram(self, n_bins, lo, hi):
         """Per-bin occupation frequencies with binomial standard errors.
@@ -561,9 +563,7 @@ def empirical_hitting_transform(config, level, q, threads=1):
     out = _run_blocks(config.n_paths, threads, -(-config.n_paths // threads),
                       lambda i0, count: _hitting_block(config, level, q, sign, i0, count,
                                                        n_full, rem))
-    est = float(out.mean())
-    se = float(out.std(ddof=1) / math.sqrt(config.n_paths)) if config.n_paths > 1 else 0.0
-    return est, se
+    return _mean_se(out)
 
 
 # noise columns of the first hitting chunk; later chunks double up to the cap,

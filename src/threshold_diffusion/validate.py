@@ -3,11 +3,8 @@
 Each check pins a library value against an independent route to the same
 number: a closed form, a quadrature, a Laplace inversion, or a Monte Carlo
 run. The CLI validate command prints one JSON entry per check; the
-acceptance test suite asserts the same functions one by one.
-
-The `tol` argument of each check overrides its analytic tolerances (used by
-the CLI's --tol flag, mainly to demonstrate the failure path); statistical
-margins stay at 3 standard errors regardless.
+acceptance test suite asserts the same functions one by one. Each check's
+tolerances and Monte Carlo margins are fixed in the check itself.
 """
 
 import contextlib
@@ -57,10 +54,10 @@ def _result(criterion, name, passed, detail, t0):
     return CheckResult(criterion, name, bool(passed), detail, round(time.time() - t0, 3))
 
 
-def criterion_1(tol=None, threads=1):
+def criterion_1(threads=1):
     """Zero-drift two-volatility density against its closed form."""
     t0 = time.time()
-    tol = 1e-5 if tol is None else tol
+    tol = 1e-5
     params = DiffusionParams(0.0, 0.0, 1.0, 2.0, 0.0)
     worst = 0.0
     n_pts = 0
@@ -81,10 +78,10 @@ def criterion_1(tol=None, threads=1):
                    f"(tol {tol:g}); {el:.1f}s of 60s budget", t0)
 
 
-def criterion_2(tol=None, threads=1):
+def criterion_2(threads=1):
     """One-sided density limits and the jump at the threshold."""
     t0 = time.time()
-    tol = 1e-5 if tol is None else tol
+    tol = 1e-5
     params = DiffusionParams(0.0, 0.0, 1.0, 2.0, 0.0)
     # z = a dispatches to the upper branch for x >= a, so that call IS the
     # upper limit; the lower limit needs a strictly negative z
@@ -102,11 +99,10 @@ def criterion_2(tol=None, threads=1):
                    f"consistency {errs[3]:.2e} (tol {tol:g}); equal-sigma jump = {same_sigma!r}", t0)
 
 
-def criterion_3(tol=None, threads=1):
+def criterion_3(threads=1):
     """Single-regime reduction: Gaussian density and exponential potential."""
     t0 = time.time()
-    dtol = 1e-6 if tol is None else tol
-    ptol = 1e-10 if tol is None else tol
+    dtol, ptol = 1e-6, 1e-10
     mu, sigma, a = 0.3, 1.2, 0.1
     params = DiffusionParams(mu, mu, sigma, sigma, a)
     grid = (-1.0, -0.25, 0.1, 0.6, 1.5)
@@ -134,10 +130,10 @@ def criterion_3(tol=None, threads=1):
                    f"potential err {worst_p:.2e} (tol {ptol:g})", t0)
 
 
-def criterion_4(tol=None, threads=1):
+def criterion_4(threads=1):
     """Potential density vs time-quadrature and Laplace inversion of it."""
     t0 = time.time()
-    tol = 1e-4 if tol is None else tol
+    tol = 1e-4
     params = DiffusionParams(1.0, -1.0, 1.0, 2.0, 0.0)
     points = ((0.5, 1.0), (0.5, -0.5), (-0.5, 1.0))
     settings = QuadSettings(abs_tol=1e-7, rel_tol=1e-7)
@@ -162,11 +158,10 @@ def criterion_4(tol=None, threads=1):
                    f"(tol {tol:g})", t0)
 
 
-def criterion_5(tol=None, threads=1):
+def criterion_5(threads=1):
     """Transition and potential densities integrate to one."""
     t0 = time.time()
-    dtol = 1e-4 if tol is None else tol
-    ptol = 1e-6 if tol is None else tol
+    dtol, ptol = 1e-4, 1e-6
     settings = QuadSettings(abs_tol=3e-7, rel_tol=3e-7)
     worst_d = worst_p = 0.0
     for params in PARAM_BATTERY:
@@ -197,10 +192,10 @@ def criterion_5(tol=None, threads=1):
                    f"{len(PARAM_BATTERY)} parameter sets", t0)
 
 
-def criterion_6(tol=None, threads=1):
+def criterion_6(threads=1):
     """Chapman-Kolmogorov semigroup identity."""
     t0 = time.time()
-    tol = 1e-3 if tol is None else tol
+    tol = 1e-3
     params = DiffusionParams(1.0, -1.0, 1.0, 2.0, 0.0)
     settings = QuadSettings(abs_tol=1e-5, rel_tol=1e-5)
     t1 = t2 = 0.5
@@ -224,11 +219,10 @@ def criterion_6(tol=None, threads=1):
                    f"max semigroup defect {worst:.2e} on 3x3 grid (tol {tol:g})", t0)
 
 
-def criterion_7(tol=None, threads=1):
+def criterion_7(threads=1):
     """Stationary law: exact form, long-horizon density, and Monte Carlo."""
     t0 = time.time()
-    etol = 1e-12 if tol is None else tol
-    dtol = 1e-2 if tol is None else tol
+    etol, dtol = 1e-12, 1e-2
     params = DiffusionParams(1.0, -1.0, 1.0, 1.0, 0.0)
     worst_e = max(abs(stationary_density(params, z) - math.exp(-2.0 * abs(z)))
                   for z in (-2.0, -1.0, -0.3, 0.0, 0.4, 1.0, 2.0))
@@ -254,11 +248,10 @@ def criterion_7(tol=None, threads=1):
                    f"of 3 allowed", t0)
 
 
-def criterion_8(tol=None, threads=1):
+def criterion_8(threads=1):
     """Exit transforms: pasting, closed-form reduction, Monte Carlo hitting."""
     t0 = time.time()
-    ptol = 1e-6 if tol is None else tol
-    ltol = 1e-12 if tol is None else tol
+    ptol, ltol = 1e-6, 1e-12
     h = 1e-5
     worst_paste = 0.0
     for params in PARAM_BATTERY:
@@ -303,11 +296,10 @@ def criterion_8(tol=None, threads=1):
                    f"budget {budget:.2e}", t0)
 
 
-def criterion_9(tol=None, threads=1):
+def criterion_9(threads=1):
     """Control problem: slope, value function, and policy dominance."""
     t0 = time.time()
-    vtol = 1e-3 if tol is None else tol
-    stol = 1e-12 if tol is None else tol
+    vtol, stol = 1e-3, 1e-12
     pr = ControlProblem(1.0, 2.0, -1.0, 1.0, 0.0, 1.0)
     alpha_exact = alpha(pr) == 3.0
     slope_gap = abs((pr.mu_low + alpha(pr)) / pr.sigma_low
@@ -350,10 +342,10 @@ def criterion_9(tol=None, threads=1):
                    f"{el:.0f}s of 300s budget", t0)
 
 
-def criterion_10(tol=None, threads=1):
+def criterion_10(threads=1):
     """Time reversal holds exactly when both coefficient pairs coincide."""
     t0 = time.time()
-    wtol = 1e-3 if tol is None else tol
+    wtol = 1e-3
     flags_ok = all(is_time_reversible(p) == (p.mu1 == p.mu2 and p.sigma1 == p.sigma2)
                    for p in PARAM_BATTERY)
     has_true = any(is_time_reversible(p) for p in PARAM_BATTERY)
@@ -378,7 +370,7 @@ def criterion_10(tol=None, threads=1):
                    f"{rev_gap:.1e}", t0)
 
 
-def criterion_11(tol=None, threads=1):
+def criterion_11(threads=1):
     """Simulation CLI is byte-deterministic, serial or parallel."""
     import tempfile
 

@@ -12,7 +12,7 @@ from threshold_diffusion import (AccuracyError, ControlProblem, DensityQuery, Ex
                                  simulate_paths, stationary_density, transition_density,
                                  two_sided_exit, value_function)
 from threshold_diffusion import cli
-from threshold_diffusion.validate import criterion_3, criterion_11
+from threshold_diffusion.validate import CheckResult, criterion_3, criterion_11
 
 # a numpy warning that escapes the library fails the test; Hypothesis's own report
 # hook warns about a deprecated mypy_extensions name, which is not the test's fault
@@ -321,6 +321,9 @@ def test_simulate_json_embeds_summary(capsys):
     ["potential", *TR_FLAGS, "--q", "1", "--x", "inf", "--z-grid", "-1:1:3"],
     # finite ends whose span overflows, refused before numpy sees them
     ["density", *BM_FLAGS, "--t", "1", "--x", "0", "--z-grid", "-1e308:1e308:3"],
+    # the battery's tolerances are its own, and its report is always JSON
+    ["validate", "--tol", "1e-3"],
+    ["validate", "--format", "csv"],
 ])
 @pytest.mark.filterwarnings("error")
 def test_invalid_requests_exit_2(capsys, argv):
@@ -408,11 +411,16 @@ def test_validate_subset_passes(capsys, monkeypatch):
     assert entries[0]["seconds"] >= 0.0
 
 
-def test_validate_subset_fails_under_absurd_tolerance(capsys, monkeypatch):
-    monkeypatch.setattr(cli._validate, "ALL_CRITERIA", (criterion_3,))
-    rc, out, _ = run(capsys, ["validate", "--tol", "1e-15"])
+def test_validate_reports_a_failed_check_and_exits_1(capsys, monkeypatch):
+    def criterion_4(threads=1):
+        return CheckResult(4, "laplace-consistency", False, "stand-in miss", 0.0)
+    monkeypatch.setattr(cli._validate, "ALL_CRITERIA", (criterion_4, criterion_3))
+    rc, out, _ = run(capsys, ["validate"])
     assert rc == 1
-    assert json.loads(out)[0]["passed"] is False
+    entries = json.loads(out)
+    assert entries[0] == {"criterion": 4, "name": "laplace-consistency", "passed": False,
+                          "detail": "stand-in miss", "seconds": 0.0}
+    assert entries[1]["criterion"] == 3 and entries[1]["passed"] is True
 
 
 def test_validate_stdout_is_json_with_simulation_check(capsys, monkeypatch):
@@ -426,10 +434,10 @@ def test_validate_stdout_is_json_with_simulation_check(capsys, monkeypatch):
 
 
 def test_validate_records_unexpected_exception_and_continues(capsys, monkeypatch):
-    def broken(tol=None, threads=1):
+    def broken(threads=1):
         raise TypeError("unsupported operand")
 
-    def criterion_5(tol=None, threads=1):
+    def criterion_5(threads=1):
         raise ValueError("stand-in")
     monkeypatch.setattr(cli._validate, "ALL_CRITERIA", (criterion_5, broken, criterion_3))
     rc, out, err = run(capsys, ["validate"])

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from threshold_diffusion import (ControlProblem, DomainError, InvalidParameterError,
-                                 alpha, constant_bar_policy, constant_low_policy,
-                                 optimal_policy, optimal_threshold,
-                                 reversed_threshold_policy, simulate_policy, value_function)
+from threshold_diffusion import (AccuracyError, ControlProblem, DomainError,
+                                 InvalidParameterError, ThresholdDiffusionError, alpha,
+                                 constant_bar_policy, constant_low_policy, optimal_policy,
+                                 optimal_threshold, reversed_threshold_policy, simulate_policy,
+                                 value_function)
 from threshold_diffusion import control
 
 # a numpy warning that escapes the contour fails the test; Hypothesis's own report
@@ -173,6 +174,23 @@ def test_talbot_route_falls_back_to_quadrature_far_from_threshold(horizon, x):
 @pytest.mark.parametrize("x", [1e20, -1e20, 1e300, -1e300])
 def test_extreme_starts_are_exact_and_quiet(x):
     assert value_function(DRIFTED, x) == (1.0 if x > 0 else 0.0)
+
+
+def test_drifts_of_1e300_give_a_probability_or_a_library_error():
+    # Talbot's rates overflow here, and so did the split's v ** 3
+    try:
+        v = value_function(ControlProblem(1e300, 2.0, -1e300, 1.0, 0.0, 1.0), 0.1)
+    except ThresholdDiffusionError:
+        return
+    assert 0.0 <= v <= 1.0
+
+
+@pytest.mark.parametrize("drift", [1e30, 1e300])
+def test_split_refuses_a_first_passage_too_sharp_to_integrate(drift):
+    # the passage time's spread is below the spacing of doubles at its mode: the
+    # split's panels read 0 there (it returned 0.0 at 1e30), where Talbot reads 1
+    with pytest.raises(AccuracyError):
+        first_passage_value(ControlProblem(drift, 2.0, -drift, 1.0, 0.0, 1.0), 0.1)
 
 
 def test_symmetric_value_at_start_is_two_thirds_to_talbot_accuracy():

@@ -8,10 +8,10 @@ import pytest
 
 from threshold_diffusion import density as density_module
 from threshold_diffusion import (AccuracyError, DensityQuery, DomainError, NoStationaryLawError,
-                                 QuadSettings, SimConfig, density_jump_at_threshold,
-                                 integrate_finite, is_time_reversible,
-                                 make_params, oscillating_bm_density, simulate_paths,
-                                 stationary_density, transition_density)
+                                 QuadSettings, SimConfig, ThresholdDiffusionError,
+                                 density_jump_at_threshold, integrate_finite,
+                                 is_time_reversible, make_params, oscillating_bm_density,
+                                 simulate_paths, stationary_density, transition_density)
 
 # a numpy warning that escapes the library fails the test; Hypothesis's own report
 # hook warns about a deprecated mypy_extensions name, which is not the test's fault
@@ -183,6 +183,14 @@ def test_density_far_below_a_is_zero_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert p_at(make_params(1.0, -1.0, 1.0, 2.0, 0.0), 1.0, 0.5, -1e300) == 0.0
+
+
+def test_density_at_a_horizon_of_1e_minus_300_is_zero_or_a_library_error():
+    # the Gaussian pair and its crossing bound both underflow: the density is 0
+    assert p_at(TWO_REGIME, 1e-300, 0.5, 0.2) == 0.0
+    # at z = a the true density is near 1e149, which the quadrature cannot reach
+    with pytest.raises(ThresholdDiffusionError):
+        density_jump_at_threshold(TWO_REGIME, 1e-300, 0.0)
 
 
 def test_density_at_huge_t_under_confining_drifts_is_the_stationary_law():

@@ -1,11 +1,16 @@
 """The package's public surface."""
 
+import importlib
+import importlib.util
 import math
+import pathlib
+import re
 import types
 
 import pytest
 
 import threshold_diffusion
+import threshold_diffusion.cli  # noqa: F401  the bench calls lib.cli.main
 
 # a numpy warning that escapes the library fails the test; Hypothesis's own report
 # hook warns about a deprecated mypy_extensions name, which is not the test's fault
@@ -21,6 +26,30 @@ def test_all_lists_exactly_the_bound_public_names():
     assert set(threshold_diffusion.__all__) == bound
     for name in threshold_diffusion.__all__:
         assert getattr(threshold_diffusion, name) is not None
+
+
+_BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_every_library_name_the_bench_hooks_or_calls_exists():
+    # this suite does not collect bench/, so without this check a name the bench
+    # needs would go missing unnoticed until a traced or a timed bench run
+    spec = importlib.util.spec_from_file_location("bench_tracing", _BENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)  # read only: no hook is installed
+    for hook in tracing.HOOKS:
+        assert callable(getattr(importlib.import_module(hook.module), hook.attr, None)), hook
+    called = set(re.findall(r"\blib\.([\w.]+)", (_BENCH / "workloads.py").read_text()))
+    assert "make_params" in called
+    for name in called:
+        target = threshold_diffusion
+        for part in name.split("."):
+            assert hasattr(target, part), f"bench/workloads.py calls lib.{name}"
+            target = getattr(target, part)
+
+
+def test_make_params_is_the_parameter_class():
+    assert threshold_diffusion.make_params is threshold_diffusion.DiffusionParams
 
 
 _PARAMS = threshold_diffusion.make_params(1.0, -1.0, 1.0, 2.0, 0.0)

@@ -192,6 +192,7 @@ def test_h_kernel_underflow_is_exact_zero():
     (1.0, 1e200, 1e200),     # the square in the exponent overflows
     (1e-110, 1e-60, 0.0),    # t**3 underflows, yet the kernel is about 4e104
     (1e150, 1e75, 0.0),      # t**3 overflows, yet the kernel is about 2.4e-151
+    (1e-300, 1e-300, 0.0),   # |x| and t**1.5 both leave the range; the kernel is about 3.9894e149
 ])
 def test_h_kernel_at_extreme_arguments_matches_mpmath(t, x, mu):
     mp = pytest.importorskip("mpmath")

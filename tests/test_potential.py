@@ -157,6 +157,13 @@ def test_overflowing_rate_is_rejected():
         potential_density(PotentialQuery(TWO_REGIME, 1e308, 0.1, 0.2))
 
 
+@pytest.mark.parametrize("x, z", [(0.0, 0.5), (0.0, -0.5), (-0.5, 0.2)])
+def test_subnormal_rate_is_rejected_without_a_warning(x, z):
+    # the pasting weights overflow at q = 1e-320, on either side of a
+    with pytest.raises(DomainError):
+        potential_density(PotentialQuery(TWO_REGIME, 1e-320, x, z))
+
+
 @st.composite
 def potential_points(draw):
     unit = st.floats(0.0, 1.0)

@@ -82,6 +82,25 @@ def test_semi_infinite_gamma():
     assert val == pytest.approx(0.25, abs=1e-9)
 
 
+@pytest.mark.parametrize("scale, hint", [(1.0, 1e-3), (1.0, 1e-8), (1.0, 1e-20), (1.0, 1e-300),
+                                         (1e-6, 1e-8)])
+def test_semi_infinite_finds_the_mass_under_a_loose_hint(scale, hint):
+    # from a hint of 1e-8 down, every probe reads 0; the integral is still the scale
+    val, err = integrate_semi_infinite(lambda u: np.exp(-u / scale), 0.0, hint)
+    # within the default allowance max(abs_tol, rel_tol |value|)
+    assert val == pytest.approx(scale, abs=1e-9) and err <= max(1e-9, 1e-7 * scale)
+
+
+def test_semi_infinite_of_a_subnormal_integrand_under_a_huge_rate_is_quiet():
+    # the envelope over eps * rate underflowed to 0, and log(0) raised ValueError
+    val, err = integrate_semi_infinite(lambda u: 1e-320 * np.exp(-1e300 * u), 0.0, 1e300)
+    assert 0.0 <= val <= 1e-300 and err <= 1e-9
+
+
+def test_semi_infinite_of_zero_is_exact_zero():
+    assert integrate_semi_infinite(np.zeros_like, 0.0, 1.0) == (0.0, 0.0)
+
+
 def test_semi_infinite_needs_positive_hint():
     with pytest.raises(DomainError):
         integrate_semi_infinite(lambda u: np.exp(-np.asarray(u)), 0.0, 0.0)
