@@ -10,7 +10,7 @@ Three snapshots:
 
 import numpy as np
 
-from threshold_diffusion import (DensityQuery, density_jump_at_threshold, make_params,
+from threshold_diffusion import (DensityQuery, DiffusionParams, density_jump_at_threshold,
                                  stationary_density, transition_density)
 
 
@@ -29,14 +29,14 @@ def print_curve(zs, ps, label):
 def main():
     # volatility 2 below the threshold, 1 above: mass piles up where the
     # process moves slowly, so the right side is denser
-    osc = make_params(0.0, 0.0, 2.0, 1.0, 0.0)
+    osc = DiffusionParams(0.0, 0.0, 2.0, 1.0, 0.0)
     zs = np.linspace(-3.0, 3.0, 25)
     print_curve(zs, profile(osc, 1.0, 0.0, zs), "zero drift, sigma=(2,1), t=1, x=0")
     jump = density_jump_at_threshold(osc, 1.0, 0.0)
     print(f"\ndensity jump at the threshold: {jump:+.6f}")
     print("(the ratio of one-sided limits equals sigma1^2/sigma2^2 = 4)")
 
-    two = make_params(1.0, -1.0, 1.0, 2.0, 0.0)
+    two = DiffusionParams(1.0, -1.0, 1.0, 2.0, 0.0)
     for t in (0.25, 1.0, 4.0):
         near = [-0.2, -0.1, -1e-9, 0.0, 0.1, 0.2]
         ps = profile(two, t, 0.5, near)
@@ -44,7 +44,7 @@ def main():
         print(f"t={t:<5} {row}")
     print("(the two middle columns are the one-sided limits at z = 0)")
 
-    conf = make_params(1.0, -1.0, 1.0, 1.0, 0.0)
+    conf = DiffusionParams(1.0, -1.0, 1.0, 1.0, 0.0)
     print(f"\n{'z':>5}  {'p(t=30)':>10}  {'stationary':>10}")
     for z in (-2.0, -1.0, 0.0, 1.0, 2.0):
         p30 = transition_density(DensityQuery(conf, 30.0, 0.0, z))

@@ -7,10 +7,10 @@ run away recovers the one-sided transforms.
 
 import numpy as np
 
-from threshold_diffusion import (ExitQuery, PotentialQuery, make_params, one_sided_down,
+from threshold_diffusion import (DiffusionParams, ExitQuery, PotentialQuery, one_sided_down,
                                  one_sided_up, potential_density, two_sided_exit)
 
-PARAMS = make_params(1.0, -1.0, 1.0, 2.0, 0.0)
+PARAMS = DiffusionParams(1.0, -1.0, 1.0, 2.0, 0.0)
 
 
 def main():

@@ -9,12 +9,11 @@ import math
 
 import numpy as np
 
-from threshold_diffusion import (DensityQuery, QuadSettings, SimConfig,
+from threshold_diffusion import (DensityQuery, DiffusionParams, QuadSettings, SimConfig,
                                  empirical_hitting_transform, integrate_finite,
-                                 make_params, one_sided_down, simulate_paths,
-                                 transition_density)
+                                 one_sided_down, simulate_paths, transition_density)
 
-PARAMS = make_params(1.0, -1.0, 1.0, 2.0, 0.0)
+PARAMS = DiffusionParams(1.0, -1.0, 1.0, 2.0, 0.0)
 
 
 def main():

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError, InvalidParameterError
 from .inversion import _vouched
-from .params import DiffusionParams, _finite_real, h_kernel
+from .params import DiffusionParams, _check_type, _finite_real, h_kernel
 from .potential import _tail_transform
 from .quadrature import QuadSettings, _h_mode, _layer_seeds, integrate_finite
 
@@ -65,12 +65,14 @@ class ControlProblem:
 
 def alpha(problem):
     """Slope of the moving switching threshold."""
+    _check_type(problem, ControlProblem, "problem")
     return ((problem.mu_bar * problem.sigma_low - problem.mu_low * problem.sigma_bar)
             / (problem.sigma_bar - problem.sigma_low))
 
 
 def optimal_threshold(problem, t):
     """Switching level a + alpha (T - t); equals a at the horizon."""
+    _check_type(problem, ControlProblem, "problem")
     if not (_finite_real(t) and 0.0 <= t <= problem.T):
         raise DomainError(f"t must lie in [0, T]=[0, {problem.T!r}], got {t!r}")
     return optimal_policy(problem).level(t)

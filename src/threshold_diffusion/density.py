@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError
 from .inversion import _vouched
-from .params import _finite_real, deltas
+from .params import DiffusionParams, _check_type, _finite_real, deltas
 from .potential import _resolvent, potential_q_to_zero_limit
 from .quadrature import _DEFAULT, _convolve_batch, integrate_semi_infinite
 
@@ -43,12 +43,13 @@ _HINT_SCALE_LIMIT = 32.0
 class DensityQuery:
     """Transition density evaluation point."""
 
-    params: object
+    params: DiffusionParams
     t: float
     x: float
     z: float
 
     def __post_init__(self):
+        _check_type(self.params, DiffusionParams, "params")
         if not (_finite_real(self.t) and self.t > 0):
             raise DomainError(f"t must be positive, got {self.t!r}")
         if not (_finite_real(self.x) and _finite_real(self.z)):
@@ -102,6 +103,7 @@ def transition_density(query):
     The z = a evaluation returns the upper-branch one-sided limit
     p(t; x, a+) when x >= a, and the lower-branch limit when x < a.
     """
+    _check_type(query, DensityQuery, "query")
     p = query.params
     t, x, z = query.t, query.x, query.z
     if x < p.a:
@@ -146,6 +148,7 @@ def density_jump_at_threshold(params, t, x):
     jump is the one density value at z = a (the limit on the start's side)
     times a ratio of the variances.
     """
+    _check_type(params, DiffusionParams, "params")
     query = DensityQuery(params, t, x, params.a)
     if params.sigma1 == params.sigma2:
         return 0.0
@@ -182,4 +185,5 @@ def oscillating_bm_density(sigma1, sigma2, a, t, x, z):
 def is_time_reversible(params):
     """True iff running the density backwards with negated drifts is exact,
     which happens only when the two regimes coincide."""
+    _check_type(params, DiffusionParams, "params")
     return params.mu1 == params.mu2 and params.sigma1 == params.sigma2

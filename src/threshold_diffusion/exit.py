@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateIntervalError, DomainError
-from .params import _check_rate, _finite_real, deltas
+from .params import DiffusionParams, _check_rate, _check_type, _finite_real, deltas
 
 
 def _check_states(*states):
@@ -56,6 +56,7 @@ def _log_g_plus(params, d, x):
 
 
 def _g(params, q, x, log_g, name):
+    _check_type(params, DiffusionParams, "params")
     _check_states(x)
     log_val = log_g(params, _rates(params, q), x)
     with np.errstate(over="ignore"):  # g itself may exceed a float; refused below
@@ -79,13 +80,14 @@ def g_plus(params, q, x):
 class ExitQuery:
     """Two-sided exit problem: start at x inside [y, z], rate q > 0."""
 
-    params: object
+    params: DiffusionParams
     q: float
     x: float
     y: float
     z: float
 
     def __post_init__(self):
+        _check_type(self.params, DiffusionParams, "params")
         _check_rate(self.q)
         _check_levels(self.x, self.y, self.z)
 
@@ -97,6 +99,7 @@ def two_sided_exit(query):
     up_lt = E_x[exp(-q T_z); T_z < T_y]. Both lie in [0, 1] and sum to at
     most 1; the q-killing already encodes paths that never exit.
     """
+    _check_type(query, ExitQuery, "query")
     down, up = _two_sided(query.params, np.array([query.q], dtype=float),
                           query.x, query.y, query.z)
     return float(down[0]), float(up[0])
@@ -107,6 +110,7 @@ def two_sided_exit_grid(params, q, x, y, z):
 
     Returns the arrays (down_lt, up_lt) over q.
     """
+    _check_type(params, DiffusionParams, "params")
     _check_levels(x, y, z)
     return _two_sided(params, q, x, y, z)
 
@@ -138,6 +142,7 @@ def _two_sided(params, q, x, y, z):
 
 def one_sided_down(params, q, x, y):
     """E_x[exp(-q T_y)] for a level y <= x, as the ratio g_minus(x)/g_minus(y)."""
+    _check_type(params, DiffusionParams, "params")
     _check_states(x, y)
     if y > x:
         raise DomainError(f"one_sided_down requires y <= x, got y={y!r} > x={x!r}")
@@ -149,6 +154,7 @@ def one_sided_down(params, q, x, y):
 
 def one_sided_up(params, q, x, z):
     """E_x[exp(-q T_z)] for a level z >= x, as the ratio g_plus(x)/g_plus(z)."""
+    _check_type(params, DiffusionParams, "params")
     _check_states(x, z)
     if z < x:
         raise DomainError(f"one_sided_up requires x <= z, got x={x!r} > z={z!r}")

@@ -12,11 +12,12 @@ rather than a refinement, and _vouched keeps a 24-node value only when a
 
 import functools
 import math
+from collections.abc import Callable
 
 import numpy as np
 
 from .errors import AccuracyError, DomainError, InvalidParameterError
-from .params import _finite_real, _integer
+from .params import _check_type, _finite_real, _integer
 
 # The terms' magnitudes, and with them the sum's rounding, grow like
 # exp(2 nodes / 5): 1/q at t = 1 is off by 2e-10 at 40 nodes, 5e-9 at 48, 6e-6 at 64.
@@ -63,6 +64,7 @@ def invert(F, t, nodes=24):
     nodes must be an integer in [8, 40]. A sum that is not finite raises
     AccuracyError.
     """
+    _check_type(F, Callable, "F")
     array = isinstance(t, np.ndarray)
     if array and not (t.ndim == 1 and np.all(np.isfinite(t) & (t > 0.0))):
         raise DomainError(f"t must be a 1-D array of positive times, got {t!r}")

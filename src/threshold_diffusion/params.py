@@ -31,6 +31,13 @@ def _integer(value):
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_type(value, kind, name):
+    """Refuse, with InvalidParameterError, a value that is not a `kind`
+    (collections.abc.Callable admits any callable)."""
+    if not isinstance(value, kind):
+        raise InvalidParameterError(f"{name} must be a {kind.__name__}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DiffusionParams:
     """Threshold diffusion parameters (mu1, sigma1 below the threshold a)."""

@@ -20,19 +20,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NoStationaryLawError
-from .params import _check_rate, _delta_pair, _finite_real, deltas
+from .params import DiffusionParams, _check_rate, _check_type, _delta_pair, _finite_real, deltas
 
 
 @dataclass(frozen=True)
 class PotentialQuery:
     """Potential density evaluation point: start x, observation z, clock rate q."""
 
-    params: object
+    params: DiffusionParams
     q: float
     x: float
     z: float
 
     def __post_init__(self):
+        _check_type(self.params, DiffusionParams, "params")
         _check_rate_and_start(self.q, self.x)
         if not _finite_real(self.z):
             raise DomainError("x and z must be finite")
@@ -105,6 +106,7 @@ def _near_side(q, h, k, direct, rates, regime):
 
 def potential_grid(params, q, x, z):
     """potential_density at each point of the 1-D float array z, in one pass."""
+    _check_type(params, DiffusionParams, "params")
     _check_rate_and_start(q, x)
     if not np.isfinite(z).all():
         raise DomainError("x and z must be finite")
@@ -125,6 +127,7 @@ def _potential(params, q, x, z):
 
 def potential_density(query):
     """Density of the q-potential measure at z for start state x."""
+    _check_type(query, PotentialQuery, "query")
     return float(_potential(query.params, query.q, query.x,
                             np.array([query.z], dtype=float))[0])
 
@@ -156,6 +159,7 @@ def potential_q_to_zero_limit(params, z):
     The limit is the stationary density: a two-sided exponential with a
     jump at the threshold whenever sigma1 != sigma2.
     """
+    _check_type(params, DiffusionParams, "params")
     if not _finite_real(z):
         raise DomainError(f"z must be a finite number, got {z!r}")
     if not (params.mu1 > 0.0 > params.mu2):

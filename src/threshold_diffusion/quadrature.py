@@ -18,12 +18,13 @@ evaluated exactly at a domain endpoint.
 import heapq
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AccuracyError, DomainError, IntegrandError, InvalidParameterError
-from .params import _finite_real, _integer
+from .params import _check_type, _finite_real, _integer
 
 # 15-point Kronrod nodes/weights with the embedded 7-point Gauss rule
 # (odd-indexed nodes). Standard QUADPACK constants.
@@ -196,6 +197,7 @@ def integrate_finite(f, lo, hi, settings=None, seed_points=None):
     (value, error_estimate) with error_estimate <= max(abs_tol, rel_tol*|value|),
     or raises AccuracyError once the subdivision budget is exhausted.
     """
+    _check_type(f, Callable, "f")
     s = settings if settings is not None else _DEFAULT
     if not (_finite_real(lo) and _finite_real(hi)):
         raise DomainError(f"bounds must be finite, got [{lo!r}, {hi!r}]")
@@ -223,6 +225,7 @@ def integrate_semi_infinite(f, lo, decay_rate_hint, settings=None):
     domain is extended if that bound is still too large. When every probe
     reads 0, f is searched for nearer lo before (0.0, 0.0) is returned.
     """
+    _check_type(f, Callable, "f")
     s = settings if settings is not None else _DEFAULT
     if not (_finite_real(decay_rate_hint) and decay_rate_hint > 0):
         raise DomainError(f"decay_rate_hint must be positive, got {decay_rate_hint!r}")

@@ -2,8 +2,8 @@
 
 Reproducibility contract: each path owns a counter-based RNG stream,
 the Philox4x64-10 stream keyed by the pair (seed, path_index). A block of
-paths builds one generator and re-keys it to each path's key, setting the
-counter to where that path's stream resumes, so every path reads exactly
+paths builds one generator and re-keys it to each path's key from plain ints,
+with the counter where that path's stream resumes, so every path reads exactly
 the stream a fresh Philox(key=(seed, path_index)) would give. Uniform
 variates come from numpy's 53-bit Generator.random; normals are produced
 by Wichura's AS241 inverse-CDF polynomial implemented below, so the
@@ -12,9 +12,9 @@ execution therefore produce identical ensembles, block and chunk splits
 included. Terminal ensembles run blocks of at most 2048 paths, the hitting
 transform one block per thread; each worker holds at most _NOISE_BUDGET
 bytes of noise at once, so memory grows with threads, not with n_paths.
-Each step factory turns a noise chunk into the increment terms its steps
-add, one cache-sized sub-chunk at a time, with the same products and sums
-in the same order as a step that computed them itself.
+A step factory, given a block's path count and a step size, turns a noise
+chunk into the increment terms its steps add, one cache-sized sub-chunk at a
+time, with the products and sums, in order, of a step computing them itself.
 
 The scheme freezes the regime at the left endpoint of every step; the
 coefficients are discontinuous at the threshold, so survival-type
@@ -32,7 +32,7 @@ import numpy as np
 
 from .control import ControlProblem, _ThresholdPolicy
 from .errors import DomainError, InvalidParameterError, PolicyError
-from .params import DiffusionParams, _check_rate, _finite_real, _integer
+from .params import DiffusionParams, _check_rate, _check_type, _finite_real, _integer
 
 # shifts [0,1) uniforms strictly inside (0,1) so the inverse CDF stays finite
 _U_SHIFT = 2.0 ** -54
@@ -120,27 +120,18 @@ def _ppf_slab(u, out, work):
 _PPF_SLAB = 65536
 
 
-def _norm_ppf(u, out=None):
+def _norm_ppf(u):
     """Inverse standard-normal CDF (AS241), vectorized, u strictly in (0,1).
 
-    Writes into `out` when given (same shape as u). The transpose of a
-    C-ordered 2-D array, such as a path-major slab of uniforms read
-    step-major, is evaluated in its memory order and written back
-    transposed.
+    Evaluates a C-ordered copy of u one slab at a time into a new array of u's shape.
     """
-    u = np.asarray(u, dtype=float)
-    if out is None:
-        out = np.empty(u.shape)
-    flip = u.ndim == 2 and not u.flags.c_contiguous and u.T.flags.c_contiguous
-    src = (u.T if flip else np.ascontiguousarray(u)).reshape(-1)
-    direct = not flip and out.flags.c_contiguous
-    res = out.reshape(-1) if direct else np.empty(src.size)
+    u = np.asarray(u, dtype=float, order="C")
+    out = np.empty(u.shape)
+    src, res = u.reshape(-1), out.reshape(-1)
     n = min(_PPF_SLAB, src.size)
     work = (np.empty((4, n)), np.empty(n, dtype=bool))
     for i in range(0, src.size, _PPF_SLAB):
         _ppf_slab(src[i:i + _PPF_SLAB], res[i:i + _PPF_SLAB], work)
-    if not direct:
-        np.copyto(out, res.reshape(u.T.shape).T if flip else res.reshape(u.shape))
     return out
 
 
@@ -153,19 +144,17 @@ def _draw_block_normals(gen, paths, col0, n_cols):
     step-major: row k holds column col0 + k of every path in `paths`.
 
     gen comes from _path_generator(seed, ...) and is re-keyed to (seed, i)
-    for each path i. Philox emits four 64-bit words per counter value and
-    Generator.random takes one word per double, so column col0 starts
-    col0 % 4 words into the block of counter col0 // 4 + 1: the counter is
-    set to col0 // 4 with an empty buffer and col0 % 4 words are discarded.
-    Uniforms are drawn one cache-sized slab of paths at a time, and each
-    slab is turned into normals straight into its columns of the output.
+    for each path i from a state of plain Python ints. Philox emits four
+    64-bit words per counter value and Generator.random takes one word per
+    double, so column col0 starts col0 % 4 words into the block of counter
+    col0 // 4 + 1: the counter is set to col0 // 4 with an empty buffer and
+    col0 % 4 words are discarded. Each cache-sized slab of paths is drawn
+    path-major, and one _norm_ppf call writes its normals into its columns.
     """
     bitgen = gen.bit_generator
-    state = bitgen.state
-    key, counter = state["state"]["key"], state["state"]["counter"]
-    counter[:] = 0
-    counter[0] = col0 // 4
-    state["buffer_pos"] = 4
+    key = [int(bitgen.state["state"]["key"][0]), 0]
+    state = {"bit_generator": "Philox", "state": {"counter": [col0 // 4, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     skip = col0 % 4
     out = np.empty((n_cols, len(paths)))
     per = max(1, _PPF_SLAB // n_cols)
@@ -179,7 +168,7 @@ def _draw_block_normals(gen, paths, col0, n_cols):
                 bitgen.random_raw(skip)
             gen.random(out=row)
         rows += _U_SHIFT
-        _norm_ppf(rows.T, out[:, j:j + per])
+        out[:, j:j + per] = _norm_ppf(rows).T
     return out
 
 
@@ -236,15 +225,8 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        if not isinstance(self.params, DiffusionParams):
-            raise InvalidParameterError(
-                f"params must be a DiffusionParams, got {self.params!r}")
+        _check_type(self.params, DiffusionParams, "params")
         _check_run(self.x0, self.horizon, self.dt, self.n_paths, self.seed)
-
-
-def _check_config(config):
-    if not isinstance(config, SimConfig):
-        raise InvalidParameterError(f"config must be a SimConfig, got {config!r}")
 
 
 def _mean_se(values):
@@ -332,20 +314,19 @@ def _increment_rows(z, buf, fill):
 def _terminal_block(seed, idx0, count, x0, horizon, dt, step_factory):
     """Evolve one path block to the horizon, regime frozen per step.
 
-    step_factory(count) returns steps_for, which owns this block's work
-    buffers, so blocks running on different threads never share state.
-    steps_for(dt_step) gives (fill, step) for steps of that size: fill as in
-    _increment_rows, and step(x, t, on, off) advancing x from time t with
-    one row of each. Noise is drawn in chunks of columns; each path consumes
-    its own stream sequentially, so the chunking leaves the results untouched.
+    step_factory(count, dt_step) gives (fill, step) for steps of that size on
+    `count` paths, with work buffers of their own, so blocks running on
+    different threads never share state: fill as in _increment_rows, and
+    step(x, t, on, off) advancing x from time t with one row of each. Noise
+    is drawn in chunks of columns; each path consumes its own stream
+    sequentially, so the chunking leaves the results untouched.
     """
     gen = _path_generator(seed, idx0)
     paths = range(idx0, idx0 + count)
-    steps_for = step_factory(count)
     buf = np.empty(max(_SUB_DOUBLES, count))
     n_full, rem = _step_layout(horizon, dt)
     x = np.full(count, float(x0))
-    fill, step = steps_for(dt)
+    fill, step = step_factory(count, dt)
     done = 0
     while done < n_full:
         m = _chunk_steps(count, n_full - done)
@@ -353,8 +334,8 @@ def _terminal_block(seed, idx0, count, x0, horizon, dt, step_factory):
                         done, dt)
         done += m
     if rem > 0.0:
-        _terminal_steps(x, _draw_block_normals(gen, paths, n_full, 1), buf, *steps_for(rem),
-                        n_full, dt)
+        _terminal_steps(x, _draw_block_normals(gen, paths, n_full, 1), buf,
+                        *step_factory(count, rem), n_full, dt)
     return x
 
 
@@ -377,27 +358,24 @@ def _plain_step(params):
     dmu, ds = params.mu1 - params.mu2, params.sigma1 - params.sigma2
     a = params.a
 
-    def make(count):
+    def steps_for(count, dt_step):
         w = np.empty(count)
+        sq = math.sqrt(dt_step)
+        c1, d1, c2, d2 = ds * sq, dmu * dt_step, s2 * sq, mu2 * dt_step
 
-        def steps_for(dt_step):
-            sq = math.sqrt(dt_step)
-            c1, d1, c2, d2 = ds * sq, dmu * dt_step, s2 * sq, mu2 * dt_step
+        def fill(z, on):
+            np.multiply(z, c1, out=on)
+            on += d1
+            z *= c2
 
-            def fill(z, on):
-                np.multiply(z, c1, out=on)
-                on += d1
-                z *= c2
-
-            def step(x, t, on, off):
-                np.less_equal(x, a, out=w)
-                np.multiply(w, on, out=w)
-                np.add(w, off, out=w)
-                np.add(w, d2, out=w)
-                x += w
-            return fill, step
-        return steps_for
-    return make
+        def step(x, t, on, off):
+            np.less_equal(x, a, out=w)
+            np.multiply(w, on, out=w)
+            np.add(w, off, out=w)
+            np.add(w, d2, out=w)
+            x += w
+        return fill, step
+    return steps_for
 
 
 def _two_valued_fill(on_pair, off_pair):
@@ -453,7 +431,7 @@ def simulate_paths(config, threads=1):
     Deterministic given config.seed: same seed, same ensemble, independent
     of block or thread count.
     """
-    _check_config(config)
+    _check_type(config, SimConfig, "config")
     threads = _check_threads(threads)
     out = _terminal_values(config.seed, config.x0, config.horizon, config.dt,
                            config.n_paths, _plain_step(config.params), threads)
@@ -471,19 +449,17 @@ def _policy_pair(problem, vol, dt_step):
 def _threshold_policy_step(problem, policy):
     """Step factory for a _ThresholdPolicy whose two volatilities the problem
     admits: policy.level(t) splits the paths, with no call to the policy itself."""
-    def make(count):
+    def steps_for(count, dt_step):
         mask = np.empty(count, dtype=bool)
 
         def step(x, t, on, off):
             x += np.where(np.less_equal(x, policy.level(t), out=mask), on, off)
 
-        def steps_for(dt_step):
-            on_pair = _policy_pair(problem, policy.at_or_below, dt_step)
-            off_pair = _policy_pair(problem, policy.above, dt_step)
-            return (_two_valued_fill(on_pair, off_pair),
-                    step if on_pair != off_pair else _take_off)
-        return steps_for
-    return make
+        on_pair = _policy_pair(problem, policy.at_or_below, dt_step)
+        off_pair = _policy_pair(problem, policy.above, dt_step)
+        return (_two_valued_fill(on_pair, off_pair),
+                step if on_pair != off_pair else _take_off)
+    return steps_for
 
 
 def _policy_step(problem, policy):
@@ -510,10 +486,10 @@ def _policy_step(problem, policy):
                 f"admissible values are {slow!r} and {sbar!r}")
         x += np.where(high, on, off)
 
-    def steps_for(dt_step):
+    def steps_for(count, dt_step):
         return (_two_valued_fill(_policy_pair(problem, sbar, dt_step),
                                  _policy_pair(problem, slow, dt_step)), step)
-    return lambda count: steps_for
+    return steps_for
 
 
 def simulate_policy(problem, policy, dt, n_paths, seed, threads=1):
@@ -526,8 +502,7 @@ def simulate_policy(problem, policy, dt, n_paths, seed, threads=1):
     The library's threshold policies are stepped without calling them, with
     the same arithmetic, when the problem admits both of their volatilities.
     """
-    if not isinstance(problem, ControlProblem):
-        raise InvalidParameterError(f"problem must be a ControlProblem, got {problem!r}")
+    _check_type(problem, ControlProblem, "problem")
     if not callable(policy):
         raise PolicyError(f"policy must be callable as policy(states, t), got {policy!r}")
     _check_run(problem.x0, problem.T, dt, n_paths, seed)
@@ -549,7 +524,7 @@ def empirical_hitting_transform(config, level, q, threads=1):
     transform already encodes killing, so no infinite hitting time appears).
     Returns (estimate, standard_error). Exact 1 when level == x0.
     """
-    _check_config(config)
+    _check_type(config, SimConfig, "config")
     threads = _check_threads(threads)
     _check_rate(q)
     if not _finite_real(level):

@@ -14,12 +14,6 @@ from threshold_diffusion import (AccuracyError, ControlProblem, DensityQuery, Ex
 from threshold_diffusion import cli
 from threshold_diffusion.validate import CheckResult, criterion_3, criterion_11
 
-# a numpy warning that escapes the library fails the test; Hypothesis's own report
-# hook warns about a deprecated mypy_extensions name, which is not the test's fault
-pytestmark = [pytest.mark.filterwarnings("error"),
-              pytest.mark.filterwarnings(
-                  "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")]
-
 BM_FLAGS = ["--mu1", "0", "--mu2", "0", "--sigma1", "1", "--sigma2", "1", "--a", "0"]
 TR_FLAGS = ["--mu1", "1", "--mu2", "-1", "--sigma1", "1", "--sigma2", "2", "--a", "0"]
 TR = make_params(1.0, -1.0, 1.0, 2.0, 0.0)

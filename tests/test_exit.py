@@ -14,12 +14,6 @@ from threshold_diffusion import (DegenerateIntervalError, DomainError, ExitQuery
                                  one_sided_up, two_sided_exit)
 from threshold_diffusion.exit import two_sided_exit_grid
 
-# a numpy warning that escapes the library fails the test; Hypothesis's own report
-# hook warns about a deprecated mypy_extensions name, which is not the test's fault
-pytestmark = [pytest.mark.filterwarnings("error"),
-              pytest.mark.filterwarnings(
-                  "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")]
-
 TWO_REGIME = make_params(1.0, -1.0, 1.0, 2.0, 0.0)
 
 BATTERY = (

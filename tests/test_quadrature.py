@@ -11,12 +11,6 @@ from threshold_diffusion import (AccuracyError, DomainError, IntegrandError,
 from threshold_diffusion.params import deltas, h_kernel
 from threshold_diffusion.quadrature import _convolve_batch
 
-# a numpy warning that escapes the library fails the test; Hypothesis's own report
-# hook warns about a deprecated mypy_extensions name, which is not the test's fault
-pytestmark = [pytest.mark.filterwarnings("error"),
-              pytest.mark.filterwarnings(
-                  "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")]
-
 
 def convolve(t, x1, mu1, x2, mu2):
     """One-element _convolve_batch: integral_0^t h(t-tau; x1, mu1) h(tau; x2, mu2) dtau."""

