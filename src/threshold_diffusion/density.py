@@ -26,7 +26,7 @@ from .errors import AccuracyError, DomainError
 from .inversion import _vouched
 from .params import DiffusionParams, _check_type, _finite_real, deltas
 from .potential import _resolvent, potential_q_to_zero_limit
-from .quadrature import _DEFAULT, _convolve_batch, integrate_semi_infinite
+from .quadrature import _DEFAULT, QuadSettings, _convolve_batch, integrate_semi_infinite
 
 # the double integral may be skipped when the closed-form part dominates
 # its Laplace-side bound by this factor
@@ -70,23 +70,24 @@ def _gaussian_pair(params, t, x, z):
     return norm * (math.exp(direct) - math.exp(mirror))
 
 
-def _crossing_integral(params, t, rate, c1, c2, log_scale):
+def _crossing_integral(params, t, rate, c1, c2, log_scale, settings):
     """Overshoot integral of the crossing part, without its 2 / sigma^2 factor.
 
     With overshoot b, the first-passage displacements are (b + c1) / sigma1
     below a, run for t - tau, and (b + c2) / sigma2 above a, run for tau.
+    settings hold the outer b-integral; each tau-convolution keeps _DEFAULT.
     """
     s1, s2 = params.sigma1, params.sigma2
 
     def outer(b):
         vals, _ = _convolve_batch(t, (b + c1) / s1, -params.mu1 / s1,
-                                  (b + c2) / s2, params.mu2 / s2, log_scale=log_scale)
+                                  (b + c2) / s2, params.mu2 / s2, log_scale, _DEFAULT)
         return vals
 
     # far from a the kernels' squared exponents overflow to inf, and exp takes them to
     # 0; at a horizon of 1e-300 their prefactors overflow, which _gk15 refuses
     with np.errstate(all="ignore"):
-        val, _ = integrate_semi_infinite(outer, 0.0, rate)
+        val, _ = integrate_semi_infinite(outer, 0.0, rate, settings)
     return val
 
 
@@ -134,7 +135,9 @@ def transition_density(query):
         if unresolved:
             raise AccuracyError(f"transition density at t={t!r}: neither Talbot nor the "
                                 "closed-form Gaussian pair vouches for its value")
-        val = gauss + weight * _crossing_integral(p, t, rate, c1, c2, log_scale)
+        # the weight multiplies the integral's error too: hold it to the density's tolerance
+        settings = QuadSettings(_DEFAULT.abs_tol / max(1.0, weight), _DEFAULT.rel_tol)
+        val = gauss + weight * _crossing_integral(p, t, rate, c1, c2, log_scale, settings)
     except OverflowError as exc:
         raise AccuracyError(f"transition density overflows at t={t!r}") from exc
     return max(val, 0.0)

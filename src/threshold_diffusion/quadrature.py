@@ -1,22 +1,21 @@
 """Adaptive Gauss-Kronrod quadrature tuned for the library's kernel integrals.
 
 One engine serves every integral: _gk15 applies the 15-point Kronrod rule
-and its embedded 7-point Gauss rule to a whole list of panels in a single
-integrand call, and _adaptive bisects the worst panels first until the
-error estimate |Kronrod - Gauss| meets the tolerance. The integrand may be
-a batch: it then returns one row per batch element, the panels are shared
-by the batch, and refinement goes on until every element is converged.
-integrate_finite runs the engine on a single integrand (and
-integrate_semi_infinite on top of it); _convolve_batch runs it on the fused
-product of two first-passage kernels, one row per displacement pair.
+and its embedded 7-point Gauss rule to an array of panels in a single
+integrand call, and _adaptive, QUADPACK's worst-first scheme, bisects the
+four worst panels a round until the error estimate |Kronrod - Gauss| meets
+the tolerance. The integrand may be a batch: it then returns one row per
+batch element, the panels are shared by the batch, and refinement goes on
+until every element is converged. integrate_finite runs the engine on a
+single integrand (and integrate_semi_infinite on top of it); _convolve_batch
+runs it on the fused product of two first-passage kernels, one row per
+overshoot node of the transition density's crossing integral.
 
 Callables passed to this module must accept a 1-d ndarray and return an
 array whose last axis matches it. Panels are open: no integrand is ever
 evaluated exactly at a domain endpoint.
 """
 
-import heapq
-import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -72,7 +71,7 @@ _WG = np.array([
     0.129484966168869693270611432679082,
 ])
 
-_REFINE_BATCH = 8
+_REFINE_BATCH = 4  # panels bisected per round
 
 # integrate_semi_infinite truncates where its implied tail bound drops below this
 _TRUNCATION_EPSILON = 1e-12
@@ -106,8 +105,6 @@ def _gk15(f, los, his):
     them: one row per batch element, or a 1-d array for a single integrand.
     Returns the Kronrod sums and |Kronrod - Gauss|, shaped (..., panels).
     """
-    los = np.asarray(los, dtype=float)
-    his = np.asarray(his, dtype=float)
     centers = 0.5 * (los + his)
     halves = 0.5 * (his - los)
     nodes = (centers[:, None] + halves[:, None] * _XGK[None, :]).ravel()
@@ -122,60 +119,56 @@ def _gk15(f, los, his):
     return kron, np.abs(kron - gauss)
 
 
-def _adaptive(f, bounds, settings, what):
-    """Worst-first adaptive GK15 over the panels between consecutive bounds.
+def _adaptive(f, lo, hi, seeds, settings, what):
+    """Worst-first adaptive GK15 on [lo, hi], with the distinct seeds inside it as panel bounds.
 
-    The panels are shared by every batch element of f (see _gk15). They are
-    ranked by their largest error over the batch and bisected _REFINE_BATCH
-    at a time until each element's error is within max(abs_tol,
-    rel_tol*|value|). A panel too narrow to bisect is retired with its error
-    left in the total; AccuracyError is raised once the retired error of an
-    element exceeds its allowance, or once the subdivision budget is spent.
-    Returns (values, error_estimates) shaped like one row of f's output.
+    The panels are shared by every batch element of f (see _gk15). Each round bisects
+    the _REFINE_BATCH panels of largest error over the batch, until each element's error
+    is within max(abs_tol, rel_tol*|value|). A panel too narrow to bisect is retired with
+    its error left in the total; AccuracyError is raised once the retired error of an
+    element exceeds its allowance, or once the subdivision budget is spent. Returns
+    (values, error_estimates) shaped like one row of f's output.
     """
-    heap = []
-    counter = itertools.count()
-
-    def evaluate(los, his):
-        kron, err = _gk15(f, los, his)
-        worst = err.reshape(-1, len(los)).max(axis=0)
-        for j in range(len(los)):
-            heapq.heappush(heap, (-worst[j], next(counter), los[j], his[j],
-                                  kron[..., j], err[..., j]))
-        return kron.sum(axis=-1), err.sum(axis=-1)
-
-    totals, errors = evaluate(bounds[:-1], bounds[1:])
-    n_sub = len(bounds) - 1
+    bounds = [lo, *sorted(p for p in {float(p) for p in seeds} if lo < p < hi), hi]
+    los, his = np.array(bounds[:-1], dtype=float), np.array(bounds[1:], dtype=float)
+    kron, err = _gk15(f, los, his)
+    totals, errors = kron.sum(axis=-1), err.sum(axis=-1)
+    n_sub = len(los)
     retired = 0.0  # error locked in panels too narrow to bisect
 
     while True:
         allowed = np.maximum(settings.abs_tol, settings.rel_tol * np.abs(totals))
         if np.all(errors <= allowed):
             return totals, errors
-        if n_sub >= settings.max_subdivisions or not heap:
+        if n_sub >= settings.max_subdivisions or not len(los):
             raise AccuracyError(
                 f"{what}: worst residual {float(np.max(errors)):.3e} after "
                 f"{n_sub} subdivisions", estimate=totals, error_estimate=errors)
-        split_los, split_his = [], []
-        while heap and len(split_los) < _REFINE_BATCH:
-            _, _, plo, phi, pk, pe = heapq.heappop(heap)
-            mid = 0.5 * (plo + phi)
-            if mid <= plo or mid >= phi:
-                retired = retired + pe
+        mids = 0.5 * (los + his)
+        done, split = [], []
+        # panels are kept in the order they were made; the stable sort ranks ties that way
+        for j in np.argsort(-err.reshape(-1, len(los)).max(axis=0), kind="stable"):
+            if len(split) == _REFINE_BATCH:
+                break
+            done.append(j)
+            if not los[j] < mids[j] < his[j]:
+                retired = retired + err[..., j]
                 if np.any(retired > allowed):
                     raise AccuracyError(
                         f"{what}: residual error trapped in panels at machine width",
                         estimate=totals, error_estimate=errors)
                 continue
-            totals = totals - pk
-            errors = errors - pe
-            split_los.extend([plo, mid])
-            split_his.extend([mid, phi])
-        if split_los:
-            added, added_err = evaluate(split_los, split_his)
-            totals = totals + added
-            errors = errors + added_err
-            n_sub += len(split_los)
+            totals, errors = totals - kron[..., j], errors - err[..., j]
+            split.append(j)
+        new_los = np.stack([los[split], mids[split]], axis=-1).ravel()  # left, right halves
+        new_his = np.stack([mids[split], his[split]], axis=-1).ravel()
+        new_kron, new_err = _gk15(f, new_los, new_his) if split else (kron[..., :0], err[..., :0])
+        totals, errors = totals + new_kron.sum(axis=-1), errors + new_err.sum(axis=-1)
+        n_sub += len(new_los)
+        los = np.append(np.delete(los, done), new_los)
+        his = np.append(np.delete(his, done), new_his)
+        kron = np.append(np.delete(kron, done, axis=-1), new_kron, axis=-1)
+        err = np.append(np.delete(err, done, axis=-1), new_err, axis=-1)
 
 
 def integrate_finite(f, lo, hi, settings=None, seed_points=None):
@@ -205,13 +198,7 @@ def integrate_finite(f, lo, hi, settings=None, seed_points=None):
         raise DomainError(f"lo must be <= hi, got [{lo!r}, {hi!r}]")
     if lo == hi:
         return 0.0, 0.0
-
-    bounds = [lo]
-    for p in sorted(set(float(p) for p in (seed_points or []))):
-        if lo < p < hi and p > bounds[-1]:
-            bounds.append(p)
-    bounds.append(hi)
-    value, err = _adaptive(f, bounds, s, "integrate_finite")
+    value, err = _adaptive(f, lo, hi, seed_points or (), s, "integrate_finite")
     return float(value), float(err)
 
 
@@ -300,50 +287,26 @@ def _layer_seeds(t, scale):
     return out
 
 
-def _convolve_batch(t, x1, mu1, x2, mu2, log_scale=0.0, settings=None):
+def _convolve_batch(t, x1, mu1, x2, mu2, log_scale, settings):
     """Batched exp(log_scale) * integral_0^t h(t-tau; x1_i, mu1) h(tau; x2_i, mu2) dtau.
 
-    x1, x2 (and optionally log_scale) are broadcast to a common batch shape;
-    the tau panels are shared across the batch and refined until every batch
-    element meets the tolerance. Returns (values, error_estimates).
+    t > 0, and x1, x2 are 1-d arrays of positive displacements of one length.
+    One _adaptive run refines tau panels shared by the batch until every
+    element meets settings. Returns (values, error_estimates).
     """
-    s = settings if settings is not None else _DEFAULT
-    if not (math.isfinite(t) and t > 0):
-        raise DomainError(f"t must be positive, got {t!r}")
-    x1 = np.atleast_1d(np.asarray(x1, dtype=float))
-    x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-    x1, x2 = np.broadcast_arrays(x1, x2)
-    ls = np.broadcast_to(np.asarray(log_scale, dtype=float), x1.shape)
-    if np.any(x1 < 0) or np.any(x2 < 0):
-        raise DomainError("convolution displacements must be nonnegative")
-
     def kernel(tau):
         # fused product of the two kernels; exponents combined before exp so the
         # log_scale shift can never overflow on its own
         rem = t - tau
-        expo = (ls[:, None]
-                - (x1[:, None] + mu1 * rem[None, :]) ** 2 / (2.0 * rem[None, :])
-                - (x2[:, None] + mu2 * tau[None, :]) ** 2 / (2.0 * tau[None, :]))
-        pref = (x1[:, None] * x2[:, None]) / (2.0 * np.pi * (rem * tau)[None, :] ** 1.5)
+        expo = (log_scale
+                - (x1[:, None] + mu1 * rem) ** 2 / (2.0 * rem)
+                - (x2[:, None] + mu2 * tau) ** 2 / (2.0 * tau))
+        pref = (x1[:, None] * x2[:, None]) / (2.0 * np.pi * (rem * tau) ** 1.5)
         with np.errstate(under="ignore"):
             return pref * np.exp(expo)
 
     # boundary layers: the x1 kernel concentrates where t - tau is at its mode
     # scale, the x2 kernel where tau is; they shrink like displacement^2
-    pos1 = x1[x1 > 0]
-    pos2 = x2[x2 > 0]
-    seeds = []
-    if pos1.size:
-        for w in _layer_seeds(t, _h_mode(float(pos1.min()), mu1)):
-            seeds.append(t - w)
-    if pos2.size:
-        seeds.extend(_layer_seeds(t, _h_mode(float(pos2.min()), mu2)))
-
-    bounds = [0.0]
-    for p in sorted(set(seeds)):
-        if 0.0 < p < t and p > bounds[-1] * (1 + 1e-12):
-            bounds.append(p)
-    bounds.append(t)
-
-    return _adaptive(kernel, bounds, s, "convolution quadrature")
-
+    seeds = [t - w for w in _layer_seeds(t, _h_mode(float(x1.min()), mu1))]
+    seeds += _layer_seeds(t, _h_mode(float(x2.min()), mu2))
+    return _adaptive(kernel, 0.0, t, seeds, settings, "convolution quadrature")

@@ -9,6 +9,8 @@ are thread-invariant by contract, and criterion 11 checks that.
 
 import os
 
+import pytest
+
 from threshold_diffusion import validate
 
 
@@ -29,6 +31,7 @@ def test_criterion_03_single_regime_reduction():
     _check(validate.criterion_3)
 
 
+@pytest.mark.slow
 def test_criterion_04_laplace_consistency():
     _check(validate.criterion_4)
 
@@ -37,18 +40,22 @@ def test_criterion_05_normalization():
     _check(validate.criterion_5)
 
 
+@pytest.mark.slow
 def test_criterion_06_chapman_kolmogorov():
     _check(validate.criterion_6)
 
 
+@pytest.mark.slow
 def test_criterion_07_stationary_law():
     _check(validate.criterion_7)
 
 
+@pytest.mark.slow
 def test_criterion_08_exit_transforms():
     _check(validate.criterion_8)
 
 
+@pytest.mark.slow
 def test_criterion_09_control_value():
     _check(validate.criterion_9)
 

@@ -245,30 +245,90 @@ def test_long_horizon_density_matches_mpmath_without_the_crossing_quadrature(
     assert abs(p_at(make_params(*fields), t, x, z) - want) <= max(1e-9, 1e-7 * want)
 
 
-# Two silent misses of the crossing quadrature, against 40- and 60-digit mpmath
-# Talbot (and de Hoog) on the resolvent, which agree on every digit pinned here.
-# Both pass once the density tries the gated Talbot sum first.
-@pytest.mark.xfail(strict=True, reason="the crossing quadrature reads 2.424841e-3 here")
+# The crossing quadrature against 40- and 60-digit mpmath Talbot (and de Hoog)
+# on the resolvent, which agree on every digit pinned here. Its outer integral
+# must meet abs_tol / max(1, 2 / sigma^2): at abs_tol it read 2.424841e-3 and
+# 9.519e-8.
 def test_ordinary_horizon_density_meets_its_tolerance():
     want = 2.424853427595e-3
     got = p_at(make_params(-0.0618, -2.8226, 0.0956, 0.9626, 0.0), 46.93, 0.7455, -0.8512)
     assert abs(got - want) <= max(1e-9, 1e-7 * want)
 
 
-@pytest.mark.xfail(strict=True, reason="below abs_tol the quadrature keeps no relative "
-                                       "accuracy; it reads 4.36e-11 here")
+@pytest.mark.xfail(reason="below abs_tol the quadrature keeps no relative "
+                          "accuracy; it reads 4.36e-11 here")
 def test_long_horizon_tail_density_keeps_relative_accuracy():
     want = 4.374445266101e-10
     got = p_at(make_params(-0.7, -0.2, 3.0, 1.0, 1.2), 1000.0, 0.1, 0.2)
     assert abs(got - want) <= 1e-3 * want
 
 
-@pytest.mark.xfail(strict=True, reason="the crossing quadrature reads 9.519e-8 here")
 def test_crossing_density_meets_its_tolerance():
     # 40- and 60-digit mpmath Talbot on the resolvent agree on every digit pinned here
     want = 1.14793777467836e-7
     got = p_at(make_params(0.3814, 0.5267, 0.2041, 0.4063, 0.0), 11.868, 0.088, -0.3746)
     assert abs(got - want) <= max(1e-9, 1e-7 * want)
+
+
+def _sweep_point(index):
+    """Point `index` of the seeded density sweep: (mu1, mu2, sigma1, sigma2, 0), t, x, z."""
+    rng = np.random.default_rng(20261019)
+    for _ in range(index + 1):
+        mus = rng.uniform(-3.0, 3.0, 2)
+        sigmas = np.exp(rng.uniform(math.log(0.08), math.log(2.7), 2))
+        t = float(np.exp(rng.uniform(math.log(0.007), math.log(55.0))))
+        x, z = rng.uniform(-4.0, 4.0, 2)
+    return (*(float(v) for v in (*mus, *sigmas)), 0.0), t, float(x), float(z)
+
+
+def _mp_density(mp, fields, t, x, z):
+    """Talbot inversion of the closed-form resolvent / q at the working precision,
+    written for a = 0 after the library's mirror, with d(+/-) = (w +/- mu) / sigma^2."""
+    mu1, mu2, s1, s2, _ = (mp.mpf(v) for v in fields)
+    x, z = mp.mpf(x), mp.mpf(z)
+    if x < 0:
+        (mu1, s1), (mu2, s2), x, z = (-mu2, s2), (-mu1, s1), -x, -z
+
+    def transform(q):
+        w1, w2 = mp.sqrt(2 * q * s1 ** 2 + mu1 ** 2), mp.sqrt(2 * q * s2 ** 2 + mu2 ** 2)
+        out, back = (w2 - mu2) / s2 ** 2, (w2 + mu2) / s2 ** 2
+        cross, far = (w1 - mu1) / s1 ** 2, (w1 + mu1) / s1 ** 2
+        if z < 0:
+            return (far + cross) / (back + cross) * mp.exp(-back * x + far * z) / w1
+        direct = mp.exp(-out * (z - x) if z >= x else back * (z - x))
+        return (direct + (out - cross) / (back + cross) * mp.exp(-out * z - back * x)) / w2
+    return mp.invertlaplace(transform, mp.mpf(t), method="talbot")
+
+
+# Reference values of the sweep points that the density once missed (the first
+# six) or that a Talbot-first route refused (the last five), identical at 40 and
+# 60 digits
+SWEEP_PINS = {79: 2.984404229756667e-08, 541: 6.0493709962316215e-06,
+              1113: 1.1443456294237129e-07, 1300: 1.1518542334763766e-07,
+              1446: 1.6681142715555938e-05, 1497: 4.3074588076009936e-04,
+              477: 0.20724513069611405, 680: 1.8295925049539505,
+              1869: 1.5508478435592252e-06, 1919: 0.04033886934343952,
+              2026: 0.9728919865592064}
+
+
+@pytest.mark.parametrize("index", sorted(set(SWEEP_PINS) | set(range(0, 2500, 50))))
+def test_density_matches_mpmath_on_the_seeded_sweep(index):
+    # the sweep draws (mu1, mu2), (sigma1, sigma2) log-uniform on [0.08, 2.7], t
+    # log-uniform on [0.007, 55] and (x, z) in this order; a point counts only
+    # where the 40- and 60-digit references agree
+    mp = pytest.importorskip("mpmath")
+    fields, t, x, z = _sweep_point(index)
+    refs = []
+    for dps in (40, 60):
+        with mp.workdps(dps):
+            refs.append(float(_mp_density(mp, fields, t, x, z)))
+    want = refs[1]
+    if abs(refs[0] - want) > max(1e-13, 1e-10 * abs(want)):
+        pytest.skip(f"40- and 60-digit references differ: {refs!r}")
+    if index in SWEEP_PINS:
+        assert want == pytest.approx(SWEEP_PINS[index], rel=1e-13)
+    got = p_at(make_params(*fields), t, x, z)
+    assert abs(got - want) <= max(1e-9, 1e-7 * abs(want))
 
 
 def test_small_volatility_transport_peak_takes_the_certified_gaussian_pair():
@@ -303,6 +363,7 @@ def _binned_masses(params, t, x0, edges):
     return out
 
 
+@pytest.mark.slow
 def test_monte_carlo_histogram_drift_switch():
     # binned t = 1 law from 1e5 Euler paths vs quadrature of the density;
     # with equal volatilities the Euler weak error is far below the MC noise
@@ -314,6 +375,7 @@ def test_monte_carlo_histogram_drift_switch():
         assert abs(freq[i] - mass) <= 3.0 * se, f"bin {i}: {freq[i]} vs {mass}"
 
 
+@pytest.mark.slow
 def test_monte_carlo_histogram_volatility_switch():
     # a volatility discontinuity gives Euler paths an O(sqrt(dt)) weak error
     # concentrated near the threshold (measured coefficient ~0.5 for this

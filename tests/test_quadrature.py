@@ -5,16 +5,21 @@ import math
 import numpy as np
 import pytest
 
-from threshold_diffusion import (AccuracyError, DomainError, IntegrandError,
+from threshold_diffusion import (AccuracyError, DensityQuery, DomainError, IntegrandError,
                                  InvalidParameterError, QuadSettings, integrate_finite,
-                                 integrate_semi_infinite, make_params)
+                                 integrate_semi_infinite, make_params, transition_density)
+from threshold_diffusion import quadrature
 from threshold_diffusion.params import deltas, h_kernel
 from threshold_diffusion.quadrature import _convolve_batch
+
+SPIKY = lambda x: np.exp(-np.abs(np.asarray(x) - 0.37123) * 2000.0)  # noqa: E731
+BATCH_X1 = np.array([0.05, 1.0, 0.3, 2.0, 0.7])
+BATCH_X2 = np.array([1.2, 0.5, 0.3, 0.1, 0.02])
 
 
 def convolve(t, x1, mu1, x2, mu2):
     """One-element _convolve_batch: integral_0^t h(t-tau; x1, mu1) h(tau; x2, mu2) dtau."""
-    values, _ = _convolve_batch(t, x1, mu1, x2, mu2)
+    values, _ = _convolve_batch(t, np.array([x1]), mu1, np.array([x2]), mu2, 0.0, QuadSettings())
     return float(values[0])
 
 
@@ -59,10 +64,8 @@ def test_subdivision_budget_exhaustion():
     # seed point pins a panel edge on the kink; otherwise the coarse nodes
     # miss the spike entirely and the rule is satisfied with the wrong value
     settings = QuadSettings(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=3)
-    spiky = lambda x: np.exp(-np.abs(np.asarray(x) - 0.37123) * 2000.0)
     with pytest.raises(AccuracyError):
-        integrate_finite(spiky, 0.0, 1.0, settings=settings,
-                         seed_points=(0.37123,))
+        integrate_finite(SPIKY, 0.0, 1.0, settings=settings, seed_points=(0.37123,))
 
 
 def test_semi_infinite_exponential():
@@ -144,20 +147,13 @@ def test_convolution_swap_symmetry():
     assert a == pytest.approx(b, abs=1e-10)
 
 
-def test_convolution_rejects_bad_t():
-    with pytest.raises(DomainError):
-        convolve(0.0, 1.0, 0.0, 1.0, 0.0)
-
-
 def test_convolution_batch_matches_scalar_calls():
     # the batch shares its tau panels; each element must still meet its own
     # tolerance, so it agrees with a scalar call within twice the allowance
     s = QuadSettings()
-    x1 = np.array([0.05, 1.0, 0.3, 2.0, 0.7])
-    x2 = np.array([1.2, 0.5, 0.3, 0.1, 0.02])
-    values, errors = _convolve_batch(1.0, x1, 0.7, x2, -0.4)
-    assert values.shape == errors.shape == (len(x1),)
-    for v, e, a, b in zip(values, errors, x1, x2):
+    values, errors = _convolve_batch(1.0, BATCH_X1, 0.7, BATCH_X2, -0.4, 0.0, s)
+    assert values.shape == errors.shape == (len(BATCH_X1),)
+    for v, e, a, b in zip(values, errors, BATCH_X1, BATCH_X2):
         want = convolve(1.0, float(a), 0.7, float(b), -0.4)
         allowance = max(s.abs_tol, s.rel_tol * abs(want))
         assert e <= allowance
@@ -167,11 +163,32 @@ def test_convolution_batch_matches_scalar_calls():
 def test_convolution_budget_exhaustion_reports_every_element():
     settings = QuadSettings(abs_tol=1e-300, rel_tol=1e-15, max_subdivisions=1)
     with pytest.raises(AccuracyError) as info:
-        _convolve_batch(1.0, [0.5, 1.0], 0.0, [0.5, 0.2], 0.0, settings=settings)
+        _convolve_batch(1.0, np.array([0.5, 1.0]), 0.0, np.array([0.5, 0.2]), 0.0, 0.0, settings)
     assert isinstance(info.value.estimate, np.ndarray)
     assert isinstance(info.value.error_estimate, np.ndarray)
     assert info.value.estimate.shape == info.value.error_estimate.shape == (2,)
     assert np.all(info.value.error_estimate > 0.0)
+
+
+# The worst-first order, ties to the older panel, is part of the engine's
+# output: another order of bisection gives other panels and other bits.
+@pytest.mark.parametrize("integral, calls, panels", [
+    (lambda: integrate_finite(SPIKY, 0.0, 1.0, seed_points=(0.37123,)), 8, 54),
+    (lambda: integrate_semi_infinite(lambda u: np.exp(-u), 0.0, 1e-8), 1, 7),
+    (lambda: _convolve_batch(1.0, BATCH_X1, 0.7, BATCH_X2, -0.4, 0.0, QuadSettings()), 3, 30),
+    (lambda: transition_density(DensityQuery(make_params(1.0, -1.0, 1.0, 2.0, 0.0), 1.0, 0.5,
+                                             1.0)), 7, 54),
+], ids=["seeded-spike", "loose-hint", "convolution-batch", "density"])
+def test_refinement_order_keeps_its_gk15_calls_and_panels(monkeypatch, integral, calls, panels):
+    seen = []
+    gk15 = quadrature._gk15
+
+    def counted(f, los, his):
+        seen.append(len(los))
+        return gk15(f, los, his)
+    monkeypatch.setattr(quadrature, "_gk15", counted)
+    integral()
+    assert (len(seen), sum(seen)) == (calls, panels)
 
 
 def test_error_estimates_are_honest():

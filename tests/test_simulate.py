@@ -94,6 +94,7 @@ def test_single_regime_moments():
     assert abs(std - sigma * math.sqrt(T)) <= 0.02
 
 
+@pytest.mark.slow
 def test_survival_probabilities_match_closed_forms():
     # symmetric case: driftless unit-volatility paths end above 0 half the time
     bm = make_params(0.0, 0.0, 1.0, 1.0, 0.0)
