@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError, InvalidParameterError
 from .inversion import _vouched
-from .params import DiffusionParams, _check_type, _finite_real, h_kernel
+from .params import DiffusionParams, _check_type, _real, _store_reals, h_kernel
 from .potential import _tail_transform
 from .quadrature import QuadSettings, _h_mode, _layer_seeds, integrate_finite
 
@@ -50,17 +50,12 @@ class ControlProblem:
     x0: float = 0.0
 
     def __post_init__(self):
-        vals = (self.mu_bar, self.sigma_bar, self.mu_low, self.sigma_low,
-                self.a, self.T, self.x0)
-        if not all(_finite_real(v) for v in vals):
-            raise InvalidParameterError(
-                f"control problem fields must be finite numbers, got {vals!r}")
+        _store_reals(self, ("mu_bar", "sigma_bar", "mu_low", "sigma_low", "a", "T", "x0"),
+                     positive=("T",))
         if not (0.0 < self.sigma_low < self.sigma_bar):
             raise InvalidParameterError(
                 "volatilities must satisfy 0 < sigma_low < sigma_bar, got "
                 f"sigma_low={self.sigma_low!r}, sigma_bar={self.sigma_bar!r}")
-        if self.T <= 0.0:
-            raise InvalidParameterError(f"horizon must be positive, got {self.T!r}")
 
 
 def alpha(problem):
@@ -73,7 +68,8 @@ def alpha(problem):
 def optimal_threshold(problem, t):
     """Switching level a + alpha (T - t); equals a at the horizon."""
     _check_type(problem, ControlProblem, "problem")
-    if not (_finite_real(t) and 0.0 <= t <= problem.T):
+    t = _real(t, "t")
+    if not 0.0 <= t <= problem.T:
         raise DomainError(f"t must lie in [0, T]=[0, {problem.T!r}], got {t!r}")
     return optimal_policy(problem).level(t)
 
@@ -139,8 +135,7 @@ def value_function(problem, x):
     at the first hit of a instead (_first_passage_value), which raises
     AccuracyError when its own inversions cannot vouch for themselves.
     """
-    if not _finite_real(x):
-        raise DomainError(f"x must be a finite number, got {x!r}")
+    x = _real(x, "x")
     params, al = _equivalent_params(problem)
     y0 = x - al * problem.T
     val = _talbot_value(params, problem.T, y0)

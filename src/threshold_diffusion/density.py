@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError
 from .inversion import _vouched
-from .params import DiffusionParams, _check_type, _finite_real, deltas
+from .params import DiffusionParams, _check_type, _real, _store_reals, deltas
 from .potential import _resolvent, potential_q_to_zero_limit
 from .quadrature import _DEFAULT, QuadSettings, _convolve_batch, integrate_semi_infinite
 
@@ -50,10 +50,7 @@ class DensityQuery:
 
     def __post_init__(self):
         _check_type(self.params, DiffusionParams, "params")
-        if not (_finite_real(self.t) and self.t > 0):
-            raise DomainError(f"t must be positive, got {self.t!r}")
-        if not (_finite_real(self.x) and _finite_real(self.z)):
-            raise DomainError("x and z must be finite")
+        _store_reals(self, ("t", "x", "z"), DomainError, positive=("t",))
 
 
 def _gaussian_pair(params, t, x, z):
@@ -170,19 +167,23 @@ def oscillating_bm_density(sigma1, sigma2, a, t, x, z):
     Start states below the threshold are handled by the same reflection
     the general density uses, here just a swap of the two volatilities.
     """
-    args = (sigma1, sigma2, a, t, x, z)
-    if not (all(_finite_real(v) for v in args) and t > 0 and sigma1 > 0 and sigma2 > 0):
-        raise DomainError("oscillating_bm_density needs finite numbers with t, sigma1 and "
-                          f"sigma2 positive, got {args!r}")
+    sigma1 = _real(sigma1, "sigma1", positive=True)
+    sigma2 = _real(sigma2, "sigma2", positive=True)
+    a, t, x, z = _real(a, "a"), _real(t, "t", positive=True), _real(x, "x"), _real(z, "z")
     if x < a:
         return oscillating_bm_density(sigma2, sigma1, -a, t, -x, -z)
-    if z >= a:
-        return ((sigma1 - sigma2) / ((sigma1 + sigma2) * math.sqrt(2.0 * math.pi * t * sigma2 ** 2))
-                * math.exp(-((x + z - 2.0 * a) ** 2) / (2.0 * t * sigma2 ** 2))
-                + 1.0 / math.sqrt(2.0 * math.pi * t * sigma2 ** 2)
-                * math.exp(-((z - x) ** 2) / (2.0 * t * sigma2 ** 2)))
-    return (2.0 * sigma2 / ((sigma1 + sigma2) * sigma1 * math.sqrt(2.0 * math.pi * t))
-            * math.exp(-(((z - a) / sigma1 - (x - a) / sigma2) ** 2) / (2.0 * t)))
+    try:  # a square or a factor past the double range has no float density
+        if z >= a:
+            return ((sigma1 - sigma2)
+                    / ((sigma1 + sigma2) * math.sqrt(2.0 * math.pi * t * sigma2 ** 2))
+                    * math.exp(-((x + z - 2.0 * a) ** 2) / (2.0 * t * sigma2 ** 2))
+                    + 1.0 / math.sqrt(2.0 * math.pi * t * sigma2 ** 2)
+                    * math.exp(-((z - x) ** 2) / (2.0 * t * sigma2 ** 2)))
+        return (2.0 * sigma2 / ((sigma1 + sigma2) * sigma1 * math.sqrt(2.0 * math.pi * t))
+                * math.exp(-(((z - a) / sigma1 - (x - a) / sigma2) ** 2) / (2.0 * t)))
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise DomainError(f"oscillating_bm_density at sigma1={sigma1!r}, sigma2={sigma2!r}, "
+                          f"t={t!r} leaves the double range") from exc
 
 
 def is_time_reversible(params):

@@ -15,25 +15,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateIntervalError, DomainError
-from .params import DiffusionParams, _check_rate, _check_type, _finite_real, deltas
+from .params import DiffusionParams, _check_type, _real, _reals, _store_reals, deltas
 
 
-def _check_states(*states):
-    # infinite states have exact limits; NaN, None or a string has none
-    if not all(_finite_real(s) or s in (-math.inf, math.inf) for s in states):
-        raise DomainError(f"states must be numbers other than NaN, got {states!r}")
+def _check_states(*states, names="xyz"):
+    """The states, named by `names`, as floats; infinite ones have exact limits, NaN none."""
+    return [_real(s, name, finite=False) for s, name in zip(states, names)]
 
 
 def _check_levels(x, y, z):
-    _check_states(x, y, z)
+    x, y, z = _check_states(x, y, z)
     if not (y <= x <= z):
         raise DomainError(f"levels must satisfy y <= x <= z, got y={y!r}, x={x!r}, z={z!r}")
+    return x, y, z
 
 
 def _rates(params, q):
     """DeltaSet over the one-element grid of a scalar rate q > 0."""
-    _check_rate(q)
-    return deltas(params, np.array([q], dtype=float))
+    return deltas(params, np.array([_real(q, "q", positive=True)]))
 
 
 def _log_g_minus(params, d, x):
@@ -57,7 +56,7 @@ def _log_g_plus(params, d, x):
 
 def _g(params, q, x, log_g, name):
     _check_type(params, DiffusionParams, "params")
-    _check_states(x)
+    x, = _check_states(x, names="x")
     log_val = log_g(params, _rates(params, q), x)
     with np.errstate(over="ignore"):  # g itself may exceed a float; refused below
         val = float(np.exp(log_val)[0])
@@ -88,8 +87,9 @@ class ExitQuery:
 
     def __post_init__(self):
         _check_type(self.params, DiffusionParams, "params")
-        _check_rate(self.q)
-        _check_levels(self.x, self.y, self.z)
+        _store_reals(self, ("q",), DomainError, positive=("q",))
+        for name, value in zip("xyz", _check_levels(self.x, self.y, self.z)):
+            object.__setattr__(self, name, value)
 
 
 def two_sided_exit(query):
@@ -111,8 +111,7 @@ def two_sided_exit_grid(params, q, x, y, z):
     Returns the arrays (down_lt, up_lt) over q.
     """
     _check_type(params, DiffusionParams, "params")
-    _check_levels(x, y, z)
-    return _two_sided(params, q, x, y, z)
+    return _two_sided(params, _reals(q, "q", positive=True), *_check_levels(x, y, z))
 
 
 def _two_sided(params, q, x, y, z):
@@ -143,7 +142,7 @@ def _two_sided(params, q, x, y, z):
 def one_sided_down(params, q, x, y):
     """E_x[exp(-q T_y)] for a level y <= x, as the ratio g_minus(x)/g_minus(y)."""
     _check_type(params, DiffusionParams, "params")
-    _check_states(x, y)
+    x, y = _check_states(x, y, names="xy")
     if y > x:
         raise DomainError(f"one_sided_down requires y <= x, got y={y!r} > x={x!r}")
     if y == x:
@@ -155,7 +154,7 @@ def one_sided_down(params, q, x, y):
 def one_sided_up(params, q, x, z):
     """E_x[exp(-q T_z)] for a level z >= x, as the ratio g_plus(x)/g_plus(z)."""
     _check_type(params, DiffusionParams, "params")
-    _check_states(x, z)
+    x, z = _check_states(x, z, names="xz")
     if z < x:
         raise DomainError(f"one_sided_up requires x <= z, got x={x!r} > z={z!r}")
     if z == x:

@@ -16,8 +16,8 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, InvalidParameterError
-from .params import _check_type, _finite_real, _integer
+from .errors import AccuracyError, InvalidParameterError
+from .params import _check_type, _integer, _real, _reals
 
 # The terms' magnitudes, and with them the sum's rounding, grow like
 # exp(2 nodes / 5): 1/q at t = 1 is off by 2e-10 at 40 nodes, 5e-9 at 48, 6e-6 at 64.
@@ -40,8 +40,9 @@ def _sums(F, t, unit, parts):
     """Re(F(unit / t)[part] @ w) / t for each (part, w) in parts, part a slice of
     the rates; F is called once, on all the rates, for a time or an array of them."""
     array = isinstance(t, np.ndarray)
-    s = unit / (t[:, None] if array else t)
-    with np.errstate(all="ignore"):  # a rate F overflows at leaves the sum non-finite
+    # a subnormal t overflows its rates, and a rate F overflows at leaves the sum non-finite
+    with np.errstate(all="ignore"):
+        s = unit / (t[:, None] if array else t)
         vals = F(s)
         try:
             vals = np.asarray(vals, dtype=complex)
@@ -65,11 +66,7 @@ def invert(F, t, nodes=24):
     AccuracyError.
     """
     _check_type(F, Callable, "F")
-    array = isinstance(t, np.ndarray)
-    if array and not (t.ndim == 1 and np.all(np.isfinite(t) & (t > 0.0))):
-        raise DomainError(f"t must be a 1-D array of positive times, got {t!r}")
-    if not (array or _finite_real(t) and t > 0):
-        raise DomainError(f"t must be positive, got {t!r}")
+    t = (_reals if isinstance(t, np.ndarray) and t.ndim else _real)(t, "t", positive=True)
     if not (_integer(nodes) and 8 <= nodes <= _MAX_NODES):
         raise InvalidParameterError(
             f"talbot nodes must be an integer in [8, {_MAX_NODES}], got {nodes!r}")

@@ -7,6 +7,7 @@ q > 0) and `h_kernel` (a first-passage density) are internal to the package.
 """
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -18,12 +19,48 @@ from .errors import DomainError, InvalidParameterError
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def _finite_real(value):
-    """True for a finite real number; False, not TypeError, for None, str or complex."""
-    try:
-        return math.isfinite(value)
-    except TypeError:
-        return False
+def _real(value, name, error=DomainError, positive=False, finite=True):
+    """The Python float that a Python or numpy number of any width (or a 0-d array of
+    one) equals, finite unless `finite` is off and > 0 when `positive` is set; a Python
+    float comes back as it is. Anything else, None, strings, complex numbers, arrays,
+    NaN and ints past the double range included, raises `error` naming the argument."""
+    if type(value) is not float:
+        if isinstance(value, np.ndarray) and value.ndim == 0:
+            value = value[()]
+        if not isinstance(value, (numbers.Real, np.bool_)):
+            raise error(f"{name} must be a real number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise error(f"{name} is an int past the double range") from None
+    if not math.isfinite(value) and (finite or math.isnan(value)):
+        raise error(f"{name} must be {'finite' if finite else 'a number'}, got {value!r}")
+    if positive and not value > 0.0:
+        raise error(f"{name} must be positive, got {value!r}")
+    return value
+
+
+def _reals(values, name, positive=False):
+    """A 1-D ndarray of real numbers as float64, each finite and > 0 when
+    `positive` is set; DomainError, naming the argument, otherwise."""
+    if not (isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "biuf"):
+        raise DomainError(f"{name} must be a 1-D array of real numbers, got {values!r}")
+    values = values.astype(float, copy=False)
+    ok = np.isfinite(values) & (values > 0.0) if positive else np.isfinite(values)
+    if not ok.all():
+        _real(float(values[~ok][0]), name, positive=positive)  # refuses it, naming it
+    return values
+
+
+def _store_reals(obj, names, error=InvalidParameterError, positive=()):
+    """Check the named fields of the frozen dataclass obj with _real (the ones in
+    `positive` > 0), and store the float each equals where it is not the field."""
+    for name in names:
+        value = getattr(obj, name)
+        # skip the call where _real would return the field as it is: constructors are hot
+        if type(value) is not float or not math.isfinite(value) or (
+                name in positive and not value > 0.0):
+            object.__setattr__(obj, name, _real(value, name, error, name in positive))
 
 
 def _integer(value):
@@ -49,15 +86,9 @@ class DiffusionParams:
     a: float
 
     def __post_init__(self):
-        for name in ("mu1", "mu2", "sigma1", "sigma2", "a"):
-            v = getattr(self, name)
-            if not _finite_real(v):
-                raise InvalidParameterError(f"{name} must be a finite number, got {v!r}")
-        for name in ("sigma1", "sigma2"):
-            v = getattr(self, name)
-            if v <= 0:
-                raise InvalidParameterError(f"{name} must be positive, got {v!r}")
-            # every rate divides by sigma^2, which must neither underflow nor overflow
+        _store_reals(self, ("mu1", "mu2", "sigma1", "sigma2", "a"), positive=("sigma1", "sigma2"))
+        # every rate divides by sigma^2, which must neither underflow nor overflow
+        for name, v in (("sigma1", self.sigma1), ("sigma2", self.sigma2)):
             if not sys.float_info.min <= v * v <= sys.float_info.max:
                 raise InvalidParameterError(f"{name}={v!r} has no normal float square")
 
@@ -98,16 +129,6 @@ class DeltaSet:
     c_plus: float
 
 
-def _check_rate(q):
-    """Refuse, with DomainError, a rate q that is not a finite number > 0, or a
-    float array of rates that holds one."""
-    if isinstance(q, np.ndarray):
-        bad = q[~(np.isfinite(q) & (q > 0.0))]
-        q = float(bad[0]) if bad.size else 1.0
-    if not (_finite_real(q) and q > 0):
-        raise DomainError(f"q must be positive, got {q!r}")
-
-
 def _delta_pair(mu, sigma, q):
     """(d_plus, d_minus) for one regime, over a rate q or an array of rates, real
     or complex; a float rate gives numpy scalars.
@@ -130,7 +151,7 @@ def deltas(params, q):
     only correctly rounded operations). A rate whose 2 q sigma^2 overflows, or
     underflows to 0 in a regime without drift, raises DomainError.
     """
-    _check_rate(q)
+    q = (_reals if isinstance(q, np.ndarray) and q.ndim else _real)(q, "q", positive=True)
     with np.errstate(all="ignore"):  # a rate that is not a finite float is refused below
         rates = (_delta_pair(params.mu1, params.sigma1, q)
                  + _delta_pair(params.mu2, params.sigma2, q))

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NoStationaryLawError
-from .params import DiffusionParams, _check_rate, _check_type, _delta_pair, _finite_real, deltas
+from .params import (DiffusionParams, _check_type, _delta_pair, _real, _reals, _store_reals,
+                     deltas)
 
 
 @dataclass(frozen=True)
@@ -34,15 +35,7 @@ class PotentialQuery:
 
     def __post_init__(self):
         _check_type(self.params, DiffusionParams, "params")
-        _check_rate_and_start(self.q, self.x)
-        if not _finite_real(self.z):
-            raise DomainError("x and z must be finite")
-
-
-def _check_rate_and_start(q, x):
-    _check_rate(q)
-    if not _finite_real(x):
-        raise DomainError("x and z must be finite")
+        _store_reals(self, ("q", "x", "z"), DomainError, positive=("q",))
 
 
 def _resolvent(params, q, x, z, rates=None):
@@ -107,10 +100,7 @@ def _near_side(q, h, k, direct, rates, regime):
 def potential_grid(params, q, x, z):
     """potential_density at each point of the 1-D float array z, in one pass."""
     _check_type(params, DiffusionParams, "params")
-    _check_rate_and_start(q, x)
-    if not np.isfinite(z).all():
-        raise DomainError("x and z must be finite")
-    return _potential(params, q, x, z)
+    return _potential(params, _real(q, "q", positive=True), _real(x, "x"), _reals(z, "z"))
 
 
 def _potential(params, q, x, z):
@@ -160,8 +150,7 @@ def potential_q_to_zero_limit(params, z):
     jump at the threshold whenever sigma1 != sigma2.
     """
     _check_type(params, DiffusionParams, "params")
-    if not _finite_real(z):
-        raise DomainError(f"z must be a finite number, got {z!r}")
+    z = _real(z, "z")
     if not (params.mu1 > 0.0 > params.mu2):
         raise NoStationaryLawError(
             "stationary law requires mu1 > 0 and mu2 < 0, got "

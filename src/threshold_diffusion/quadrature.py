@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, DomainError, IntegrandError, InvalidParameterError
-from .params import _check_type, _finite_real, _integer
+from .params import _check_type, _integer, _real, _store_reals
 
 # 15-point Kronrod nodes/weights with the embedded 7-point Gauss rule
 # (odd-indexed nodes). Standard QUADPACK constants.
@@ -86,10 +86,7 @@ class QuadSettings:
     max_subdivisions: int = 2000
 
     def __post_init__(self):
-        if not (_finite_real(self.abs_tol) and self.abs_tol > 0):
-            raise InvalidParameterError(f"abs_tol must be positive, got {self.abs_tol!r}")
-        if not (_finite_real(self.rel_tol) and self.rel_tol > 0):
-            raise InvalidParameterError(f"rel_tol must be positive, got {self.rel_tol!r}")
+        _store_reals(self, ("abs_tol", "rel_tol"), positive=("abs_tol", "rel_tol"))
         if not (_integer(self.max_subdivisions) and self.max_subdivisions >= 1):
             raise InvalidParameterError(
                 f"max_subdivisions must be an integer >= 1, got {self.max_subdivisions!r}")
@@ -129,7 +126,7 @@ def _adaptive(f, lo, hi, seeds, settings, what):
     element exceeds its allowance, or once the subdivision budget is spent. Returns
     (values, error_estimates) shaped like one row of f's output.
     """
-    bounds = [lo, *sorted(p for p in {float(p) for p in seeds} if lo < p < hi), hi]
+    bounds = [lo, *sorted(p for p in set(seeds) if lo < p < hi), hi]
     los, his = np.array(bounds[:-1], dtype=float), np.array(bounds[1:], dtype=float)
     kron, err = _gk15(f, los, his)
     totals, errors = kron.sum(axis=-1), err.sum(axis=-1)
@@ -192,13 +189,13 @@ def integrate_finite(f, lo, hi, settings=None, seed_points=None):
     """
     _check_type(f, Callable, "f")
     s = settings if settings is not None else _DEFAULT
-    if not (_finite_real(lo) and _finite_real(hi)):
-        raise DomainError(f"bounds must be finite, got [{lo!r}, {hi!r}]")
+    lo, hi = _real(lo, "lo"), _real(hi, "hi")
     if lo > hi:
         raise DomainError(f"lo must be <= hi, got [{lo!r}, {hi!r}]")
+    seeds = [_real(p, "seed_points") for p in (() if seed_points is None else seed_points)]
     if lo == hi:
         return 0.0, 0.0
-    value, err = _adaptive(f, lo, hi, seed_points or (), s, "integrate_finite")
+    value, err = _adaptive(f, lo, hi, seeds, s, "integrate_finite")
     return float(value), float(err)
 
 
@@ -214,11 +211,9 @@ def integrate_semi_infinite(f, lo, decay_rate_hint, settings=None):
     """
     _check_type(f, Callable, "f")
     s = settings if settings is not None else _DEFAULT
-    if not (_finite_real(decay_rate_hint) and decay_rate_hint > 0):
-        raise DomainError(f"decay_rate_hint must be positive, got {decay_rate_hint!r}")
-    if not _finite_real(lo):
-        raise DomainError(f"lo must be finite, got {lo!r}")
-    rate = float(decay_rate_hint)
+    rate = _real(decay_rate_hint, "decay_rate_hint", positive=True)
+    _real(1.0 / rate, "1 / decay_rate_hint")  # the probes sit at multiples of 1 / rate
+    lo = _real(lo, "lo")
     eps = _TRUNCATION_EPSILON
 
     probe_offsets = np.array([0.125, 0.5, 1.0, 2.0, 4.0]) / rate

@@ -32,7 +32,7 @@ import numpy as np
 
 from .control import ControlProblem, _ThresholdPolicy
 from .errors import DomainError, InvalidParameterError, PolicyError
-from .params import DiffusionParams, _check_rate, _check_type, _finite_real, _integer
+from .params import DiffusionParams, _check_type, _integer, _real
 
 # shifts [0,1) uniforms strictly inside (0,1) so the inverse CDF stays finite
 _U_SHIFT = 2.0 ** -54
@@ -182,11 +182,10 @@ def _step_layout(horizon, dt):
 
 
 def _check_run(x0, horizon, dt, n_paths, seed):
-    """Validate the fields every simulation request shares."""
-    if not (_finite_real(horizon) and horizon > 0):
-        raise InvalidParameterError(f"horizon must be positive, got {horizon!r}")
-    if not (_finite_real(dt) and dt > 0):
-        raise InvalidParameterError(f"dt must be positive, got {dt!r}")
+    """Validate the fields every simulation request shares; returns (x0, horizon, dt)."""
+    x0 = _real(x0, "x0", InvalidParameterError)
+    horizon = _real(horizon, "horizon", InvalidParameterError, positive=True)
+    dt = _real(dt, "dt", InvalidParameterError, positive=True)
     if dt > horizon:
         raise InvalidParameterError(
             f"dt must not exceed horizon, got dt={dt!r} > T={horizon!r}")
@@ -198,8 +197,7 @@ def _check_run(x0, horizon, dt, n_paths, seed):
         raise InvalidParameterError(f"n_paths must be an integer >= 1, got {n_paths!r}")
     if not (_integer(seed) and 0 <= int(seed) < 2 ** 64):
         raise InvalidParameterError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
-    if not _finite_real(x0):
-        raise InvalidParameterError(f"x0 must be a finite number, got {x0!r}")
+    return x0, horizon, dt
 
 
 def _check_threads(threads):
@@ -226,7 +224,9 @@ class SimConfig:
 
     def __post_init__(self):
         _check_type(self.params, DiffusionParams, "params")
-        _check_run(self.x0, self.horizon, self.dt, self.n_paths, self.seed)
+        checked = _check_run(self.x0, self.horizon, self.dt, self.n_paths, self.seed)
+        for name, value in zip(("x0", "horizon", "dt"), checked):
+            object.__setattr__(self, name, value)
 
 
 def _mean_se(values):
@@ -257,8 +257,7 @@ class PathEnsemble:
 
     def survival_frequency(self, level):
         """(frequency of terminal value >= level, standard error)."""
-        if not _finite_real(level):
-            raise DomainError(f"level must be a finite number, got {level!r}")
+        level = _real(level, "level")
         return _mean_se((self.terminal_values >= level).astype(float))
 
     def histogram(self, n_bins, lo, hi):
@@ -269,8 +268,9 @@ class PathEnsemble:
         """
         if not (_integer(n_bins) and n_bins >= 1):
             raise InvalidParameterError(f"n_bins must be an integer >= 1, got {n_bins!r}")
-        if not (_finite_real(lo) and _finite_real(hi) and lo < hi):
-            raise DomainError(f"histogram range needs finite lo < hi, got ({lo!r}, {hi!r})")
+        lo, hi = _real(lo, "lo"), _real(hi, "hi")
+        if not lo < hi:
+            raise DomainError(f"histogram range needs lo < hi, got ({lo!r}, {hi!r})")
         counts, edges = np.histogram(self.terminal_values, bins=n_bins, range=(lo, hi))
         freq = counts / self.n_paths
         se = np.sqrt(freq * (1.0 - freq) / self.n_paths)
@@ -325,7 +325,7 @@ def _terminal_block(seed, idx0, count, x0, horizon, dt, step_factory):
     paths = range(idx0, idx0 + count)
     buf = np.empty(max(_SUB_DOUBLES, count))
     n_full, rem = _step_layout(horizon, dt)
-    x = np.full(count, float(x0))
+    x = np.full(count, x0)
     fill, step = step_factory(count, dt)
     done = 0
     while done < n_full:
@@ -441,7 +441,6 @@ def simulate_paths(config, threads=1):
 
 def _policy_pair(problem, vol, dt_step):
     """(drift dt, vol sqrt(dt)) of one admissible volatility, drift paired with it."""
-    vol = float(vol)
     drift = problem.mu_bar if vol == problem.sigma_bar else problem.mu_low
     return drift * dt_step, vol * math.sqrt(dt_step)
 
@@ -505,7 +504,7 @@ def simulate_policy(problem, policy, dt, n_paths, seed, threads=1):
     _check_type(problem, ControlProblem, "problem")
     if not callable(policy):
         raise PolicyError(f"policy must be callable as policy(states, t), got {policy!r}")
-    _check_run(problem.x0, problem.T, dt, n_paths, seed)
+    _, _, dt = _check_run(problem.x0, problem.T, dt, n_paths, seed)
     threads = _check_threads(threads)
     admissible = (problem.sigma_low, problem.sigma_bar)
     if (isinstance(policy, _ThresholdPolicy) and policy.at_or_below in admissible
@@ -526,9 +525,7 @@ def empirical_hitting_transform(config, level, q, threads=1):
     """
     _check_type(config, SimConfig, "config")
     threads = _check_threads(threads)
-    _check_rate(q)
-    if not _finite_real(level):
-        raise DomainError(f"level must be a finite number, got {level!r}")
+    q, level = _real(q, "q", positive=True), _real(level, "level")
     if level == config.x0:
         return 1.0, 0.0
     sign = 1.0 if config.x0 > level else -1.0
@@ -575,7 +572,7 @@ def _hitting_block(config, level, q, sign, i0, count, n_full, rem):
     fill = fill_for(dt)
     buf = np.empty(max(_SUB_DOUBLES, count))
     gen = _path_generator(config.seed, i0)
-    x = np.full(count, float(config.x0))
+    x = np.full(count, config.x0)
     alive = np.arange(count)
     contrib = np.zeros(count)
     chunk = _HIT_CHUNK_FIRST

@@ -1,5 +1,6 @@
 """The package's public surface."""
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -140,3 +141,143 @@ def test_entry_points_refuse_a_wrong_object_type(fn, args, wrong, bad):
     bad = wrong if bad is _LIBRARY else bad
     with pytest.raises(threshold_diffusion.InvalidParameterError):
         fn(*(bad if arg is _ARG else arg for arg in args))
+
+
+lib = threshold_diffusion
+# at most 16 paths and 10 steps in every simulation below
+_SHORT = lib.SimConfig(_PARAMS, 0.0, 1.0, 0.1, 4, 7)
+_ENSEMBLE = lib.simulate_paths(_SHORT)
+
+
+def _exp(u):
+    return np.exp(-u)
+
+
+def _grid(v):
+    """A grid argument holding v: a 1-D array for a number, refused otherwise."""
+    return np.array([v])
+
+
+# (id, entry point, its arguments with _ARG in the slot under test[, how the slot
+# holds a value]): every real argument of the seven dataclasses and the public
+# functions that take numbers
+_REAL_SLOTS = [
+    *[(f"DiffusionParams.{name}", lib.DiffusionParams,
+       tuple(_ARG if i == k else v for i, v in enumerate((1.0, -1.0, 1.0, 2.0, 0.0))))
+      for k, name in enumerate(("mu1", "mu2", "sigma1", "sigma2", "a"))],
+    *[(f"ControlProblem.{name}", lib.ControlProblem,
+       tuple(_ARG if i == k else v
+             for i, v in enumerate((1.0, 2.0, -1.0, 1.0, 0.0, 1.0, 0.0))))
+      for k, name in enumerate(("mu_bar", "sigma_bar", "mu_low", "sigma_low", "a", "T", "x0"))],
+    ("DensityQuery.t", lib.DensityQuery, (_PARAMS, _ARG, 0.1, 0.2)),
+    ("DensityQuery.x", lib.DensityQuery, (_PARAMS, 1.0, _ARG, 0.2)),
+    ("DensityQuery.z", lib.DensityQuery, (_PARAMS, 1.0, 0.1, _ARG)),
+    ("PotentialQuery.q", lib.PotentialQuery, (_PARAMS, _ARG, 0.1, 0.2)),
+    ("PotentialQuery.x", lib.PotentialQuery, (_PARAMS, 1.0, _ARG, 0.2)),
+    ("PotentialQuery.z", lib.PotentialQuery, (_PARAMS, 1.0, 0.1, _ARG)),
+    ("ExitQuery.q", lib.ExitQuery, (_PARAMS, _ARG, 0.0, -1.0, 1.0)),
+    ("ExitQuery.x", lib.ExitQuery, (_PARAMS, 1.0, _ARG, -1.0, 1.0)),
+    ("ExitQuery.y", lib.ExitQuery, (_PARAMS, 1.0, 0.0, _ARG, 1.0)),
+    ("ExitQuery.z", lib.ExitQuery, (_PARAMS, 1.0, 0.0, -1.0, _ARG)),
+    ("SimConfig.x0", lib.SimConfig, (_PARAMS, _ARG, 1.0, 0.1, 4, 7)),
+    ("SimConfig.horizon", lib.SimConfig, (_PARAMS, 0.0, _ARG, 0.1, 4, 7)),
+    ("SimConfig.dt", lib.SimConfig, (_PARAMS, 0.0, 1.0, _ARG, 4, 7)),
+    ("QuadSettings.abs_tol", lib.QuadSettings, (_ARG, 1e-7)),
+    ("QuadSettings.rel_tol", lib.QuadSettings, (1e-9, _ARG)),
+    ("g_minus.q", lib.g_minus, (_PARAMS, _ARG, 0.1)),
+    ("g_minus.x", lib.g_minus, (_PARAMS, 1.0, _ARG)),
+    ("g_plus.q", lib.g_plus, (_PARAMS, _ARG, 0.1)),
+    ("g_plus.x", lib.g_plus, (_PARAMS, 1.0, _ARG)),
+    ("one_sided_down.q", lib.one_sided_down, (_PARAMS, _ARG, 0.1, -0.5)),
+    ("one_sided_down.x", lib.one_sided_down, (_PARAMS, 1.0, _ARG, -0.5)),
+    ("one_sided_down.y", lib.one_sided_down, (_PARAMS, 1.0, 2.0, _ARG)),
+    ("one_sided_up.q", lib.one_sided_up, (_PARAMS, _ARG, 0.1, 0.5)),
+    ("one_sided_up.x", lib.one_sided_up, (_PARAMS, 1.0, _ARG, 2.0)),
+    ("one_sided_up.z", lib.one_sided_up, (_PARAMS, 1.0, -0.5, _ARG)),
+    ("two_sided_exit_grid.q", two_sided_exit_grid, (_PARAMS, _ARG, 0.0, -1.0, 1.0), _grid),
+    ("two_sided_exit_grid.x", two_sided_exit_grid, (_PARAMS, np.array([1.0]), _ARG, -1.0, 2.0)),
+    ("two_sided_exit_grid.y", two_sided_exit_grid, (_PARAMS, np.array([1.0]), 1.0, _ARG, 2.0)),
+    ("two_sided_exit_grid.z", two_sided_exit_grid, (_PARAMS, np.array([1.0]), 0.0, -1.0, _ARG)),
+    ("potential_grid.q", potential_grid, (_PARAMS, _ARG, 0.1, np.array([0.2]))),
+    ("potential_grid.x", potential_grid, (_PARAMS, 1.0, _ARG, np.array([0.2]))),
+    ("potential_grid.z", potential_grid, (_PARAMS, 1.0, 0.1, _ARG), _grid),
+    ("stationary_density.z", lib.stationary_density, (_PARAMS, _ARG)),
+    ("density_jump_at_threshold.t", lib.density_jump_at_threshold, (_PARAMS, _ARG, 0.1)),
+    ("density_jump_at_threshold.x", lib.density_jump_at_threshold, (_PARAMS, 1.0, _ARG)),
+    *[(f"oscillating_bm_density.{name}", lib.oscillating_bm_density,
+       tuple(_ARG if i == k else v for i, v in enumerate((1.0, 2.0, 0.0, 1.0, 0.3, 0.2))))
+      for k, name in enumerate(("sigma1", "sigma2", "a", "t", "x", "z"))],
+    ("value_function.x", lib.value_function, (_PROBLEM, _ARG)),
+    ("optimal_threshold.t", lib.optimal_threshold, (_PROBLEM, _ARG)),
+    ("integrate_finite.lo", lib.integrate_finite, (_exp, _ARG, 1.0)),
+    ("integrate_finite.hi", lib.integrate_finite, (_exp, 0.0, _ARG)),
+    ("integrate_finite.seed_points", lib.integrate_finite,
+     (_exp, 0.0, 1.0, None, [0.25, _ARG])),
+    ("integrate_semi_infinite.lo", lib.integrate_semi_infinite, (_exp, _ARG, 1.0)),
+    ("integrate_semi_infinite.decay_rate_hint", lib.integrate_semi_infinite, (_exp, 0.0, _ARG)),
+    ("invert.t", lib.invert, (lambda q: 1.0 / (q + 1.0), _ARG)),
+    ("simulate_policy.dt", lib.simulate_policy,
+     (_PROBLEM, lib.optimal_policy(_PROBLEM), _ARG, 4, 7)),
+    ("empirical_hitting_transform.level", lib.empirical_hitting_transform, (_SHORT, _ARG, 1.0)),
+    ("empirical_hitting_transform.q", lib.empirical_hitting_transform, (_SHORT, -0.5, _ARG)),
+    ("PathEnsemble.survival_frequency", _ENSEMBLE.survival_frequency, (_ARG,)),
+    ("PathEnsemble.histogram.lo", _ENSEMBLE.histogram, (4, _ARG, 2.0)),
+    ("PathEnsemble.histogram.hi", _ENSEMBLE.histogram, (4, -2.0, _ARG)),
+]
+
+# numbers of other widths and types, each of which must act as the float it equals
+_NUMBERS = {"float16": np.float16(0.5), "float32": np.float32(0.7),
+            "float32_big": np.float32(3e38), "int64": np.int64(1), "0d": np.array(0.5),
+            "nan": math.nan, "inf": math.inf, "subnormal": 1e-310,
+            "tiny_subnormal": 1e-320, "least_subnormal": 5e-324}
+# values that are no real number, each of which must be refused with a library error
+_NOT_NUMBERS = {"big_int": 10 ** 400, "big_negative_int": -10 ** 400, "None": None,
+                "str": "0.5", "list": [0.5], "pair": np.array([0.5, 0.5])}
+# slots that take a 1-D array of values as well as one value
+_ARRAYS_TOO = {"invert.t"}
+# numbers a slot must refuse, and the error: a decay hint with no finite reciprocal
+# (every probe at a multiple of 1 / hint would read f(inf) = 0), and a time whose
+# Talbot rates overflow, which must not warn first
+_REFUSED = {"integrate_semi_infinite.decay_rate_hint": ("DomainError", (1e-310, 1e-320, 5e-324)),
+            "invert.t": ("AccuracyError", (1e-310, 1e-320, 5e-324))}
+
+
+def _plain(out):
+    """out with arrays as lists and dataclasses as their fields, for repr."""
+    if isinstance(out, np.ndarray):
+        return out.tolist()
+    if dataclasses.is_dataclass(out):
+        return (type(out).__name__,
+                *(_plain(getattr(out, f.name)) for f in dataclasses.fields(out)))
+    if isinstance(out, tuple):
+        return tuple(_plain(o) for o in out)
+    return out
+
+
+def _outcome(fn, args, value):
+    """("returned", repr of the output) of fn with value in the _ARG slot (in a list
+    too), or ("raised", name of the library error)."""
+    def fill(arg):
+        return value if arg is _ARG else [fill(a) for a in arg] if isinstance(arg, list) else arg
+    try:
+        return "returned", repr(_plain(fn(*map(fill, args))))
+    except lib.ThresholdDiffusionError as exc:
+        return "raised", type(exc).__name__
+
+
+@pytest.mark.parametrize("kind, value", [*_NUMBERS.items(), *_NOT_NUMBERS.items()],
+                         ids=[*_NUMBERS, *_NOT_NUMBERS])
+@pytest.mark.parametrize("slot", _REAL_SLOTS, ids=[row[0] for row in _REAL_SLOTS])
+def test_every_real_argument_takes_numbers_as_floats_and_refuses_the_rest(slot, kind, value):
+    # warnings are errors here, so a numpy warning on the way fails too
+    name, fn, args, *wrap = slot
+    hold = wrap[0] if wrap else (lambda v: v)
+    got = _outcome(fn, args, hold(value))
+    if kind in _NUMBERS:
+        want = _outcome(fn, args, hold(float(value)))
+        assert got == want
+        error, refused = _REFUSED.get(name, (None, ()))
+        if float(value) in refused:
+            assert got == ("raised", error)
+    else:
+        assert got[0] == ("returned" if name in _ARRAYS_TOO and kind == "pair" else "raised")
