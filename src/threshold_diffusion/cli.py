@@ -31,7 +31,7 @@ from .density import DensityQuery, stationary_density, transition_density
 from .errors import (AccuracyError, DomainError, InvalidParameterError, PolicyError,
                      ThresholdDiffusionError)
 from .exit import two_sided_exit_grid
-from .params import DiffusionParams
+from .params import DiffusionParams, _count
 from .potential import potential_grid
 from .simulate import SimConfig, simulate_paths
 
@@ -129,9 +129,7 @@ def _resolve_threads(value):
                     f"{_THREADS_ENV} must be an integer, got {env!r}")
         else:
             value = os.cpu_count() or 1
-    if value < 1:
-        raise InvalidParameterError(f"thread count must be >= 1, got {value}")
-    return value
+    return _count(value, "thread count")
 
 
 def _emit(text, path):

@@ -59,10 +59,14 @@ class ControlProblem:
 
 
 def alpha(problem):
-    """Slope of the moving switching threshold."""
+    """Slope of the moving switching threshold; InvalidParameterError where it
+    leaves the double range."""
     _check_type(problem, ControlProblem, "problem")
-    return ((problem.mu_bar * problem.sigma_low - problem.mu_low * problem.sigma_bar)
-            / (problem.sigma_bar - problem.sigma_low))
+    slope = ((problem.mu_bar * problem.sigma_low - problem.mu_low * problem.sigma_bar)
+             / (problem.sigma_bar - problem.sigma_low))
+    if not math.isfinite(slope):
+        raise InvalidParameterError(f"the threshold slope alpha of {problem!r} is not finite")
+    return slope
 
 
 def optimal_threshold(problem, t):

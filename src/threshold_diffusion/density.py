@@ -37,6 +37,7 @@ _SKIP_RATIO = 1e12
 # Under drifts that push toward a, the hint scale grows like t, and past this
 # ratio the panels step over the peak: seen failing from ratios near 300.
 _HINT_SCALE_LIMIT = 32.0
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -166,24 +167,35 @@ def oscillating_bm_density(sigma1, sigma2, a, t, x, z):
 
     Start states below the threshold are handled by the same reflection
     the general density uses, here just a swap of the two volatilities.
+    A density that underflows is 0.0; one whose prefactor leaves the double
+    range raises DomainError.
     """
     sigma1 = _real(sigma1, "sigma1", positive=True)
     sigma2 = _real(sigma2, "sigma2", positive=True)
     a, t, x, z = _real(a, "a"), _real(t, "t", positive=True), _real(x, "x"), _real(z, "z")
     if x < a:
         return oscillating_bm_density(sigma2, sigma1, -a, t, -x, -z)
-    try:  # a square or a factor past the double range has no float density
+    # each regime's standard deviation over t; squares are products, so one past
+    # the double range is inf and its Gaussian factor an exact 0.0
+    sd1, sd2 = sigma1 * math.sqrt(t), sigma2 * math.sqrt(t)
+    try:
         if z >= a:
-            return ((sigma1 - sigma2)
-                    / ((sigma1 + sigma2) * math.sqrt(2.0 * math.pi * t * sigma2 ** 2))
-                    * math.exp(-((x + z - 2.0 * a) ** 2) / (2.0 * t * sigma2 ** 2))
-                    + 1.0 / math.sqrt(2.0 * math.pi * t * sigma2 ** 2)
-                    * math.exp(-((z - x) ** 2) / (2.0 * t * sigma2 ** 2)))
-        return (2.0 * sigma2 / ((sigma1 + sigma2) * sigma1 * math.sqrt(2.0 * math.pi * t))
-                * math.exp(-(((z - a) / sigma1 - (x - a) / sigma2) ** 2) / (2.0 * t)))
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise DomainError(f"oscillating_bm_density at sigma1={sigma1!r}, sigma2={sigma2!r}, "
-                          f"t={t!r} leaves the double range") from exc
+            u, w = ((x - a) + (z - a)) / sd2, (z - x) / sd2
+            sd, weight = sd2, 1.0
+            g = ((sigma1 - sigma2) / (sigma1 + sigma2) * math.exp(-0.5 * u * u)
+                 + math.exp(-0.5 * w * w))
+        else:
+            u = (z - a) / sd1 - (x - a) / sd2
+            sd, weight = sd1, 2.0 * (sigma2 / (sigma1 + sigma2))
+            g = math.exp(-0.5 * u * u)
+        pre = weight / sd / _SQRT_2PI
+        # a prefactor past the double range has no float density (inf * 0.0 is NaN)
+        if pre < math.inf and sd < math.inf and sigma1 + sigma2 < math.inf:
+            return pre * g
+    except ZeroDivisionError:
+        pass
+    raise DomainError(f"oscillating_bm_density at sigma1={sigma1!r}, sigma2={sigma2!r}, "
+                      f"t={t!r} leaves the double range")
 
 
 def is_time_reversible(params):

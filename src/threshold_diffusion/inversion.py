@@ -17,7 +17,7 @@ from collections.abc import Callable
 import numpy as np
 
 from .errors import AccuracyError, InvalidParameterError
-from .params import _check_type, _integer, _real, _reals
+from .params import _check_type, _count, _real, _reals
 
 # The terms' magnitudes, and with them the sum's rounding, grow like
 # exp(2 nodes / 5): 1/q at t = 1 is off by 2e-10 at 40 nodes, 5e-9 at 48, 6e-6 at 64.
@@ -67,9 +67,7 @@ def invert(F, t, nodes=24):
     """
     _check_type(F, Callable, "F")
     t = (_reals if isinstance(t, np.ndarray) and t.ndim else _real)(t, "t", positive=True)
-    if not (_integer(nodes) and 8 <= nodes <= _MAX_NODES):
-        raise InvalidParameterError(
-            f"talbot nodes must be an integer in [8, {_MAX_NODES}], got {nodes!r}")
+    nodes = _count(nodes, "talbot nodes", 8, _MAX_NODES)
     unit, weights = _contour(nodes)
     total, = _sums(F, t, unit, [(slice(None), weights)])
     if not np.isfinite(total).all():

@@ -40,15 +40,15 @@ def _real(value, name, error=DomainError, positive=False, finite=True):
     return value
 
 
-def _reals(values, name, positive=False):
-    """A 1-D ndarray of real numbers as float64, each finite and > 0 when
-    `positive` is set; DomainError, naming the argument, otherwise."""
+def _reals(values, name, positive=False, error=DomainError):
+    """A 1-D ndarray of real numbers as float64 (a float64 one as it is), each finite
+    and > 0 when `positive` is set; `error`, naming the argument, otherwise."""
     if not (isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "biuf"):
-        raise DomainError(f"{name} must be a 1-D array of real numbers, got {values!r}")
+        raise error(f"{name} must be a 1-D array of real numbers, got {values!r}")
     values = values.astype(float, copy=False)
     ok = np.isfinite(values) & (values > 0.0) if positive else np.isfinite(values)
     if not ok.all():
-        _real(float(values[~ok][0]), name, positive=positive)  # refuses it, naming it
+        _real(float(values[~ok][0]), name, error, positive)  # refuses it, naming it
     return values
 
 
@@ -63,9 +63,20 @@ def _store_reals(obj, names, error=InvalidParameterError, positive=()):
             object.__setattr__(obj, name, _real(value, name, error, name in positive))
 
 
-def _integer(value):
-    """True for a Python or numpy integer; False for a bool, a float or anything else."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def _count(value, name, lo=1, hi=sys.maxsize):
+    """The Python int that a Python or numpy integer (or a 0-d array of one) equals,
+    in [lo, hi]; anything else, bools and floats included, raises InvalidParameterError
+    naming the argument, and never by printing an int too long for Python to print."""
+    if type(value) is not int:
+        if isinstance(value, np.ndarray) and value.ndim == 0:
+            value = value[()]
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise InvalidParameterError(f"{name} must be an integer, got {type(value).__name__}")
+        value = int(value)
+    if not lo <= value <= hi:
+        shown = value if value.bit_length() <= 64 else f"an int of {value.bit_length()} bits"
+        raise InvalidParameterError(f"{name} must be an integer in [{lo}, {hi}], got {shown}")
+    return value
 
 
 def _check_type(value, kind, name):

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, IntegrandError, InvalidParameterError
-from .params import _check_type, _integer, _real, _store_reals
+from .errors import AccuracyError, DomainError, IntegrandError
+from .params import _check_type, _count, _real, _store_reals
 
 # 15-point Kronrod nodes/weights with the embedded 7-point Gauss rule
 # (odd-indexed nodes). Standard QUADPACK constants.
@@ -87,9 +87,8 @@ class QuadSettings:
 
     def __post_init__(self):
         _store_reals(self, ("abs_tol", "rel_tol"), positive=("abs_tol", "rel_tol"))
-        if not (_integer(self.max_subdivisions) and self.max_subdivisions >= 1):
-            raise InvalidParameterError(
-                f"max_subdivisions must be an integer >= 1, got {self.max_subdivisions!r}")
+        object.__setattr__(self, "max_subdivisions",
+                           _count(self.max_subdivisions, "max_subdivisions"))
 
 
 _DEFAULT = QuadSettings()

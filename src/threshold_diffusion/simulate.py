@@ -32,7 +32,7 @@ import numpy as np
 
 from .control import ControlProblem, _ThresholdPolicy
 from .errors import DomainError, InvalidParameterError, PolicyError
-from .params import DiffusionParams, _check_type, _integer, _real
+from .params import DiffusionParams, _check_type, _count, _real, _reals
 
 # shifts [0,1) uniforms strictly inside (0,1) so the inverse CDF stays finite
 _U_SHIFT = 2.0 ** -54
@@ -182,7 +182,7 @@ def _step_layout(horizon, dt):
 
 
 def _check_run(x0, horizon, dt, n_paths, seed):
-    """Validate the fields every simulation request shares; returns (x0, horizon, dt)."""
+    """Validate the fields every simulation request shares, returned as floats and ints."""
     x0 = _real(x0, "x0", InvalidParameterError)
     horizon = _real(horizon, "horizon", InvalidParameterError, positive=True)
     dt = _real(dt, "dt", InvalidParameterError, positive=True)
@@ -193,18 +193,19 @@ def _check_run(x0, horizon, dt, n_paths, seed):
         raise InvalidParameterError(
             f"horizon / dt must not exceed {_MAX_STEPS:.0e} steps per path, got "
             f"T={horizon!r}, dt={dt!r}")
-    if not (_integer(n_paths) and n_paths >= 1):
-        raise InvalidParameterError(f"n_paths must be an integer >= 1, got {n_paths!r}")
-    if not (_integer(seed) and 0 <= int(seed) < 2 ** 64):
-        raise InvalidParameterError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
-    return x0, horizon, dt
+    return x0, horizon, dt, _count(n_paths, "n_paths"), _count(seed, "seed", 0, 2 ** 64 - 1)
+
+
+def _store_run(obj):
+    """Check the run fields of a frozen SimConfig or PathEnsemble, storing their floats and ints."""
+    names = ("x0", "horizon", "dt", "n_paths", "seed")
+    for name, value in zip(names, _check_run(*(getattr(obj, name) for name in names))):
+        object.__setattr__(obj, name, value)
 
 
 def _check_threads(threads):
     """The worker count to use: threads, at most one per CPU."""
-    if not (_integer(threads) and threads >= 1):
-        raise InvalidParameterError(f"threads must be an integer >= 1, got {threads!r}")
-    return min(int(threads), os.cpu_count() or 1)
+    return min(_count(threads, "threads"), os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -224,9 +225,11 @@ class SimConfig:
 
     def __post_init__(self):
         _check_type(self.params, DiffusionParams, "params")
-        checked = _check_run(self.x0, self.horizon, self.dt, self.n_paths, self.seed)
-        for name, value in zip(("x0", "horizon", "dt"), checked):
-            object.__setattr__(self, name, value)
+        # every Euler step adds a multiple of mu1 - mu2; inf there makes NaN paths
+        if not math.isfinite(self.params.mu1 - self.params.mu2):
+            raise InvalidParameterError(
+                f"mu1 - mu2 must be finite, got mu1={self.params.mu1!r}, mu2={self.params.mu2!r}")
+        _store_run(self)
 
 
 def _mean_se(values):
@@ -238,7 +241,8 @@ def _mean_se(values):
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """Terminal states of a simulated ensemble plus basic estimators."""
+    """Terminal states of a simulated ensemble plus basic estimators; the run
+    fields are checked as SimConfig checks them."""
 
     terminal_values: np.ndarray
     n_paths: int
@@ -248,6 +252,9 @@ class PathEnsemble:
     horizon: float
 
     def __post_init__(self):
+        object.__setattr__(self, "terminal_values", _reals(
+            self.terminal_values, "terminal_values", error=InvalidParameterError))
+        _store_run(self)
         if len(self.terminal_values) != self.n_paths:
             raise InvalidParameterError("terminal_values length must equal n_paths")
 
@@ -266,8 +273,7 @@ class PathEnsemble:
         Returns (edges, frequencies, standard_errors); frequencies are
         probabilities of landing in each bin, not densities.
         """
-        if not (_integer(n_bins) and n_bins >= 1):
-            raise InvalidParameterError(f"n_bins must be an integer >= 1, got {n_bins!r}")
+        n_bins = _count(n_bins, "n_bins")
         lo, hi = _real(lo, "lo"), _real(hi, "hi")
         if not lo < hi:
             raise DomainError(f"histogram range needs lo < hi, got ({lo!r}, {hi!r})")
@@ -420,9 +426,12 @@ def _run_blocks(n_paths, threads, block, block_values):
 
 
 def _terminal_values(seed, x0, horizon, dt, n_paths, step_factory, threads):
-    return _run_blocks(n_paths, threads, _block_size(n_paths, threads),
-                       lambda i0, count: _terminal_block(seed, i0, count, x0, horizon, dt,
-                                                         step_factory))
+    out = _run_blocks(n_paths, threads, _block_size(n_paths, threads),
+                      lambda i0, count: _terminal_block(seed, i0, count, x0, horizon, dt,
+                                                        step_factory))
+    if not np.isfinite(out).all():
+        raise DomainError("a simulated path left the double range: non-finite terminal value")
+    return out
 
 
 def simulate_paths(config, threads=1):
@@ -504,7 +513,7 @@ def simulate_policy(problem, policy, dt, n_paths, seed, threads=1):
     _check_type(problem, ControlProblem, "problem")
     if not callable(policy):
         raise PolicyError(f"policy must be callable as policy(states, t), got {policy!r}")
-    _, _, dt = _check_run(problem.x0, problem.T, dt, n_paths, seed)
+    _, _, dt, n_paths, seed = _check_run(problem.x0, problem.T, dt, n_paths, seed)
     threads = _check_threads(threads)
     admissible = (problem.sigma_low, problem.sigma_bar)
     if (isinstance(policy, _ThresholdPolicy) and policy.at_or_below in admissible

@@ -179,6 +179,15 @@ def test_drifts_of_1e300_give_a_probability_or_a_library_error():
     assert 0.0 <= v <= 1.0
 
 
+@pytest.mark.parametrize("call", [alpha, lambda pr: optimal_threshold(pr, 1.0),
+                                  lambda pr: value_function(pr, 0.1)],
+                         ids=["alpha", "optimal_threshold", "value_function"])
+def test_a_threshold_slope_past_the_double_range_is_refused(call):
+    # the slope is inf here: the threshold read nan, and the value named a tilted drift
+    with pytest.raises(InvalidParameterError, match="alpha"):
+        call(ControlProblem(1e308, 2.0, -1e308, 1.0, 0.0, 1.0))
+
+
 @pytest.mark.parametrize("drift", [1e30, 1e300])
 def test_split_refuses_a_first_passage_too_sharp_to_integrate(drift):
     # the passage time's spread is below the spacing of doubles at its mode: the

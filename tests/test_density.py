@@ -130,6 +130,27 @@ def test_oscillating_rejects_bad_args():
         oscillating_bm_density(-1.0, 2.0, 0.0, 1.0, 0.0, 0.0)
 
 
+def test_oscillating_density_underflows_to_zero_and_never_reads_nan():
+    # a square past the double range used to be refused: the density is 0.0 there
+    assert oscillating_bm_density(1e-200, 1.0, 0.0, 1.0, 0.3, -0.2) == 0.0
+    for s1 in np.logspace(-200, 38.4, 9):
+        for s2 in np.logspace(-200, 38.4, 9):
+            for x, z in ((0.3, 0.2), (0.3, -0.2), (-0.3, -0.2), (-0.3, 0.2)):
+                p = oscillating_bm_density(float(s1), float(s2), 0.0, 1.0, x, z)
+                assert 0.0 <= p < math.inf
+
+
+@pytest.mark.parametrize("args", [
+    (1.0, 1e-320, 0.0, 1.0, 0.3, 0.3),  # 1 / (sigma sqrt(2 pi t)) overflows
+    (1e-200, 1.0, 0.0, 1e-250, 0.3, -0.2),  # sigma1 sqrt(t) underflows to 0
+    (1e308, 1e308, 0.0, 1.0, 0.3, 0.2),  # sigma1 + sigma2 overflows
+    (1.0, 1e300, 0.0, 1e300, 0.3, 0.2),  # sigma2 sqrt(t) overflows
+])
+def test_oscillating_density_refuses_a_prefactor_past_the_double_range(args):
+    with pytest.raises(DomainError, match="double range"):
+        oscillating_bm_density(*args)
+
+
 def test_stationary_point_value_and_mass():
     p = make_params(1.0, -1.0, 1.0, 1.0, 0.0)
     assert stationary_density(p, 0.0) == pytest.approx(1.0, rel=1e-13)

@@ -32,8 +32,9 @@ _BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
 
 def test_every_library_name_the_bench_hooks_or_calls_exists():
-    # this suite does not collect bench/, so without this check a name the bench
-    # needs would go missing unnoticed until a traced or a timed bench run
+    # bench/test_bench.py runs the workloads, and reports a missing hook without
+    # failing on it; this check names every library attribute the bench hooks or
+    # calls, so one that goes missing fails here, under its own name
     spec = importlib.util.spec_from_file_location("bench_tracing", _BENCH / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)  # read only: no hook is installed
@@ -281,3 +282,50 @@ def test_every_real_argument_takes_numbers_as_floats_and_refuses_the_rest(slot, 
             assert got == ("raised", error)
     else:
         assert got[0] == ("returned" if name in _ARRAYS_TOO and kind == "pair" else "raised")
+
+
+# a policy for the simulate_policy rows below
+_OPTIMAL = lib.optimal_policy(_PROBLEM)
+_EIGHT = np.linspace(-1.0, 1.0, 8)
+# (id, entry point, its arguments with _ARG in the slot under test): every integer
+# count of the library; thread counts stay small, as the gate clamps them to the CPUs
+_COUNT_SLOTS = [
+    ("QuadSettings.max_subdivisions", lib.QuadSettings, (1e-9, 1e-7, _ARG)),
+    ("invert.nodes", lib.invert, (lambda q: 1.0 / (q + 1.0), 1.0, _ARG)),
+    ("SimConfig.n_paths", lib.SimConfig, (_PARAMS, 0.0, 1.0, 0.1, _ARG, 7)),
+    ("SimConfig.seed", lib.SimConfig, (_PARAMS, 0.0, 1.0, 0.1, 4, _ARG)),
+    ("simulate_paths.threads", lib.simulate_paths, (_SHORT, _ARG)),
+    ("simulate_policy.n_paths", lib.simulate_policy, (_PROBLEM, _OPTIMAL, 0.1, _ARG, 7)),
+    ("simulate_policy.seed", lib.simulate_policy, (_PROBLEM, _OPTIMAL, 0.1, 4, _ARG)),
+    ("simulate_policy.threads", lib.simulate_policy, (_PROBLEM, _OPTIMAL, 0.1, 4, 7, _ARG)),
+    ("empirical_hitting_transform.threads", lib.empirical_hitting_transform,
+     (_SHORT, -0.5, 1.0, _ARG)),
+    ("PathEnsemble.n_paths", lib.PathEnsemble, (_EIGHT, _ARG, 7, 0.1, 0.0, 1.0)),
+    ("PathEnsemble.seed", lib.PathEnsemble, (_EIGHT, 8, _ARG, 0.1, 0.0, 1.0)),
+    ("PathEnsemble.histogram.n_bins", _ENSEMBLE.histogram, (_ARG, -2.0, 2.0)),
+    ("cli._resolve_threads", threshold_diffusion.cli._resolve_threads, (_ARG,)),
+]
+
+# integers of other widths, each of which must act as the int it equals
+_INTEGERS = {"int8": np.int8(8), "int32": np.int32(8), "int64": np.int64(8),
+             "uint64": np.uint64(8), "0d": np.array(8), "negative": np.int8(-1),
+             "uint64_max": np.uint64(2 ** 64 - 1)}
+# values that are no integer, or none Python can print, each of which must be refused
+_NOT_INTEGERS = {"True": True, "False": False, "numpy_True": np.True_, "float": 4.0,
+                 "fraction": 4.5, "str": "4", "None": None, "list": [4],
+                 "huge": 10 ** 5000, "huge_negative": -(10 ** 5000)}
+# slots where None asks for the default
+_NONE_DEFAULTS = {"cli._resolve_threads"}
+
+
+@pytest.mark.parametrize("kind, value", [*_INTEGERS.items(), *_NOT_INTEGERS.items()],
+                         ids=[*_INTEGERS, *_NOT_INTEGERS])
+@pytest.mark.parametrize("slot", _COUNT_SLOTS, ids=[row[0] for row in _COUNT_SLOTS])
+def test_every_count_takes_integers_as_ints_and_refuses_the_rest(slot, kind, value):
+    # warnings are errors here too; a stored numpy integer shows in the repr
+    name, fn, args = slot
+    got = _outcome(fn, args, value)
+    if kind in _INTEGERS:
+        assert got == _outcome(fn, args, int(value))
+    else:
+        assert got[0] == ("returned" if kind == "None" and name in _NONE_DEFAULTS else "raised")

@@ -411,6 +411,54 @@ def test_mc_entry_points_raise_library_errors(call, error):
         call()
 
 
+def test_a_drift_gap_past_the_double_range_is_refused():
+    # every step adds a multiple of mu1 - mu2, which is inf here: NaN paths that
+    # never cross, and a hitting transform of 0.0 where the true value is e^-0.1
+    with pytest.raises(InvalidParameterError, match="mu1 - mu2"):
+        SimConfig(make_params(1e308, -1e308, 1.0, 1.0, 0.0), 0.5, 1.0, 0.1, 4, 0)
+    near = SimConfig(make_params(1e300, -1e300, 1.0, 1.0, 0.0), 0.5, 1.0, 0.1, 4, 0)
+    assert empirical_hitting_transform(near, 0.0, 1.0) == (math.exp(-0.1), 0.0)
+
+
+def test_an_ensemble_that_overflows_is_refused():
+    config = SimConfig(make_params(1e308, 1e308, 1.0, 1.0, 0.0), 0.0, 2.0, 1.0, 2, 1)
+    with np.errstate(over="ignore"), pytest.raises(DomainError, match="non-finite"):
+        simulate_paths(config)
+
+
+@pytest.mark.parametrize("values, n_paths", [
+    ([1.0, 2.0], 2), (None, 2), (np.zeros(0), 0), (np.zeros((2, 1)), 2),
+    (np.array([0.0, math.nan]), 2), (np.array([0.0, math.inf]), 2), (np.zeros(3), 2),
+    (np.array(["a", "b"]), 2),
+], ids=["list", "None", "empty", "2-D", "nan", "inf", "length", "strings"])
+def test_ensemble_fields_are_checked(values, n_paths):
+    with pytest.raises(InvalidParameterError):
+        PathEnsemble(values, n_paths, 0, 0.1, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(seed=-1), dict(seed=2 ** 64), dict(dt=0.0), dict(dt=2.0), dict(horizon=math.nan),
+    dict(x0=None), dict(x0=math.inf), dict(n_paths=4.0),
+])
+def test_ensemble_run_fields_are_checked_as_a_config_checks_them(kwargs):
+    base = dict(terminal_values=np.zeros(4), n_paths=4, seed=0, dt=0.1, x0=0.0, horizon=1.0)
+    base.update(kwargs)
+    with pytest.raises(InvalidParameterError):
+        PathEnsemble(**base)
+
+
+def test_library_ensembles_keep_their_arrays_and_store_plain_numbers():
+    ens = simulate_paths(SimConfig(TWO_REGIME, np.float32(0.5), 1, 0.25, np.int32(4),
+                                   np.uint64(7)))
+    again = PathEnsemble(ens.terminal_values, ens.n_paths, ens.seed, ens.dt, ens.x0,
+                         ens.horizon)
+    assert again.terminal_values is ens.terminal_values
+    assert [type(v) for v in (ens.n_paths, ens.seed, ens.dt, ens.x0, ens.horizon)] == [
+        int, int, float, float, float]
+    ints = PathEnsemble(np.arange(3), np.int64(3), np.uint64(2), 0.1, 0, 1)
+    assert ints.terminal_values.dtype == float and ints.mean() == (1.0, 1.0 / math.sqrt(3))
+
+
 def test_worker_count_is_clamped_to_the_cpu_count(monkeypatch):
     pools = []
 
