@@ -9,9 +9,10 @@ import math
 
 import numpy as np
 
-from threshold_diffusion import (DensityQuery, DiffusionParams, QuadSettings, SimConfig,
-                                 empirical_hitting_transform, integrate_finite,
-                                 one_sided_down, simulate_paths, transition_density)
+from threshold_diffusion import (DensityQuery, DiffusionParams, SimConfig,
+                                 empirical_hitting_transform, one_sided_down, simulate_paths,
+                                 transition_density)
+from threshold_diffusion.quadrature import QuadSettings, integrate_finite
 
 PARAMS = DiffusionParams(1.0, -1.0, 1.0, 2.0, 0.0)
 

@@ -3,8 +3,9 @@
 The process follows one drift/volatility pair at or below a level a and
 another pair above it. This package evaluates its exit-time Laplace
 transforms, q-potential densities, transition densities, stationary law,
-and the bang-bang control value function built on them, with quadrature,
-Laplace inversion, and Monte Carlo cross-checks.
+and the bang-bang control value function built on them, with Monte Carlo
+cross-checks. The quadrature and Laplace-inversion engines behind them are
+internal, in the quadrature and inversion modules.
 """
 
 from .control import (
@@ -43,14 +44,8 @@ from .exit import (
     one_sided_up,
     two_sided_exit,
 )
-from .inversion import invert
 from .params import DiffusionParams, make_params
 from .potential import PotentialQuery, potential_density
-from .quadrature import (
-    QuadSettings,
-    integrate_finite,
-    integrate_semi_infinite,
-)
 from .simulate import (
     PathEnsemble,
     SimConfig,
@@ -75,7 +70,6 @@ __all__ = [
     "PathEnsemble",
     "PolicyError",
     "PotentialQuery",
-    "QuadSettings",
     "SimConfig",
     "ThresholdDiffusionError",
     "alpha",
@@ -85,9 +79,6 @@ __all__ = [
     "empirical_hitting_transform",
     "g_minus",
     "g_plus",
-    "integrate_finite",
-    "integrate_semi_infinite",
-    "invert",
     "is_time_reversible",
     "make_params",
     "one_sided_down",

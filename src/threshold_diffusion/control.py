@@ -190,6 +190,8 @@ def _first_passage_value(params, T, y0):
         if v > 0.0 and not mode < mode + width:
             raise AccuracyError(f"the first-passage density toward a, of standardized "
                                 f"drift {v!r} over {y!r}, is too sharp to integrate")
+        if math.isnan(mode):  # past |v| = 1e154, v * v overflows; here v < 0
+            raise DomainError(f"the standardized drift {v!r} away from a is out of range")
         peak = [mode + k * width for k in (-4, -2, -1, 0, 1, 2, 4)]
         early, _ = integrate_finite(lambda tau: h_kernel(tau, y, -v) * g(T - tau),
                                     0.0, 0.5 * T, _SPLIT_SETTINGS, peak)

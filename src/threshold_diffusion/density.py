@@ -82,6 +82,8 @@ def _crossing_integral(params, t, rate, c1, c2, log_scale, settings):
                                   (b + c2) / s2, params.mu2 / s2, log_scale, _DEFAULT)
         return vals
 
+    if not math.isfinite(1.0 / rate):  # the quadrature probes at multiples of 1 / rate
+        raise DomainError(f"the crossing integral's decay rate {rate!r} has no finite reciprocal")
     # far from a the kernels' squared exponents overflow to inf, and exp takes them to
     # 0; at a horizon of 1e-300 their prefactors overflow, which _gk15 refuses
     with np.errstate(all="ignore"):

@@ -1,27 +1,24 @@
 """Numerical inversion of Laplace transforms by the fixed-Talbot rule.
 
-The Bromwich integral is taken along Talbot's contour, which starts on
-the positive real axis and bends into the left half-plane, with the
-fixed parameters of Abate and Valko (IJNME 60, 2004). The transform is
-called once, on the numpy array of all the contour's complex rates. In
-double precision the rule is most accurate near 24 nodes; more nodes
-amplify rounding, so a second node count serves as an error estimate
-rather than a refinement, and _vouched keeps a 24-node value only when a
-32-node inversion agrees; F is called once for both, on all 56 rates.
+An internal engine: the package's own modules call it, with a transform
+that takes the numpy array of complex rates and returns one complex value
+per rate, and times > 0; nothing here checks them. The Bromwich integral
+is taken along Talbot's contour, which starts on the positive real axis
+and bends into the left half-plane, with the fixed parameters of Abate and
+Valko (IJNME 60, 2004). The transform is called once, on the numpy array
+of all the contour's complex rates. In double precision the rule is most
+accurate near 24 nodes; more nodes amplify rounding, so a second node
+count serves as an error estimate rather than a refinement, and _vouched
+keeps a 24-node value only when a 32-node inversion agrees; F is called
+once for both, on all 56 rates.
 """
 
 import functools
 import math
-from collections.abc import Callable
 
 import numpy as np
 
-from .errors import AccuracyError, InvalidParameterError
-from .params import _check_type, _count, _real, _reals
-
-# The terms' magnitudes, and with them the sum's rounding, grow like
-# exp(2 nodes / 5): 1/q at t = 1 is off by 2e-10 at 40 nodes, 5e-9 at 48, 6e-6 at 64.
-_MAX_NODES = 40
+from .errors import AccuracyError
 
 
 @functools.cache
@@ -42,36 +39,25 @@ def _sums(F, t, unit, parts):
     array = isinstance(t, np.ndarray)
     # a subnormal t overflows its rates, and a rate F overflows at leaves the sum non-finite
     with np.errstate(all="ignore"):
-        s = unit / (t[:, None] if array else t)
-        vals = F(s)
-        try:
-            vals = np.asarray(vals, dtype=complex)
-        except (TypeError, ValueError) as exc:
-            raise InvalidParameterError(f"F must return complex values: {exc}") from exc
-        if vals.shape != s.shape:
-            raise InvalidParameterError(f"F must return one value per rate, got {vals.shape}")
+        vals = F(unit / (t[:, None] if array else t))
         sums = [(vals[..., part] @ w).real / t for part, w in parts]
     return sums if array else [float(v) for v in sums]
 
 
-def invert(F, t, nodes=24):
-    """Evaluate the inverse transform of F at time t > 0 on `nodes` Talbot nodes.
+def invert(F, t):
+    """Evaluate the inverse transform of F at time t > 0 on 24 Talbot nodes.
 
-    F is called once, on the numpy array of the `nodes` complex rates (one
-    on the positive real axis, the rest in the upper half-plane), and
-    returns one transform value per rate. t may also be a 1-D float array
-    of times > 0: F is then called once on the (len(t), nodes) array of
-    rates, one row per time, and the inverse comes back as an array over t.
-    nodes must be an integer in [8, 40]. A sum that is not finite raises
-    AccuracyError.
+    F is called once, on the numpy array of the 24 complex rates (one on the
+    positive real axis, the rest in the upper half-plane), and returns one
+    transform value per rate. t may also be a 1-D float array of times > 0:
+    F is then called once on the (len(t), 24) array of rates, one row per
+    time, and the inverse comes back as an array over t. A sum that is not
+    finite raises AccuracyError.
     """
-    _check_type(F, Callable, "F")
-    t = (_reals if isinstance(t, np.ndarray) and t.ndim else _real)(t, "t", positive=True)
-    nodes = _count(nodes, "talbot nodes", 8, _MAX_NODES)
-    unit, weights = _contour(nodes)
+    unit, weights = _contour(24)
     total, = _sums(F, t, unit, [(slice(None), weights)])
     if not np.isfinite(total).all():
-        raise AccuracyError(f"talbot sum on {nodes} nodes at t={t!r} is not finite")
+        raise AccuracyError(f"talbot sum on 24 nodes at t={t!r} is not finite")
     return total
 
 

@@ -1,29 +1,31 @@
-"""Adaptive Gauss-Kronrod quadrature tuned for the library's kernel integrals.
+"""Adaptive Gauss-Kronrod quadrature for the library's kernel integrals.
 
-One engine serves every integral: _gk15 applies the 15-point Kronrod rule
-and its embedded 7-point Gauss rule to an array of panels in a single
-integrand call, and _adaptive, QUADPACK's worst-first scheme, bisects the
-four worst panels a round until the error estimate |Kronrod - Gauss| meets
-the tolerance. The integrand may be a batch: it then returns one row per
-batch element, the panels are shared by the batch, and refinement goes on
-until every element is converged. integrate_finite runs the engine on a
-single integrand (and integrate_semi_infinite on top of it); _convolve_batch
-runs it on the fused product of two first-passage kernels, one row per
-overshoot node of the transition density's crossing integral.
+An internal engine: the package's own modules call it, and nothing here
+checks what they pass. One engine serves every integral: _gk15 applies the
+15-point Kronrod rule and its embedded 7-point Gauss rule to an array of
+panels in a single integrand call, and _adaptive, QUADPACK's worst-first
+scheme, bisects the four worst panels a round until the error estimate
+|Kronrod - Gauss| meets the tolerance. The integrand may be a batch: it
+then returns one row per batch element, the panels are shared by the batch,
+and refinement goes on until every element is converged. integrate_finite
+runs the engine on a single integrand (and integrate_semi_infinite on top
+of it); _convolve_batch runs it on the fused product of two first-passage
+kernels, one row per overshoot node of the transition density's crossing
+integral.
 
-Callables passed to this module must accept a 1-d ndarray and return an
-array whose last axis matches it. Panels are open: no integrand is ever
-evaluated exactly at a domain endpoint.
+Callers pass finite float bounds, seeds and decay rates, and integrands
+that accept a 1-d ndarray and return an array whose last axis matches it.
+Panels are open: no integrand is ever evaluated exactly at a domain
+endpoint. A non-finite integrand value raises IntegrandError, and an
+exhausted budget AccuracyError.
 """
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AccuracyError, DomainError, IntegrandError
-from .params import _check_type, _count, _real, _store_reals
 
 # 15-point Kronrod nodes/weights with the embedded 7-point Gauss rule
 # (odd-indexed nodes). Standard QUADPACK constants.
@@ -72,6 +74,7 @@ _WG = np.array([
 ])
 
 _REFINE_BATCH = 4  # panels bisected per round
+_MAX_SUBDIVISIONS = 2000  # panels one integral may make before AccuracyError
 
 # integrate_semi_infinite truncates where its implied tail bound drops below this
 _TRUNCATION_EPSILON = 1e-12
@@ -79,16 +82,10 @@ _TRUNCATION_EPSILON = 1e-12
 
 @dataclass(frozen=True)
 class QuadSettings:
-    """Tolerances and budgets for the adaptive integrators."""
+    """Tolerances of the adaptive integrators, both positive floats."""
 
     abs_tol: float = 1e-9
     rel_tol: float = 1e-7
-    max_subdivisions: int = 2000
-
-    def __post_init__(self):
-        _store_reals(self, ("abs_tol", "rel_tol"), positive=("abs_tol", "rel_tol"))
-        object.__setattr__(self, "max_subdivisions",
-                           _count(self.max_subdivisions, "max_subdivisions"))
 
 
 _DEFAULT = QuadSettings()
@@ -136,7 +133,7 @@ def _adaptive(f, lo, hi, seeds, settings, what):
         allowed = np.maximum(settings.abs_tol, settings.rel_tol * np.abs(totals))
         if np.all(errors <= allowed):
             return totals, errors
-        if n_sub >= settings.max_subdivisions or not len(los):
+        if n_sub >= _MAX_SUBDIVISIONS or not len(los):
             raise AccuracyError(
                 f"{what}: worst residual {float(np.max(errors)):.3e} after "
                 f"{n_sub} subdivisions", estimate=totals, error_estimate=errors)
@@ -167,52 +164,33 @@ def _adaptive(f, lo, hi, seeds, settings, what):
         err = np.append(np.delete(err, done, axis=-1), new_err, axis=-1)
 
 
-def integrate_finite(f, lo, hi, settings=None, seed_points=None):
-    """Adaptively integrate f over [lo, hi].
+def integrate_finite(f, lo, hi, settings=_DEFAULT, seed_points=()):
+    """Adaptively integrate f over [lo, hi], lo <= hi; equal bounds give (0.0, 0.0).
 
-    Parameters
-    ----------
-    f : callable
-        Vectorized integrand; called with a 1-d ndarray of abscissas.
-    lo, hi : float
-        Finite bounds with lo <= hi. Equal bounds give (0.0, 0.0).
-    settings : QuadSettings, optional
-    seed_points : sequence of float, optional
-        Interior points forced to be panel boundaries (used to respect
-        known kinks or boundary layers).
-
-    Returns
-    -------
-    (value, error_estimate) with error_estimate <= max(abs_tol, rel_tol*|value|),
-    or raises AccuracyError once the subdivision budget is exhausted.
+    seed_points inside (lo, hi) are forced to be panel boundaries, to respect
+    known kinks or boundary layers. Returns (value, error_estimate) with
+    error_estimate <= max(abs_tol, rel_tol*|value|), or raises AccuracyError
+    once the subdivision budget is exhausted.
     """
-    _check_type(f, Callable, "f")
-    s = settings if settings is not None else _DEFAULT
-    lo, hi = _real(lo, "lo"), _real(hi, "hi")
     if lo > hi:
         raise DomainError(f"lo must be <= hi, got [{lo!r}, {hi!r}]")
-    seeds = [_real(p, "seed_points") for p in (() if seed_points is None else seed_points)]
     if lo == hi:
         return 0.0, 0.0
-    value, err = _adaptive(f, lo, hi, seeds, s, "integrate_finite")
+    value, err = _adaptive(f, lo, hi, seed_points, settings, "integrate_finite")
     return float(value), float(err)
 
 
-def integrate_semi_infinite(f, lo, decay_rate_hint, settings=None):
+def integrate_semi_infinite(f, lo, rate, settings=_DEFAULT):
     """Integrate f over [lo, inf) assuming an eventual C*exp(-rate*u) envelope.
 
-    The hint fixes the truncation point: the domain is cut where the
-    implied tail bound drops below _TRUNCATION_EPSILON, with the envelope
-    constant estimated from probe evaluations. The measured tail bound
-    |f(u*)|/rate is folded into the returned error estimate, and the
-    domain is extended if that bound is still too large. When every probe
-    reads 0, f is searched for nearer lo before (0.0, 0.0) is returned.
+    The decay rate hint, with a finite reciprocal, fixes the truncation point:
+    the domain is cut where the implied tail bound drops below
+    _TRUNCATION_EPSILON, with the envelope constant estimated from probe
+    evaluations. The measured tail bound |f(u*)|/rate is folded into the
+    returned error estimate, and the domain is extended if that bound is
+    still too large. When every probe reads 0, f is searched for nearer lo
+    before (0.0, 0.0) is returned.
     """
-    _check_type(f, Callable, "f")
-    s = settings if settings is not None else _DEFAULT
-    rate = _real(decay_rate_hint, "decay_rate_hint", positive=True)
-    _real(1.0 / rate, "1 / decay_rate_hint")  # the probes sit at multiples of 1 / rate
-    lo = _real(lo, "lo")
     eps = _TRUNCATION_EPSILON
 
     probe_offsets = np.array([0.125, 0.5, 1.0, 2.0, 4.0]) / rate
@@ -230,7 +208,9 @@ def integrate_semi_infinite(f, lo, decay_rate_hint, settings=None):
             raise IntegrandError("integrand returned a non-finite value at a probe point")
         if not lv.any():
             return 0.0, 0.0
-        return integrate_semi_infinite(f, lo, 0.125 / ladder[np.argmax(np.abs(lv) * ladder)], s)
+        rate = 0.125 / ladder[np.argmax(np.abs(lv) * ladder)]
+        # a Python float, as every caller's hint is, so the error estimate stays one
+        return integrate_semi_infinite(f, lo, float(rate), settings)
     with np.errstate(over="ignore"):
         env = np.abs(pv) * np.exp(rate * probe_offsets)
     # an envelope that underflows over eps * rate would take log to 0; any floor < 1 clamps alike
@@ -242,15 +222,15 @@ def integrate_semi_infinite(f, lo, decay_rate_hint, settings=None):
     while w < span:
         seeds.append(lo + w)
         w *= 2.0
-    value, err = integrate_finite(f, lo, lo + span, s, seed_points=seeds)
+    value, err = integrate_finite(f, lo, lo + span, settings, seeds)
     hi = lo + span
 
     for _ in range(64):
         tail = abs(float(np.asarray(f(np.array([hi])), dtype=float)[0])) / rate
-        target = max(s.abs_tol, s.rel_tol * abs(value))
+        target = max(settings.abs_tol, settings.rel_tol * abs(value))
         if tail <= max(eps, 0.5 * target):
             return value, err + tail
-        v2, e2 = integrate_finite(f, hi, hi + span, s)
+        v2, e2 = integrate_finite(f, hi, hi + span, settings)
         value += v2
         err += e2
         hi += span

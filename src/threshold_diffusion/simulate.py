@@ -25,6 +25,7 @@ no bridge correction, same budget.
 
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -53,6 +54,8 @@ _SUB_DOUBLES = 65536
 # horizon / dt may not exceed this many Euler steps per path; criterion 8 takes
 # 1e5, and without a cap a subnormal dt would ask for 1e300 steps
 _MAX_STEPS = 1e9
+# the most float64 values one array can hold; numpy refuses more with a bare ValueError
+_MAX_VALUES = sys.maxsize // 8
 
 # Wichura (1988) algorithm AS241, PPND16 constants
 _PPND_A = (2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
@@ -193,7 +196,8 @@ def _check_run(x0, horizon, dt, n_paths, seed):
         raise InvalidParameterError(
             f"horizon / dt must not exceed {_MAX_STEPS:.0e} steps per path, got "
             f"T={horizon!r}, dt={dt!r}")
-    return x0, horizon, dt, _count(n_paths, "n_paths"), _count(seed, "seed", 0, 2 ** 64 - 1)
+    return (x0, horizon, dt, _count(n_paths, "n_paths", hi=_MAX_VALUES),
+            _count(seed, "seed", 0, 2 ** 64 - 1))
 
 
 def _store_run(obj):
@@ -232,11 +236,28 @@ class SimConfig:
         _store_run(self)
 
 
-def _mean_se(values):
-    """(sample mean, standard error) of one value per path."""
+def _moments(values):
     n = len(values)
     se = values.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
     return float(values.mean()), float(se)
+
+
+def _mean_se(values):
+    """(sample mean, standard error) of one value per path; DomainError where
+    either leaves the double range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        pair = _moments(values)
+    if not all(map(math.isfinite, pair)):
+        # a sum or a square left the double range: take what did again on the
+        # values scaled by a power of two, and scale it back
+        e = math.frexp(float(np.max(np.abs(values))))[1]
+        try:
+            pair = tuple(v if math.isfinite(v) else math.ldexp(w, e)
+                         for v, w in zip(pair, _moments(np.ldexp(values, -e))))
+        except OverflowError:
+            raise DomainError("the sample mean or its standard error leaves the "
+                              "double range") from None
+    return pair
 
 
 @dataclass(frozen=True)
@@ -273,10 +294,16 @@ class PathEnsemble:
         Returns (edges, frequencies, standard_errors); frequencies are
         probabilities of landing in each bin, not densities.
         """
-        n_bins = _count(n_bins, "n_bins")
+        n_bins = _count(n_bins, "n_bins", hi=_MAX_VALUES - 1)  # n_bins + 1 edges
         lo, hi = _real(lo, "lo"), _real(hi, "hi")
         if not lo < hi:
             raise DomainError(f"histogram range needs lo < hi, got ({lo!r}, {hi!r})")
+        # numpy warns on a width past the double range, and refuses its own edges
+        # unless they increase strictly: both are checked here first
+        if not (math.isfinite(hi - lo)
+                and np.all(np.diff(np.linspace(lo, hi, n_bins + 1)) > 0.0)):
+            raise DomainError(f"histogram range ({lo!r}, {hi!r}) has no {n_bins} bins "
+                              "of finite, positive width")
         counts, edges = np.histogram(self.terminal_values, bins=n_bins, range=(lo, hi))
         freq = counts / self.n_paths
         se = np.sqrt(freq * (1.0 - freq) / self.n_paths)

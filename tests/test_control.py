@@ -196,6 +196,13 @@ def test_split_refuses_a_first_passage_too_sharp_to_integrate(drift):
         first_passage_value(ControlProblem(drift, 2.0, -drift, 1.0, 0.0, 1.0), 0.1)
 
 
+def test_split_refuses_a_drift_away_from_a_whose_square_overflows():
+    # above a the tilted state drifts away from it at a standardized 1e155, whose
+    # square overflows: the mode of the hitting time, and the split's seeds, are NaN
+    with pytest.raises(DomainError, match="away from a"):
+        value_function(ControlProblem(2e155, 2.0, 1e155, 1.0, 0.0, 1.0), 0.5)
+
+
 def test_symmetric_value_at_start_is_two_thirds_to_talbot_accuracy():
     assert value_function(SYMMETRIC, 0.0) == pytest.approx(2.0 / 3.0, abs=1e-9)
     # a start on a: the split's first hit is at once, and it reads u(T) alone

@@ -8,10 +8,10 @@ import pytest
 
 from threshold_diffusion import density as density_module
 from threshold_diffusion import (AccuracyError, DensityQuery, DomainError, NoStationaryLawError,
-                                 QuadSettings, SimConfig, ThresholdDiffusionError,
-                                 density_jump_at_threshold, integrate_finite,
+                                 SimConfig, ThresholdDiffusionError, density_jump_at_threshold,
                                  is_time_reversible, make_params, oscillating_bm_density,
                                  simulate_paths, stationary_density, transition_density)
+from threshold_diffusion.quadrature import QuadSettings, integrate_finite
 
 TWO_REGIME = make_params(1.0, -1.0, 1.0, 2.0, 0.0)
 OSC = make_params(0.0, 0.0, 1.0, 2.0, 0.0)
@@ -366,6 +366,13 @@ def test_long_horizon_density_refuses_what_talbot_cannot_vouch_for(monkeypatch):
     monkeypatch.setattr(density_module, "_talbot_density", lambda *args: None)
     with pytest.raises(AccuracyError):
         p_at(TWO_REGIME, 1e9, 0.1, 0.2)
+
+
+def test_a_crossing_decay_rate_without_a_finite_reciprocal_is_refused():
+    # the rate at q = 1/t is 2e-309, and the crossing quadrature would probe at
+    # multiples of its reciprocal, which overflows
+    with pytest.raises(DomainError, match="reciprocal"):
+        p_at(make_params(10.0, -10.0, 1.3e154, 1.3e154, 0.0), 1e308, 0.1, 0.2)
 
 
 def test_density_regression_pin():

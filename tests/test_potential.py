@@ -8,11 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from threshold_diffusion import (DomainError, NoStationaryLawError, PotentialQuery,
-                                 QuadSettings, g_minus, g_plus, integrate_finite,
-                                 make_params, potential_density, stationary_density)
+from threshold_diffusion import (DomainError, NoStationaryLawError, PotentialQuery, g_minus,
+                                 g_plus, make_params, potential_density, stationary_density)
 from threshold_diffusion.params import deltas
 from threshold_diffusion.potential import potential_grid
+from threshold_diffusion.quadrature import QuadSettings, integrate_finite
 
 TWO_REGIME = make_params(1.0, -1.0, 1.0, 2.0, 0.0)
 

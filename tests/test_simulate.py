@@ -402,13 +402,39 @@ _POLICY = optimal_policy(PIN_PROBLEM)
     (lambda: _ENS.histogram(4, 1.0, 1.0), DomainError),
     (lambda: _ENS.histogram(4, 1.0, -1.0), DomainError),
     (lambda: _ENS.histogram(4, None, 1.0), DomainError),
+    # counts whose float64 arrays would pass sys.maxsize bytes, refused before any is made
+    (lambda: _ENS.histogram(2 ** 62, 0.0, 1.0), InvalidParameterError),
+    (lambda: simulate_paths(SimConfig(TWO_REGIME, 0.0, 1.0, 0.1, 2 ** 62, 7)),
+     InvalidParameterError),
+    (lambda: simulate_policy(PIN_PROBLEM, _POLICY, 1e-2, 2 ** 62, 0), InvalidParameterError),
+    # ranges numpy cannot split into the bins, or whose width overflows
+    (lambda: _ENS.histogram(2, 1.0, 1.0 + 2.2e-16), DomainError),
+    (lambda: _ENS.histogram(3, 0.0, 5e-324), DomainError),
+    (lambda: _ENS.histogram(3, -1e308, 1e308), DomainError),
 ], ids=["wrong-shape", "none-vols", "text-vols", "not-callable", "no-problem", "no-params",
         "paths-no-config", "hitting-no-config", "threads-str", "threads-0", "threads-float",
         "threads-bool", "policy-threads-0", "hitting-threads-float", "level-none",
-        "level-nan", "bins-0", "bins-float", "empty-range", "reversed-range", "range-none"])
+        "level-nan", "bins-0", "bins-float", "empty-range", "reversed-range", "range-none",
+        "bins-past-memory", "paths-past-memory", "policy-paths-past-memory",
+        "bins-past-resolution", "subnormal-range", "width-overflows"])
 def test_mc_entry_points_raise_library_errors(call, error):
     with pytest.raises(error):
         call()
+
+
+def test_histogram_bins_are_numpys_own():
+    for n_bins, lo, hi in ((4, -1.0, 1.0), (3, 1.0, 1.0 + 1e-15), (2, -1e307, 1e307)):
+        edges, freq, _ = _ENS.histogram(n_bins, lo, hi)
+        counts, want = np.histogram(_ENS.terminal_values, bins=n_bins, range=(lo, hi))
+        assert np.array_equal(edges, want) and np.array_equal(freq, counts / _ENS.n_paths)
+
+
+def test_mean_of_values_whose_sum_or_squares_overflow_is_finite():
+    # the squares of the first pass 1e308, and the sum of the second does; the
+    # standard error is sqrt(103 / 3) 1e159 and the mean keeps its first bits
+    wide = PathEnsemble(np.array([1e160, -1e160, 3e159]), 3, 1, 0.1, 0.0, 1.0)
+    assert wide.mean() == (1.0000000000000001e159, 5.859465277082316e159)
+    assert PathEnsemble(np.array([1e308, 1e308]), 2, 1, 0.1, 0.0, 1.0).mean() == (1e308, 0.0)
 
 
 def test_a_drift_gap_past_the_double_range_is_refused():
