@@ -157,6 +157,8 @@ lib = threshold_diffusion
 # at most 16 paths and 10 steps in every simulation below
 _SHORT = lib.SimConfig(_PARAMS, 0.0, 1.0, 0.1, 4, 7)
 _ENSEMBLE = lib.simulate_paths(_SHORT)
+# eight terminal values for the PathEnsemble rows below
+_EIGHT = np.linspace(-1.0, 1.0, 8)
 
 
 def _grid(v):
@@ -217,14 +219,22 @@ _REAL_SLOTS = [
      (_PROBLEM, lib.optimal_policy(_PROBLEM), _ARG, 4, 7)),
     ("empirical_hitting_transform.level", lib.empirical_hitting_transform, (_SHORT, _ARG, 1.0)),
     ("empirical_hitting_transform.q", lib.empirical_hitting_transform, (_SHORT, -0.5, _ARG)),
+    ("PathEnsemble.terminal_values", lib.PathEnsemble, (_ARG, 1, 7, 0.1, 0.0, 1.0), _grid),
+    ("PathEnsemble.dt", lib.PathEnsemble, (_EIGHT, 8, 7, _ARG, 0.0, 1.0)),
+    ("PathEnsemble.x0", lib.PathEnsemble, (_EIGHT, 8, 7, 0.1, _ARG, 1.0)),
+    ("PathEnsemble.horizon", lib.PathEnsemble,
+     (_EIGHT, 8, 7, 0.1, 0.0, _ARG)),
     ("PathEnsemble.survival_frequency", _ENSEMBLE.survival_frequency, (_ARG,)),
     ("PathEnsemble.histogram.lo", _ENSEMBLE.histogram, (4, _ARG, 2.0)),
     ("PathEnsemble.histogram.hi", _ENSEMBLE.histogram, (4, -2.0, _ARG)),
 ]
 
 # numbers of other widths and types, each of which must act as the float it equals
+# (a numpy float64, as indexing an array gives, and a longdouble that rounds to its float)
 _NUMBERS = {"float16": np.float16(0.5), "float32": np.float32(0.7),
-            "float32_big": np.float32(3e38), "int64": np.int64(1), "0d": np.array(0.5),
+            "float32_big": np.float32(3e38), "float64": np.float64(0.3),
+            "longdouble": np.longdouble(1) / 3, "int": 1, "int64": np.int64(1),
+            "0d": np.array(0.5),
             "nan": math.nan, "inf": math.inf, "subnormal": 1e-310,
             "tiny_subnormal": 1e-320, "least_subnormal": 5e-324}
 # values that are no real number, each of which must be refused with a library error
@@ -269,7 +279,6 @@ def test_every_real_argument_takes_numbers_as_floats_and_refuses_the_rest(slot, 
 
 # a policy for the simulate_policy rows below
 _OPTIMAL = lib.optimal_policy(_PROBLEM)
-_EIGHT = np.linspace(-1.0, 1.0, 8)
 # (id, entry point, its arguments with _ARG in the slot under test): every integer
 # count of the library; thread counts stay small, as the gate clamps them to the CPUs
 _COUNT_SLOTS = [
