@@ -61,9 +61,12 @@ def _gaussian_pair(params, t, x, z):
     s2sq = params.sigma2 ** 2
     mu2 = params.mu2
     a = params.a
+    var2 = 2.0 * t * s2sq
+    if not var2:  # then every division below is by 0
+        raise AccuracyError(f"the Gaussian pair's variance t sigma2^2 underflows at t={t!r}")
     norm = 1.0 / math.sqrt(2.0 * math.pi * t * s2sq)
-    direct = -((z - x - mu2 * t) ** 2) / (2.0 * t * s2sq)
-    mirror = (-((z + x - 2.0 * a) ** 2) / (2.0 * t * s2sq)
+    direct = -((z - x - mu2 * t) ** 2) / var2
+    mirror = (-((z + x - 2.0 * a) ** 2) / var2
               + mu2 * (z - x) / s2sq - mu2 * mu2 * t / (2.0 * s2sq))
     return norm * (math.exp(direct) - math.exp(mirror))
 
@@ -85,7 +88,7 @@ def _crossing_integral(params, t, rate, c1, c2, log_scale, settings):
     if not math.isfinite(1.0 / rate):  # the quadrature probes at multiples of 1 / rate
         raise DomainError(f"the crossing integral's decay rate {rate!r} has no finite reciprocal")
     # far from a the kernels' squared exponents overflow to inf, and exp takes them to
-    # 0; at a horizon of 1e-300 their prefactors overflow, which _gk15 refuses
+    # 0; at a horizon of 1e-200 their product overflows near z = a, which _gk15 refuses
     with np.errstate(all="ignore"):
         val, _ = integrate_semi_infinite(outer, 0.0, rate, settings)
     return val
@@ -98,11 +101,19 @@ def _talbot_density(params, t, x, z):
                     0.01 * _DEFAULT.abs_tol, 0.01 * _DEFAULT.rel_tol)
 
 
+def _finite(val, t):
+    """A density value floored at 0.0, or AccuracyError where it is not a finite number."""
+    if not math.isfinite(val):
+        raise AccuracyError(f"transition density at t={t!r} is not a finite number: {val!r}")
+    return max(val, 0.0)
+
+
 def transition_density(query):
     """Transition density value p(t; x, z); nonnegative, jump in z at the threshold.
 
     The z = a evaluation returns the upper-branch one-sided limit
-    p(t; x, a+) when x >= a, and the lower-branch limit when x < a.
+    p(t; x, a+) when x >= a, and the lower-branch limit when x < a. A value
+    that leaves the double range, or is not a number, raises AccuracyError.
     """
     _check_type(query, DensityQuery, "query")
     p = query.params
@@ -118,17 +129,18 @@ def transition_density(query):
     if unresolved:
         val = _talbot_density(p, t, x, z)
         if val is not None:
-            return max(val, 0.0)
+            return _finite(val, t)
     try:
         if z >= a:
             gauss = _gaussian_pair(p, t, x, z)
             log_scale = 2.0 * p.mu2 * (z - a) / (s2 * s2)
             weight, c1, c2 = 2.0 / (s2 * s2), 0.0, z + x - 2.0 * a
             # Laplace-side bound at q = 1/t on the whole crossing part; where it and
-            # the pair both underflow, the density is 0 to double precision
-            bound = (math.e / rate) * math.exp(log_scale - d2p * c2)
+            # the pair both underflow, the density is 0 to double precision; a rate
+            # of 0.0 bounds nothing (and leaves the point unresolved, refused below)
+            bound = (math.e / rate if rate else math.inf) * math.exp(log_scale - d2p * c2)
             if weight * bound * _SKIP_RATIO <= abs(gauss):
-                return max(gauss, 0.0)
+                return _finite(gauss, t)
         else:
             gauss, log_scale = 0.0, 2.0 * p.mu1 * (z - a) / (s1 * s1)
             weight, c1, c2 = 2.0 / (s1 * s1), a - z, x - a
@@ -140,7 +152,7 @@ def transition_density(query):
         val = gauss + weight * _crossing_integral(p, t, rate, c1, c2, log_scale, settings)
     except OverflowError as exc:
         raise AccuracyError(f"transition density overflows at t={t!r}") from exc
-    return max(val, 0.0)
+    return _finite(val, t)
 
 
 def density_jump_at_threshold(params, t, x):
@@ -157,7 +169,10 @@ def density_jump_at_threshold(params, t, x):
         return 0.0
     s1sq, s2sq = params.sigma1 ** 2, params.sigma2 ** 2
     p = transition_density(query)
-    return p * (1.0 - s2sq / s1sq) if x >= params.a else p * (s1sq / s2sq - 1.0)
+    jump = p * (1.0 - s2sq / s1sq) if x >= params.a else p * (s1sq / s2sq - 1.0)
+    if not math.isfinite(jump):  # a variance ratio past the double range
+        raise AccuracyError(f"the density jump at t={t!r} leaves the double range")
+    return jump
 
 
 # the long-time limit of p(t; x, z) is the q -> 0 limit of the potential density

@@ -160,20 +160,23 @@ def deltas(params, q):
     A float q gives numpy float64 fields; an array gives arrays over q, element
     for element equal to the float call's value (the rates and weights take
     only correctly rounded operations). A rate whose 2 q sigma^2 overflows, or
-    underflows to 0 in a regime without drift, raises DomainError.
+    underflows to 0 in a regime without drift, or whose pasting weights leave the
+    double range, raises DomainError.
     """
     q = (_reals if isinstance(q, np.ndarray) and q.ndim else _real)(q, "q", positive=True)
-    with np.errstate(all="ignore"):  # a rate that is not a finite float is refused below
+    with np.errstate(all="ignore"):  # a rate or weight that is not a finite float is refused below
         rates = (_delta_pair(params.mu1, params.sigma1, q)
                  + _delta_pair(params.mu2, params.sigma2, q))
-        total = sum(rates)
+        weights = _weights(*rates)
+        total = sum(rates + weights)
     # an overflowing 2 q s^2 makes the large root inf; an underflowing one (mu = 0)
-    # makes it 0 and the small root inf
+    # makes it 0 and the small root inf; finite rates of far-apart sizes can still
+    # put a weight past the double range
     if not np.isfinite(total).all():
         bad = np.atleast_1d(q)[~np.isfinite(np.atleast_1d(total))]
-        raise DomainError(f"q={float(bad[0])!r} is out of range: "
-                          "2 q sigma^2 overflows or underflows a float")
-    return DeltaSet(q, *rates, *_weights(*rates))
+        raise DomainError(f"q={float(bad[0])!r} is out of range: 2 q sigma^2 overflows "
+                          "or underflows a float, or a pasting weight leaves it")
+    return DeltaSet(q, *rates, *weights)
 
 
 def _weights(d1p, d1m, d2p, d2m):

@@ -3,14 +3,17 @@
 An internal engine: the package's own modules call it, and nothing here
 checks what they pass. One engine serves every integral: _gk15 applies the
 15-point Kronrod rule and its embedded 7-point Gauss rule to an array of
-panels in a single integrand call, and _adaptive, QUADPACK's worst-first
-scheme, bisects the four worst panels a round until the error estimate
-|Kronrod - Gauss| meets the tolerance. The integrand may be a batch: it
-then returns one row per batch element, the panels are shared by the batch,
-and refinement goes on until every element is converged. integrate_finite
-runs the engine on a single integrand (and integrate_semi_infinite on top
-of it); _convolve_batch runs it on the fused product of two first-passage
-kernels, one row per overshoot node of the transition density's crossing
+panels in a single integrand call, taking both rules' sums in one product
+with a (15, 2) weight matrix, and _adaptive, QUADPACK's worst-first scheme,
+bisects the four worst panels a round until the error estimate
+|Kronrod - Gauss| meets the tolerance; each round one keep-mask drops the
+panels it bisects or retires, and one concatenate per panel array appends
+the halves. The integrand may be a batch: it then returns one row per batch
+element, the panels are shared by the batch, and refinement goes on until
+every element is converged. integrate_finite runs the engine on a single
+integrand (and integrate_semi_infinite on top of it); _convolve_batch runs
+it on the product of two first-passage kernels, taken as one exp of its
+logarithm, one row per overshoot node of the transition density's crossing
 integral.
 
 Callers pass finite float bounds, seeds and decay rates, and integrands
@@ -73,8 +76,16 @@ _WG = np.array([
     0.129484966168869693270611432679082,
 ])
 
+# column 0 the Kronrod weights, column 1 the Gauss weights (0 on the Kronrod-only
+# nodes): one product takes both rules' sums
+_WEIGHTS = np.zeros((15, 2))
+_WEIGHTS[:, 0] = _WGK
+_WEIGHTS[1::2, 1] = _WG
+
 _REFINE_BATCH = 4  # panels bisected per round
 _MAX_SUBDIVISIONS = 2000  # panels one integral may make before AccuracyError
+
+_LOG_2PI = math.log(2.0 * math.pi)
 
 # integrate_semi_infinite truncates where its implied tail bound drops below this
 _TRUNCATION_EPSILON = 1e-12
@@ -96,19 +107,25 @@ def _gk15(f, los, his):
 
     f maps a 1-d array of abscissas to an array whose last axis runs over
     them: one row per batch element, or a 1-d array for a single integrand.
-    Returns the Kronrod sums and |Kronrod - Gauss|, shaped (..., panels).
+    Both rules' sums come from one product with _WEIGHTS. Returns the Kronrod
+    sums and |Kronrod - Gauss|, shaped (..., panels).
     """
     centers = 0.5 * (los + his)
     halves = 0.5 * (his - los)
     nodes = (centers[:, None] + halves[:, None] * _XGK[None, :]).ravel()
     vals = np.asarray(f(nodes), dtype=float)
-    finite = np.isfinite(vals)
-    if not finite.all():
-        bad = nodes[~finite.reshape(-1, nodes.size).all(axis=0)][0]
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * a Gauss weight of 0 is NaN
+        sums = vals.reshape(-1, 15) @ _WEIGHTS
+    # every Kronrod weight is positive, so a non-finite value reaches its panel's sum
+    if not np.isfinite(sums).all():
+        vals = vals.reshape(-1, nodes.size)
+        finite = np.isfinite(vals).all(axis=0)
+        # finite values can overflow a sum too: then name the largest one's node
+        bad = nodes[~finite][0] if not finite.all() else nodes[np.abs(vals).max(axis=0).argmax()]
         raise IntegrandError(f"integrand returned a non-finite value near x={bad!r}")
-    vals = vals.reshape(vals.shape[:-1] + (len(los), 15))
-    kron = (vals * _WGK).sum(axis=-1) * halves
-    gauss = (vals[..., 1::2] * _WG).sum(axis=-1) * halves
+    sums = sums.reshape(vals.shape[:-1] + (len(los), 2))
+    kron = sums[..., 0] * halves
+    gauss = sums[..., 1] * halves
     return kron, np.abs(kron - gauss)
 
 
@@ -138,12 +155,13 @@ def _adaptive(f, lo, hi, seeds, settings, what):
                 f"{what}: worst residual {float(np.max(errors)):.3e} after "
                 f"{n_sub} subdivisions", estimate=totals, error_estimate=errors)
         mids = 0.5 * (los + his)
-        done, split = [], []
+        keep = np.ones(len(los), dtype=bool)
+        split = []
         # panels are kept in the order they were made; the stable sort ranks ties that way
         for j in np.argsort(-err.reshape(-1, len(los)).max(axis=0), kind="stable"):
             if len(split) == _REFINE_BATCH:
                 break
-            done.append(j)
+            keep[j] = False
             if not los[j] < mids[j] < his[j]:
                 retired = retired + err[..., j]
                 if np.any(retired > allowed):
@@ -158,10 +176,10 @@ def _adaptive(f, lo, hi, seeds, settings, what):
         new_kron, new_err = _gk15(f, new_los, new_his) if split else (kron[..., :0], err[..., :0])
         totals, errors = totals + new_kron.sum(axis=-1), errors + new_err.sum(axis=-1)
         n_sub += len(new_los)
-        los = np.append(np.delete(los, done), new_los)
-        his = np.append(np.delete(his, done), new_his)
-        kron = np.append(np.delete(kron, done, axis=-1), new_kron, axis=-1)
-        err = np.append(np.delete(err, done, axis=-1), new_err, axis=-1)
+        los = np.concatenate((los[keep], new_los))
+        his = np.concatenate((his[keep], new_his))
+        kron = np.concatenate((kron[..., keep], new_kron), axis=-1)
+        err = np.concatenate((err[..., keep], new_err), axis=-1)
 
 
 def integrate_finite(f, lo, hi, settings=_DEFAULT, seed_points=()):
@@ -264,20 +282,36 @@ def _layer_seeds(t, scale):
 def _convolve_batch(t, x1, mu1, x2, mu2, log_scale, settings):
     """Batched exp(log_scale) * integral_0^t h(t-tau; x1_i, mu1) h(tau; x2_i, mu2) dtau.
 
-    t > 0, and x1, x2 are 1-d arrays of positive displacements of one length.
-    One _adaptive run refines tau panels shared by the batch until every
-    element meets settings. Returns (values, error_estimates).
+    t > 0, and x1, x2 are 1-d arrays of nonnegative displacements of one length.
+    The integrand is the two kernels' product as one exp of its whole logarithm,
+    as h_kernel takes it: a row term log x1 + log x2 per overshoot node (-inf, so
+    an exact 0, at a zero displacement), a column term log_scale - log 2 pi
+    - 1.5 (log(t - tau) + log tau) per tau node, and the two squared drift terms.
+    The logs of t - tau and tau are taken apart, so their product cannot
+    underflow; the exponent is built in place, and a product past the double
+    range is inf, which _gk15 refuses. One _adaptive run refines tau panels
+    shared by the batch until every element meets settings. Returns
+    (values, error_estimates).
     """
+    x1c, x2c = x1[:, None], x2[:, None]
+    with np.errstate(divide="ignore"):
+        row = (np.log(x1) + np.log(x2))[:, None]
+    shift = log_scale - _LOG_2PI
+
     def kernel(tau):
-        # fused product of the two kernels; exponents combined before exp so the
-        # log_scale shift can never overflow on its own
         rem = t - tau
-        expo = (log_scale
-                - (x1[:, None] + mu1 * rem) ** 2 / (2.0 * rem)
-                - (x2[:, None] + mu2 * tau) ** 2 / (2.0 * tau))
-        pref = (x1[:, None] * x2[:, None]) / (2.0 * np.pi * (rem * tau) ** 1.5)
+        col = shift - 1.5 * (np.log(rem) + np.log(tau))
+        expo = x1c + mu1 * rem
+        expo *= expo
+        expo *= 0.5 / rem
+        drift2 = x2c + mu2 * tau
+        drift2 *= drift2
+        drift2 *= 0.5 / tau
+        expo += drift2
+        np.subtract(row, expo, out=expo)
+        expo += col
         with np.errstate(under="ignore"):
-            return pref * np.exp(expo)
+            return np.exp(expo, out=expo)
 
     # boundary layers: the x1 kernel concentrates where t - tau is at its mode
     # scale, the x2 kernel where tau is; they shrink like displacement^2

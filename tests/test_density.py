@@ -208,6 +208,66 @@ def test_density_at_a_horizon_of_1e_minus_300_is_zero_or_a_library_error():
         density_jump_at_threshold(TWO_REGIME, 1e-300, 0.0)
 
 
+@pytest.mark.parametrize("t", [1e-110, 1e-130, 1e-150])
+def test_jump_at_a_tiny_horizon_is_the_two_gaussian_heights(t):
+    # as t -> 0 the drifts stop mattering: p(t; a, a+) sqrt(2 pi t) tends to the
+    # oscillating BM's 2 sigma1 / (sigma2 (sigma1 + sigma2)) = 1/3, so the jump times
+    # sqrt(2 pi t) tends to (1/3)(1 - 4) = -1; the convolution kernels' prefactor
+    # overflowed here while the kernel was not one exp of its logarithm
+    jump = density_jump_at_threshold(TWO_REGIME, t, 0.0)
+    assert abs(jump * math.sqrt(2.0 * math.pi * t) + 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("t", [1e-200, 1e-300])
+def test_jump_past_the_double_range_is_a_library_error(t):
+    # the kernels' product itself overflows near tau = t / 2
+    with pytest.raises(ThresholdDiffusionError):
+        density_jump_at_threshold(TWO_REGIME, t, 0.0)
+
+
+# Inputs at the edge of the double range, found by a sweep of extreme parameters,
+# where the density once divided by zero or read NaN
+UNDERFLOWING_PAIR = (make_params(6.976738203430948e-75, -3.565920264337515e-49,
+                                 2.9759868491716195e-71, 9.070515040062959e-145,
+                                 1.3270788841295151),
+                     9.916462390323963e-202, 0.028325218767051068, 0.006759436856249216)
+ZERO_RATE = (make_params(1e100, -1e100, 1e148, 1e148, 0.0), 1e290, 0.1, 0.2)
+NAN_DENSITY = (make_params(8.131331686848541e35, 4.57162579704913e-109,
+                           4.5041762950219047e108, 1.2784933172048618e-28,
+                           0.36037721793630156),
+               4.358488906372367e273, -0.018395755649174728, 0.0)
+
+
+@pytest.mark.parametrize("args", [UNDERFLOWING_PAIR, ZERO_RATE, NAN_DENSITY],
+                         ids=["pair-variance-underflows", "zero-decay-rate", "nan"])
+def test_density_past_the_double_range_raises_accuracy_error(args):
+    # the Gaussian pair's sqrt(2 pi t sigma2^2) underflows to 0; the crossing part's
+    # decay rate is 0.0, which the skip bound divided by; the value is NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AccuracyError):
+            p_at(*args)
+
+
+def test_jump_with_a_variance_ratio_past_the_double_range_raises_accuracy_error():
+    params = make_params(0.0, -1.7960653730129987e-299, 1.7278530657106356e-89,
+                         2.079012351193694e120, 0.030496534991314272)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AccuracyError):
+            density_jump_at_threshold(params, 12.312353552541486, 1.0529682838945404)
+
+
+def test_density_whose_pasting_weight_overflows_is_refused_without_warnings():
+    # finite rates at q = 1 / t of far-apart sizes; c_minus overflowed in _weights
+    params = make_params(-6.51497912448766e135, -2.662244045004801e-287,
+                         7.044264510648909e-31, 3.854421098608135e130, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="pasting weight"):
+            p_at(params, 0.040976005320035896, -4.780036350860407, 0.0)
+
+
 def test_density_at_huge_t_under_confining_drifts_is_the_stationary_law():
     # the quadrature route overflowed here; the Talbot route does not
     assert p_at(TWO_REGIME, 1e300, 0.1, 0.2) == pytest.approx(

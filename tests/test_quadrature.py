@@ -1,6 +1,7 @@
 """Adaptive quadrature: finite panels, semi-infinite tails, h-convolution."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -125,6 +126,42 @@ def test_convolution_semigroup_sweep(t, x1, x2, mu):
 
 def test_convolution_zero_displacement():
     assert convolve(1.0, 1.0, 0.5, 0.0, 0.5) == 0.0
+
+
+def _fused_kernel(monkeypatch, t, x1, mu1, x2, mu2, log_scale):
+    """The integrand _convolve_batch hands to the adaptive engine."""
+    seen = []
+    monkeypatch.setattr(quadrature, "_adaptive", lambda f, *args: seen.append(f))
+    _convolve_batch(t, x1, mu1, x2, mu2, log_scale, QuadSettings())
+    return seen[0]
+
+
+def test_fused_kernel_is_the_product_of_two_h_kernels(monkeypatch):
+    t, mu1, mu2, log_scale = 2.0, 0.7, -1.3, 0.4
+    # zero displacements give exact 0 rows; the small ones put boundary layers
+    # of width x^2 / 3 at both ends of [0, t]
+    x1 = np.array([0.0, 1e-3, 0.05, 0.7, 2.5])
+    x2 = np.array([0.3, 2e-3, 0.0, 1.1, 0.04])
+    tau = np.array([2e-13, 4e-7, 1.3e-6, 8e-4, 0.3, 1.0, 1.7, t - 3e-4, t - 4e-7, t - 2e-13])
+    got = _fused_kernel(monkeypatch, t, x1, mu1, x2, mu2, log_scale)(tau)
+    want = (math.exp(log_scale) * h_kernel(t - tau, x1[:, None], mu1)
+            * h_kernel(tau, x2[:, None], mu2))
+    assert got.shape == want.shape == (5, 10)
+    assert np.all(got[0] == 0.0) and np.all(got[2] == 0.0)
+    assert np.count_nonzero(want) == 16 and np.all(want[want > 0.0] > 1e-300)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("node", [0, 4, 14])
+def test_gk15_names_an_inf_on_a_kronrod_only_node(node):
+    # even indices carry Kronrod weight only; the sums still see the inf
+    los, his = np.array([0.0, 1.0]), np.array([1.0, 2.0])
+    bad = (np.array([1.5]) + np.array([0.5]) * quadrature._XGK[node])[0]
+
+    def f(x):
+        return np.stack([np.ones_like(x), np.where(x == bad, np.inf, 1.0)])
+    with pytest.raises(IntegrandError, match=f"near x={re.escape(repr(bad))}$"):
+        quadrature._gk15(f, los, his)
 
 
 def test_convolution_swap_symmetry():
