@@ -199,8 +199,14 @@ def oscillating_bm_density(sigma1, sigma2, a, t, x, z):
         if z >= a:
             u, w = ((x - a) + (z - a)) / sd2, (z - x) / sd2
             sd, weight = sd2, 1.0
-            g = ((sigma1 - sigma2) / (sigma1 + sigma2) * math.exp(-0.5 * u * u)
-                 + math.exp(-0.5 * w * w))
+            # w^2 = u^2 - 2c: where c <= 1 the two Gaussian terms would cancel when
+            # sigma1 << sigma2, so their sum is e^(-u^2/2) (2 sigma1/(sigma1 + sigma2) + expm1(c))
+            c = 2.0 * ((x - a) / sd2) * ((z - a) / sd2)
+            if c <= 1.0:
+                g = math.exp(-0.5 * u * u) * (2.0 * (sigma1 / (sigma1 + sigma2)) + math.expm1(c))
+            else:
+                g = ((sigma1 - sigma2) / (sigma1 + sigma2) * math.exp(-0.5 * u * u)
+                     + math.exp(-0.5 * w * w))
         else:
             u = (z - a) / sd1 - (x - a) / sd2
             sd, weight = sd1, 2.0 * (sigma2 / (sigma1 + sigma2))

@@ -38,7 +38,7 @@ def _rates(params, q):
 def _log_g_minus(params, d, x):
     """log g_minus(x) over the rates d, each an array over q."""
     s = x - params.a
-    if s <= 0.0:
+    if s < 0.0:  # at a itself the pure exponential is exactly 0, the pasted log need not be
         # 1 - c_minus = (d1m + d2p) / (d1m + d1p) in a form that cannot cancel
         keep = (d.d1_minus + d.d2_plus) / (d.d1_minus + d.d1_plus)
         return -d.d1_plus * s + np.log(keep + d.c_minus * np.exp((d.d1_minus + d.d1_plus) * s))

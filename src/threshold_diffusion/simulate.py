@@ -12,9 +12,10 @@ execution therefore produce identical ensembles, block and chunk splits
 included. Terminal ensembles run blocks of at most 2048 paths, the hitting
 transform one block per thread; each worker holds at most _NOISE_BUDGET
 bytes of noise at once, so memory grows with threads, not with n_paths.
-A step factory, given a block's path count and a step size, turns a noise
-chunk into the increment terms its steps add, one cache-sized sub-chunk at a
-time, with the products and sums, in order, of a step computing them itself.
+Every run switches between two (drift, volatility) pairs, and so does its one
+Euler step, x += np.where(rule(x, t, mask), on, off): fill_for(dt_step) turns
+noise into (on, off) increment rows, a cache-sized sub-chunk at a time, and
+rule marks the paths taking `on` in the block's own bool buffer.
 
 The scheme freezes the regime at the left endpoint of every step; the
 coefficients are discontinuous at the threshold, so survival-type
@@ -332,104 +333,98 @@ def _chunk_steps(block, left):
     return -(-left // chunks)
 
 
-def _increment_rows(z, buf, fill):
-    """(on, off) rows for the steps of noise chunk z, made one sub-chunk of rows
-    at a time: fill(rows, on) turns rows of z into one increment term in place
-    and writes another into `on`, a view of buf."""
+def _euler_steps(x, z, buf, fill, rule, mask, k0, dt):
+    """Step x through noise chunk z, whose row k is step k0 + k at time (k0 + k) dt,
+    yielding k after step k: a path adds the on-side increment where
+    rule(x, t, mask) marks it, else the off-side one (everywhere, with no rule).
+    fill(rows, on) turns one sub-chunk of rows of z into off-side increments in
+    place and writes the on-side ones into `on`, a view of buf."""
     sub = buf.size // z.shape[1]
     for s in range(0, len(z), sub):
-        off = z[s:s + sub]
-        on = buf[:off.size].reshape(off.shape)
-        fill(off, on)
-        yield from zip(on, off)
+        offs = z[s:s + sub]
+        ons = buf[:offs.size].reshape(offs.shape)
+        fill(offs, ons)
+        for k, (on, off) in enumerate(zip(ons, offs), s):
+            x += off if rule is None else np.where(rule(x, (k0 + k) * dt, mask), on, off)
+            yield k
 
 
-def _terminal_block(seed, idx0, count, x0, horizon, dt, step_factory):
+def _at_or_below(level):
+    """Rule marking the paths at or below a fixed level."""
+    return lambda x, t, mask: np.less_equal(x, level, out=mask)
+
+
+def _terminal_block(seed, idx0, count, x0, horizon, dt, fill_for, rule):
     """Evolve one path block to the horizon, regime frozen per step.
 
-    step_factory(count, dt_step) gives (fill, step) for steps of that size on
-    `count` paths, with work buffers of their own, so blocks running on
-    different threads never share state: fill as in _increment_rows, and
-    step(x, t, on, off) advancing x from time t with one row of each. Noise
-    is drawn in chunks of columns; each path consumes its own stream
-    sequentially, so the chunking leaves the results untouched.
+    fill_for(dt_step) gives the fill of steps of that size, which with rule
+    and the block's own buffers runs _euler_steps: blocks on different threads
+    share no state. Noise is drawn in chunks of columns, which each path reads
+    in sequence from its own stream, so the chunking leaves the results untouched.
     """
     gen = _path_generator(seed, idx0)
     paths = range(idx0, idx0 + count)
     buf = np.empty(max(_SUB_DOUBLES, count))
+    mask = np.empty(count, dtype=bool)
     n_full, rem = _step_layout(horizon, dt)
     x = np.full(count, x0)
-    fill, step = step_factory(count, dt)
+    fill = fill_for(dt)
     done = 0
     while done < n_full:
         m = _chunk_steps(count, n_full - done)
-        _terminal_steps(x, _draw_block_normals(gen, paths, done, m), buf, fill, step,
-                        done, dt)
+        for _ in _euler_steps(x, _draw_block_normals(gen, paths, done, m), buf, fill, rule,
+                              mask, done, dt):
+            pass
         done += m
     if rem > 0.0:
-        _terminal_steps(x, _draw_block_normals(gen, paths, n_full, 1), buf,
-                        *step_factory(count, rem), n_full, dt)
+        for _ in _euler_steps(x, _draw_block_normals(gen, paths, n_full, 1), buf,
+                              fill_for(rem), rule, mask, n_full, dt):
+            pass
     return x
 
 
-def _terminal_steps(x, z, buf, fill, step, k0, dt):
-    """Step x through noise chunk z, whose row k is step k0 + k at time (k0 + k) dt;
-    the chunk is freed on return, before the next one is drawn."""
-    for k, (on, off) in enumerate(_increment_rows(z, buf, fill), k0):
-        step(x, k * dt, on, off)
-
-
-def _plain_step(params):
-    """Step factory for the uncontrolled process.
-
-    The update x += (mu2 + dmu b) dt + (s2 + ds b) sq z with b = 1{x <= a}
-    is regrouped as x += ((dmu dt + ds sq z) b + s2 sq z) + mu2 dt. The two
-    noise terms are made ahead of the steps, and a step multiplies by b as
-    a 0/1 double: no select, whose cost grows where b is unpredictable.
-    """
+def _plain_fill(params, dt_step):
+    """Fill for steps x += (mu2 + dmu b) dt + (s2 + ds b) sq z of the plain
+    process, b = 1{x <= a}, grouped as ((dmu dt + ds sq z) + s2 sq z) + mu2 dt
+    at or below a and s2 sq z + mu2 dt above it. So a regime-1 increment
+    depends on (mu2, sigma2) in its last bits. So does the hitting walk's: it
+    takes ((mu2 + dmu 1) dt, (s2 + ds 1) sq), and mu2 + (mu1 - mu2) can differ
+    from mu1 in its last bit. Both groupings stay; mending either moves pinned
+    ensemble digests."""
     mu2, s2 = params.mu2, params.sigma2
     dmu, ds = params.mu1 - params.mu2, params.sigma1 - params.sigma2
-    a = params.a
-
-    def steps_for(count, dt_step):
-        w = np.empty(count)
-        sq = math.sqrt(dt_step)
-        c1, d1, c2, d2 = ds * sq, dmu * dt_step, s2 * sq, mu2 * dt_step
-
-        def fill(z, on):
-            np.multiply(z, c1, out=on)
-            on += d1
-            z *= c2
-
-        def step(x, t, on, off):
-            np.less_equal(x, a, out=w)
-            np.multiply(w, on, out=w)
-            np.add(w, off, out=w)
-            np.add(w, d2, out=w)
-            x += w
-        return fill, step
-    return steps_for
-
-
-def _two_valued_fill(on_pair, off_pair):
-    """Fill for steps x += d + v z with (d, v) = on_pair where a path takes the
-    on-side increment, else off_pair: within one step the drift and
-    volatility terms take two values each, so they are scalars, and each
-    increment comes from the same product and sum as the per-path arithmetic
-    it replaces."""
-    (d_on, v_on), (d_off, v_off) = on_pair, off_pair
+    sq = math.sqrt(dt_step)
+    c1, d1, c2, d2 = ds * sq, dmu * dt_step, s2 * sq, mu2 * dt_step
 
     def fill(z, on):
-        np.multiply(z, v_on, out=on)
-        on += d_on
-        z *= v_off
-        z += d_off
+        np.multiply(z, c1, out=on)
+        on += d1
+        z *= c2
+        on += z
+        on += d2
+        z += d2
     return fill
 
 
-def _take_off(x, t, on, off):
-    """Step of a policy whose two increments agree: no split to evaluate."""
-    x += off
+def _two_valued_fill_for(on_pair, off_pair):
+    """fill_for of steps x += drift dt + vol sqrt(dt) z with (drift, vol) =
+    on_pair where a path takes the on-side increment, else off_pair: within
+    one step the drift and volatility terms take two values each, so they
+    are scalars, and each increment comes from the same product and sum as
+    the per-path arithmetic it replaces."""
+    (mu_on, s_on), (mu_off, s_off) = on_pair, off_pair
+
+    def fill_for(dt_step):
+        sq = math.sqrt(dt_step)
+        d_on, v_on, d_off, v_off = mu_on * dt_step, s_on * sq, mu_off * dt_step, s_off * sq
+
+        def fill(z, on):
+            np.multiply(z, v_on, out=on)
+            on += d_on
+            z *= v_off
+            z += d_off
+        return fill
+    return fill_for
 
 
 def _run_blocks(n_paths, threads, block, block_values):
@@ -452,10 +447,10 @@ def _run_blocks(n_paths, threads, block, block_values):
     return out
 
 
-def _terminal_values(seed, x0, horizon, dt, n_paths, step_factory, threads):
+def _terminal_values(seed, x0, horizon, dt, n_paths, fill_for, rule, threads):
     out = _run_blocks(n_paths, threads, _block_size(n_paths, threads),
                       lambda i0, count: _terminal_block(seed, i0, count, x0, horizon, dt,
-                                                        step_factory))
+                                                        fill_for, rule))
     if not np.isfinite(out).all():
         raise DomainError("a simulated path left the double range: non-finite terminal value")
     return out
@@ -469,48 +464,26 @@ def simulate_paths(config, threads=1):
     """
     _check_type(config, SimConfig, "config")
     threads = _check_threads(threads)
-    out = _terminal_values(config.seed, config.x0, config.horizon, config.dt,
-                           config.n_paths, _plain_step(config.params), threads)
+    params = config.params
+    out = _terminal_values(config.seed, config.x0, config.horizon, config.dt, config.n_paths,
+                           lambda dt_step: _plain_fill(params, dt_step), _at_or_below(params.a),
+                           threads)
     return PathEnsemble(out, config.n_paths, config.seed, config.dt,
                         config.x0, config.horizon)
 
 
-def _policy_pair(problem, vol, dt_step):
-    """(drift dt, vol sqrt(dt)) of one admissible volatility, drift paired with it."""
-    drift = problem.mu_bar if vol == problem.sigma_bar else problem.mu_low
-    return drift * dt_step, vol * math.sqrt(dt_step)
-
-
-def _threshold_policy_step(problem, policy):
-    """Step factory for a _ThresholdPolicy whose two volatilities the problem
-    admits: policy.level(t) splits the paths, with no call to the policy itself."""
-    def steps_for(count, dt_step):
-        mask = np.empty(count, dtype=bool)
-
-        def step(x, t, on, off):
-            x += np.where(np.less_equal(x, policy.level(t), out=mask), on, off)
-
-        on_pair = _policy_pair(problem, policy.at_or_below, dt_step)
-        off_pair = _policy_pair(problem, policy.above, dt_step)
-        return (_two_valued_fill(on_pair, off_pair),
-                step if on_pair != off_pair else _take_off)
-    return steps_for
-
-
-def _policy_step(problem, policy):
-    """Step factory calling policy(states, t) every step and checking its answer;
+def _policy_rule(problem, policy):
+    """Rule calling policy(states, t) every step and checking its answer;
     the paths it gives sigma_bar take the on-side increment."""
     sbar, slow = problem.sigma_bar, problem.sigma_low
 
-    def step(x, t, on, off):
+    def rule(x, t, mask):
         returned = policy(x, t)
         try:
             vol = np.asarray(returned, dtype=float)
         except (TypeError, ValueError) as exc:
             raise PolicyError(f"policy returned no volatilities at t={t!r}: {exc}") from exc
-        if vol.ndim == 0:
-            vol = np.full_like(x, float(vol))
-        if vol.shape != x.shape:
+        if vol.ndim and vol.shape != x.shape:
             raise PolicyError(f"policy returned shape {vol.shape} for {x.shape} states "
                               f"at t={t!r}")
         high = vol == sbar
@@ -519,12 +492,8 @@ def _policy_step(problem, policy):
             raise PolicyError(
                 f"policy returned volatility {vol[bad][0]!r} at t={t!r}; "
                 f"admissible values are {slow!r} and {sbar!r}")
-        x += np.where(high, on, off)
-
-    def steps_for(count, dt_step):
-        return (_two_valued_fill(_policy_pair(problem, sbar, dt_step),
-                                 _policy_pair(problem, slow, dt_step)), step)
-    return steps_for
+        return high
+    return rule
 
 
 def simulate_policy(problem, policy, dt, n_paths, seed, threads=1):
@@ -542,13 +511,18 @@ def simulate_policy(problem, policy, dt, n_paths, seed, threads=1):
         raise PolicyError(f"policy must be callable as policy(states, t), got {policy!r}")
     _, _, dt, n_paths, seed = _check_run(problem.x0, problem.T, dt, n_paths, seed)
     threads = _check_threads(threads)
-    admissible = (problem.sigma_low, problem.sigma_bar)
-    if (isinstance(policy, _ThresholdPolicy) and policy.at_or_below in admissible
-            and policy.above in admissible):
-        factory = _threshold_policy_step(problem, policy)
+    # the admissible volatilities, each with its paired drift
+    drift = {problem.sigma_bar: problem.mu_bar, problem.sigma_low: problem.mu_low}
+    if (isinstance(policy, _ThresholdPolicy) and policy.at_or_below in drift
+            and policy.above in drift):
+        # policy.level(t) splits the paths, with no call to the policy itself
+        on, off = policy.at_or_below, policy.above
+        rule = (None if on == off else
+                lambda x, t, mask: np.less_equal(x, policy.level(t), out=mask))
     else:
-        factory = _policy_step(problem, policy)
-    out = _terminal_values(seed, problem.x0, problem.T, dt, n_paths, factory, threads)
+        on, off, rule = problem.sigma_bar, problem.sigma_low, _policy_rule(problem, policy)
+    out = _terminal_values(seed, problem.x0, problem.T, dt, n_paths,
+                           _two_valued_fill_for((drift[on], on), (drift[off], off)), rule, threads)
     return PathEnsemble(out, n_paths, seed, dt, problem.x0, problem.T)
 
 
@@ -587,26 +561,21 @@ def _hitting_block(config, level, q, sign, i0, count, n_full, rem):
     A path crosses when sign (x - level) <= 0, i.e. x <= level for sign 1
     and x >= level for sign -1. A chunk of noise holds at most the budget's
     bytes with its crossing flags, or one column. It is turned into the two
-    increments d + v z a step can take, below a and above it, one sub-chunk
-    at a time, so a step is a regime test, a select, an add and a crossing
-    test recorded per path. Crossed paths keep stepping until the chunk
+    increments d + v z a step can take, at or below a and above it, one
+    sub-chunk at a time, so a step is the select of _euler_steps and a
+    crossing test recorded per path. Crossed paths keep stepping until the chunk
     ends; the first recorded crossing of each path gives its hitting step.
     """
     params = config.params
     mu2, s2 = params.mu2, params.sigma2
     dmu, ds = params.mu1 - params.mu2, params.sigma1 - params.sigma2
-    a = params.a
-
-    def fill_for(dt_step):
-        # the values of (mu2 + dmu b) dt_step and (s2 + ds b) sqrt(dt_step), b in {1, 0}
-        sq = math.sqrt(dt_step)
-        return _two_valued_fill(*(((mu2 + dmu * b) * dt_step, (s2 + ds * b) * sq)
-                                  for b in (1.0, 0.0)))
-
+    # the values of (mu2 + dmu b, s2 + ds b), b in {1, 0}
+    fill_for = _two_valued_fill_for(*((mu2 + dmu * b, s2 + ds * b) for b in (1.0, 0.0)))
     crossed = np.less_equal if sign > 0 else np.greater_equal
     dt = config.dt
-    fill = fill_for(dt)
+    fill, rule = fill_for(dt), _at_or_below(params.a)
     buf = np.empty(max(_SUB_DOUBLES, count))
+    mask = np.empty(count, dtype=bool)
     gen = _path_generator(config.seed, i0)
     x = np.full(count, config.x0)
     alive = np.arange(count)
@@ -616,7 +585,7 @@ def _hitting_block(config, level, q, sign, i0, count, n_full, rem):
     while alive.size and done < n_full:
         m = min(chunk, n_full - done, _budget_columns(alive.size, _HIT_NORMAL_BYTES))
         record = _hitting_steps(x, _draw_block_normals(gen, (i0 + alive).tolist(), done, m),
-                                buf, fill, a, crossed, level)
+                                buf, fill, rule, mask, crossed, level)
         first = record.argmax(axis=0)
         dead = record[first, np.arange(alive.size)]
         if dead.any():
@@ -630,17 +599,16 @@ def _hitting_block(config, level, q, sign, i0, count, n_full, rem):
         chunk = min(2 * chunk, _HIT_CHUNK_MAX)
     if alive.size and rem > 0.0:
         hit = _hitting_steps(x, _draw_block_normals(gen, (i0 + alive).tolist(), n_full, 1),
-                             buf, fill_for(rem), a, crossed, level)[0]
+                             buf, fill_for(rem), rule, mask, crossed, level)[0]
         if hit.any():
             contrib[alive[hit]] = math.exp(-q * config.horizon)
     return contrib
 
 
-def _hitting_steps(x, z, buf, fill, a, crossed, level):
-    """Step x through noise chunk z; returns the crossing record, row k after step k.
-    The chunk itself is freed on return."""
+def _hitting_steps(x, z, buf, fill, rule, mask, crossed, level):
+    """Step x through noise chunk z, rule marking paths in the head of mask; returns
+    the crossing record, row k after step k. The chunk itself is freed on return."""
     record = np.empty(z.shape, dtype=bool)
-    for k, (on, off) in enumerate(_increment_rows(z, buf, fill)):
-        x += np.where(x <= a, on, off)
+    for k in _euler_steps(x, z, buf, fill, rule, mask[:x.size], 0, 0.0):
         crossed(x, level, out=record[k])
     return record

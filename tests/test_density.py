@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 
 from threshold_diffusion import density as density_module
-from threshold_diffusion import (AccuracyError, DensityQuery, DomainError, NoStationaryLawError,
-                                 SimConfig, ThresholdDiffusionError, density_jump_at_threshold,
-                                 is_time_reversible, make_params, oscillating_bm_density,
-                                 simulate_paths, stationary_density, transition_density)
+from threshold_diffusion import (AccuracyError, DensityQuery, DiffusionParams, DomainError,
+                                 NoStationaryLawError, SimConfig, ThresholdDiffusionError,
+                                 density_jump_at_threshold, is_time_reversible,
+                                 oscillating_bm_density, simulate_paths, stationary_density,
+                                 transition_density)
 from threshold_diffusion.quadrature import QuadSettings, integrate_finite
 
-TWO_REGIME = make_params(1.0, -1.0, 1.0, 2.0, 0.0)
-OSC = make_params(0.0, 0.0, 1.0, 2.0, 0.0)
+TWO_REGIME = DiffusionParams(1.0, -1.0, 1.0, 2.0, 0.0)
+OSC = DiffusionParams(0.0, 0.0, 1.0, 2.0, 0.0)
 
 
 def p_at(params, t, x, z):
@@ -22,7 +23,7 @@ def p_at(params, t, x, z):
 
 
 def test_standard_brownian_point():
-    p = make_params(0.0, 0.0, 1.0, 1.0, 0.0)
+    p = DiffusionParams(0.0, 0.0, 1.0, 1.0, 0.0)
     assert p_at(p, 1.0, 0.0, 0.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi), abs=1e-9)
 
 
@@ -55,7 +56,7 @@ def test_jump_matches_numerical_one_sided_limits():
 
 
 def test_jump_zero_iff_equal_sigmas():
-    assert density_jump_at_threshold(make_params(1.0, -1.0, 1.3, 1.3, 0.4), 1.0, 0.2) == 0.0
+    assert density_jump_at_threshold(DiffusionParams(1.0, -1.0, 1.3, 1.3, 0.4), 1.0, 0.2) == 0.0
     assert density_jump_at_threshold(OSC, 1.0, 0.0) < -0.1
 
 
@@ -75,16 +76,16 @@ def test_reflection_through_mirrored_params():
 
 
 def test_equal_sigma_gaussian_reduction():
-    got = p_at(make_params(0.5, 0.5, 1.0, 1.0, 0.0), 1.0, 0.0, 0.5)
+    got = p_at(DiffusionParams(0.5, 0.5, 1.0, 1.0, 0.0), 1.0, 0.0, 0.5)
     assert got == pytest.approx(1.0 / math.sqrt(2 * math.pi), abs=1e-9)
 
 
 def test_equal_sigma_continuity_at_threshold():
-    assert density_jump_at_threshold(make_params(1.0, -1.0, 1.0, 1.0, 0.0), 1.0, 0.3) == 0.0
+    assert density_jump_at_threshold(DiffusionParams(1.0, -1.0, 1.0, 1.0, 0.0), 1.0, 0.3) == 0.0
 
 
 def test_equal_sigma_normalization():
-    params = make_params(1.0, -1.0, 1.0, 1.0, 0.0)
+    params = DiffusionParams(1.0, -1.0, 1.0, 1.0, 0.0)
 
     def f(zs):
         return np.array([p_at(params, 1.0, 0.3, float(z)) for z in zs])
@@ -94,7 +95,7 @@ def test_equal_sigma_normalization():
 
 
 @pytest.mark.parametrize("t", [0.25, 4.0])
-@pytest.mark.parametrize("params", [TWO_REGIME, make_params(-1.0, 1.0, 2.0, 1.0, -0.3)])
+@pytest.mark.parametrize("params", [TWO_REGIME, DiffusionParams(-1.0, 1.0, 2.0, 1.0, -0.3)])
 def test_normalization_time_sweep(params, t):
     x = params.a + 0.4
     smax = max(params.sigma1, params.sigma2)
@@ -140,6 +141,36 @@ def test_oscillating_density_underflows_to_zero_and_never_reads_nan():
                 assert 0.0 <= p < math.inf
 
 
+def _oscillating_mp(mp, s1, s2, a, t, x, z):
+    """oscillating_bm_density's closed form in mpmath at the current precision."""
+    s1, s2, a, t, x, z = map(mp.mpf, (s1, s2, a, t, x, z))
+    if x < a:
+        return _oscillating_mp(mp, s2, s1, -a, t, -x, -z)
+    sd1, sd2 = s1 * mp.sqrt(t), s2 * mp.sqrt(t)
+    if z >= a:
+        u, w = ((x - a) + (z - a)) / sd2, (z - x) / sd2
+        g = (s1 - s2) / (s1 + s2) * mp.exp(-u * u / 2) + mp.exp(-w * w / 2)
+        return g / (sd2 * mp.sqrt(2 * mp.pi))
+    u = (z - a) / sd1 - (x - a) / sd2
+    return 2 * s2 / (s1 + s2) * mp.exp(-u * u / 2) / (sd1 * mp.sqrt(2 * mp.pi))
+
+
+@pytest.mark.parametrize("s1", [1e-200, 1e-12, 1e-3, 0.5])
+@pytest.mark.parametrize("s2", [1.0, 25642.54, 1e6, 1.67e11])
+def test_oscillating_density_keeps_its_digits_when_sigma1_is_far_below_sigma2(s1, s2):
+    # on the start's side of a, (sigma1 - sigma2) / (sigma1 + sigma2) rounds to -1,
+    # and a sum of the two Gaussian terms cancels: at (1e-200, 25642.54) it is
+    # 5.1e-7 off, and at (1e-200, 1.67e11) it reads 0.0 against 1.03e-35
+    mp = pytest.importorskip("mpmath")
+    for a, t, x, z in ((0.0, 1.0, 0.3, 0.2), (0.0, 0.5, 1.0, 0.1), (0.5, 2.0, 0.6, 3.0),
+                       (-1.0, 1e-3, -0.99, -0.95), (0.0, 1.0, 2.0, 3.0), (0.0, 1.0, 0.3, 0.3)):
+        with mp.workdps(60):
+            want = float(_oscillating_mp(mp, s1, s2, a, t, x, z))
+        assert want > 0.0
+        got = oscillating_bm_density(s1, s2, a, t, x, z)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
 @pytest.mark.parametrize("args", [
     (1.0, 1e-320, 0.0, 1.0, 0.3, 0.3),  # 1 / (sigma sqrt(2 pi t)) overflows
     (1e-200, 1.0, 0.0, 1e-250, 0.3, -0.2),  # sigma1 sqrt(t) underflows to 0
@@ -152,7 +183,7 @@ def test_oscillating_density_refuses_a_prefactor_past_the_double_range(args):
 
 
 def test_stationary_point_value_and_mass():
-    p = make_params(1.0, -1.0, 1.0, 1.0, 0.0)
+    p = DiffusionParams(1.0, -1.0, 1.0, 1.0, 0.0)
     assert stationary_density(p, 0.0) == pytest.approx(1.0, rel=1e-13)
     val, _ = integrate_finite(
         lambda zs: np.array([stationary_density(p, float(z)) for z in zs]),
@@ -162,7 +193,7 @@ def test_stationary_point_value_and_mass():
 
 def test_stationary_requires_confining_drifts():
     with pytest.raises(NoStationaryLawError):
-        stationary_density(make_params(-1.0, 1.0, 1.0, 1.0, 0.0), 0.0)
+        stationary_density(DiffusionParams(-1.0, 1.0, 1.0, 1.0, 0.0), 0.0)
 
 
 def test_stationary_rejects_nan_state():
@@ -171,9 +202,9 @@ def test_stationary_rejects_nan_state():
 
 
 def test_time_reversibility_flags():
-    assert is_time_reversible(make_params(0.0, 0.0, 1.0, 1.0, 0.0))
-    assert not is_time_reversible(make_params(1.0, 1.0, 1.0, 2.0, 0.0))
-    assert not is_time_reversible(make_params(1.0, -1.0, 1.0, 1.0, 0.0))
+    assert is_time_reversible(DiffusionParams(0.0, 0.0, 1.0, 1.0, 0.0))
+    assert not is_time_reversible(DiffusionParams(1.0, 1.0, 1.0, 2.0, 0.0))
+    assert not is_time_reversible(DiffusionParams(1.0, -1.0, 1.0, 1.0, 0.0))
 
 
 def test_density_rejects_bad_t():
@@ -190,14 +221,14 @@ def test_density_rejects_bad_t():
 def test_density_overflow_at_huge_t_is_a_library_error():
     # drifts away from a keep this on the quadrature route, whose Gaussian overflows
     with pytest.raises(AccuracyError):
-        p_at(make_params(-1.0, 1.0, 1.0, 2.0, 0.0), 1e300, 0.1, 0.2)
+        p_at(DiffusionParams(-1.0, 1.0, 1.0, 2.0, 0.0), 1e300, 0.1, 0.2)
 
 
 def test_density_far_below_a_is_zero_without_warnings():
     # the convolution kernel's squared exponents overflow to inf there
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert p_at(make_params(1.0, -1.0, 1.0, 2.0, 0.0), 1.0, 0.5, -1e300) == 0.0
+        assert p_at(DiffusionParams(1.0, -1.0, 1.0, 2.0, 0.0), 1.0, 0.5, -1e300) == 0.0
 
 
 def test_density_at_a_horizon_of_1e_minus_300_is_zero_or_a_library_error():
@@ -227,12 +258,12 @@ def test_jump_past_the_double_range_is_a_library_error(t):
 
 # Inputs at the edge of the double range, found by a sweep of extreme parameters,
 # where the density once divided by zero or read NaN
-UNDERFLOWING_PAIR = (make_params(6.976738203430948e-75, -3.565920264337515e-49,
+UNDERFLOWING_PAIR = (DiffusionParams(6.976738203430948e-75, -3.565920264337515e-49,
                                  2.9759868491716195e-71, 9.070515040062959e-145,
                                  1.3270788841295151),
                      9.916462390323963e-202, 0.028325218767051068, 0.006759436856249216)
-ZERO_RATE = (make_params(1e100, -1e100, 1e148, 1e148, 0.0), 1e290, 0.1, 0.2)
-NAN_DENSITY = (make_params(8.131331686848541e35, 4.57162579704913e-109,
+ZERO_RATE = (DiffusionParams(1e100, -1e100, 1e148, 1e148, 0.0), 1e290, 0.1, 0.2)
+NAN_DENSITY = (DiffusionParams(8.131331686848541e35, 4.57162579704913e-109,
                            4.5041762950219047e108, 1.2784933172048618e-28,
                            0.36037721793630156),
                4.358488906372367e273, -0.018395755649174728, 0.0)
@@ -250,7 +281,7 @@ def test_density_past_the_double_range_raises_accuracy_error(args):
 
 
 def test_jump_with_a_variance_ratio_past_the_double_range_raises_accuracy_error():
-    params = make_params(0.0, -1.7960653730129987e-299, 1.7278530657106356e-89,
+    params = DiffusionParams(0.0, -1.7960653730129987e-299, 1.7278530657106356e-89,
                          2.079012351193694e120, 0.030496534991314272)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -260,7 +291,7 @@ def test_jump_with_a_variance_ratio_past_the_double_range_raises_accuracy_error(
 
 def test_density_whose_pasting_weight_overflows_is_refused_without_warnings():
     # finite rates at q = 1 / t of far-apart sizes; c_minus overflowed in _weights
-    params = make_params(-6.51497912448766e135, -2.662244045004801e-287,
+    params = DiffusionParams(-6.51497912448766e135, -2.662244045004801e-287,
                          7.044264510648909e-31, 3.854421098608135e130, 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -323,7 +354,7 @@ def test_long_horizon_density_matches_mpmath_without_the_crossing_quadrature(
     def crossing(*args, **kwargs):
         raise AssertionError("the crossing quadrature ran")
     monkeypatch.setattr(density_module, "_crossing_integral", crossing)
-    assert abs(p_at(make_params(*fields), t, x, z) - want) <= max(1e-9, 1e-7 * want)
+    assert abs(p_at(DiffusionParams(*fields), t, x, z) - want) <= max(1e-9, 1e-7 * want)
 
 
 # The crossing quadrature against 40- and 60-digit mpmath Talbot (and de Hoog)
@@ -332,7 +363,7 @@ def test_long_horizon_density_matches_mpmath_without_the_crossing_quadrature(
 # 9.519e-8.
 def test_ordinary_horizon_density_meets_its_tolerance():
     want = 2.424853427595e-3
-    got = p_at(make_params(-0.0618, -2.8226, 0.0956, 0.9626, 0.0), 46.93, 0.7455, -0.8512)
+    got = p_at(DiffusionParams(-0.0618, -2.8226, 0.0956, 0.9626, 0.0), 46.93, 0.7455, -0.8512)
     assert abs(got - want) <= max(1e-9, 1e-7 * want)
 
 
@@ -340,14 +371,14 @@ def test_ordinary_horizon_density_meets_its_tolerance():
                           "accuracy; it reads 4.36e-11 here")
 def test_long_horizon_tail_density_keeps_relative_accuracy():
     want = 4.374445266101e-10
-    got = p_at(make_params(-0.7, -0.2, 3.0, 1.0, 1.2), 1000.0, 0.1, 0.2)
+    got = p_at(DiffusionParams(-0.7, -0.2, 3.0, 1.0, 1.2), 1000.0, 0.1, 0.2)
     assert abs(got - want) <= 1e-3 * want
 
 
 def test_crossing_density_meets_its_tolerance():
     # 40- and 60-digit mpmath Talbot on the resolvent agree on every digit pinned here
     want = 1.14793777467836e-7
-    got = p_at(make_params(0.3814, 0.5267, 0.2041, 0.4063, 0.0), 11.868, 0.088, -0.3746)
+    got = p_at(DiffusionParams(0.3814, 0.5267, 0.2041, 0.4063, 0.0), 11.868, 0.088, -0.3746)
     assert abs(got - want) <= max(1e-9, 1e-7 * want)
 
 
@@ -408,7 +439,7 @@ def test_density_matches_mpmath_on_the_seeded_sweep(index):
         pytest.skip(f"40- and 60-digit references differ: {refs!r}")
     if index in SWEEP_PINS:
         assert want == pytest.approx(SWEEP_PINS[index], rel=1e-13)
-    got = p_at(make_params(*fields), t, x, z)
+    got = p_at(DiffusionParams(*fields), t, x, z)
     assert abs(got - want) <= max(1e-9, 1e-7 * abs(want))
 
 
@@ -417,7 +448,7 @@ def test_small_volatility_transport_peak_takes_the_certified_gaussian_pair():
     # peak is carried by the drift over |z - x| = |mu2| t, where the Talbot contour
     # loses its damping (the node sums read 8.9e5 and 7.7e14); the closed-form
     # Gaussian pair's bound certifies it here
-    p = make_params(1.0, -1.0, 2.0, 0.01, 0.0)
+    p = DiffusionParams(1.0, -1.0, 2.0, 0.01, 0.0)
     assert p_at(p, 0.3, 0.5, 0.2) == pytest.approx(72.83656203947193, rel=1e-12)
 
 
@@ -432,7 +463,7 @@ def test_a_crossing_decay_rate_without_a_finite_reciprocal_is_refused():
     # the rate at q = 1/t is 2e-309, and the crossing quadrature would probe at
     # multiples of its reciprocal, which overflows
     with pytest.raises(DomainError, match="reciprocal"):
-        p_at(make_params(10.0, -10.0, 1.3e154, 1.3e154, 0.0), 1e308, 0.1, 0.2)
+        p_at(DiffusionParams(10.0, -10.0, 1.3e154, 1.3e154, 0.0), 1e308, 0.1, 0.2)
 
 
 def test_density_regression_pin():
@@ -455,7 +486,7 @@ def _binned_masses(params, t, x0, edges):
 def test_monte_carlo_histogram_drift_switch():
     # binned t = 1 law from 1e5 Euler paths vs quadrature of the density;
     # with equal volatilities the Euler weak error is far below the MC noise
-    params, t, x0, dt = make_params(1.0, -1.0, 1.0, 1.0, 0.0), 1.0, 0.0, 1e-3
+    params, t, x0, dt = DiffusionParams(1.0, -1.0, 1.0, 1.0, 0.0), 1.0, 0.0, 1e-3
     ens = simulate_paths(SimConfig(params, x0, t, dt, 100_000, 31337))
     edges, freq, _ = ens.histogram(20, -3.0, 3.0)
     for i, mass in enumerate(_binned_masses(params, t, x0, edges)):

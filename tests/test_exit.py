@@ -9,20 +9,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from threshold_diffusion import exit as exit_module
-from threshold_diffusion import (DegenerateIntervalError, DomainError, ExitQuery,
-                                 g_minus, g_plus, make_params, one_sided_down,
-                                 one_sided_up, two_sided_exit)
+from threshold_diffusion import (DegenerateIntervalError, DiffusionParams, DomainError, ExitQuery,
+                                 g_minus, g_plus, one_sided_down, one_sided_up, two_sided_exit)
 from threshold_diffusion.exit import two_sided_exit_grid
 
-TWO_REGIME = make_params(1.0, -1.0, 1.0, 2.0, 0.0)
+TWO_REGIME = DiffusionParams(1.0, -1.0, 1.0, 2.0, 0.0)
 
 BATTERY = (
-    make_params(0.0, 0.0, 1.0, 1.0, 0.0),
-    make_params(1.0, 1.0, 1.0, 2.0, 0.5),
+    DiffusionParams(0.0, 0.0, 1.0, 1.0, 0.0),
+    DiffusionParams(1.0, 1.0, 1.0, 2.0, 0.5),
     TWO_REGIME,
-    make_params(-1.0, 1.0, 2.0, 1.0, -0.3),
-    make_params(0.5, -0.5, 1.0, 4.0, 0.0),
-    make_params(-0.7, -0.2, 3.0, 1.0, 1.2),
+    DiffusionParams(-1.0, 1.0, 2.0, 1.0, -0.3),
+    DiffusionParams(0.5, -0.5, 1.0, 4.0, 0.0),
+    DiffusionParams(-0.7, -0.2, 3.0, 1.0, 1.2),
 )
 
 
@@ -32,10 +31,12 @@ def linearexp(mu, sigma, q, dist):
 
 
 def test_g_equals_one_at_threshold():
+    # exactly 1, as documented: at a, the log of g_minus's pasted sum need not
+    # round to 0 (it gives 0.9999999999999999 for TWO_REGIME at q = 2 and 3.5)
     for p in BATTERY:
-        for q in (0.3, 1.0, 4.0):
-            assert g_minus(p, q, p.a) == pytest.approx(1.0, rel=1e-14)
-            assert g_plus(p, q, p.a) == pytest.approx(1.0, rel=1e-14)
+        for q in (0.3, 1.0, 2.0, 3.5, 4.0, *np.logspace(-6, 6, 37)):
+            assert g_minus(p, q, p.a) == 1.0
+            assert g_plus(p, q, p.a) == 1.0
 
 
 def test_g_monotonicity():
@@ -48,7 +49,7 @@ def test_g_monotonicity():
 
 
 def test_g_single_regime_value():
-    p = make_params(0.0, 0.0, 1.0, 1.0, 0.0)
+    p = DiffusionParams(0.0, 0.0, 1.0, 1.0, 0.0)
     assert g_minus(p, 0.5, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-13)
 
 
@@ -93,7 +94,7 @@ def test_two_sided_boundary_starts():
 
 
 def test_two_sided_symmetric_brownian():
-    p = make_params(0.0, 0.0, 1.0, 1.0, 0.0)
+    p = DiffusionParams(0.0, 0.0, 1.0, 1.0, 0.0)
     down, up = two_sided_exit(ExitQuery(p, 0.5, 0.0, -1.0, 1.0))
     want = math.sinh(1.0) / math.sinh(2.0)
     assert down == pytest.approx(want, rel=1e-12)
@@ -128,7 +129,7 @@ def test_two_sided_probabilistic_bounds():
 @st.composite
 def exit_problems(draw):
     unit = st.floats(0.0, 1.0)
-    params = make_params(-2.0 + 4.0 * draw(unit), -2.0 + 4.0 * draw(unit),
+    params = DiffusionParams(-2.0 + 4.0 * draw(unit), -2.0 + 4.0 * draw(unit),
                          0.3 + 2.7 * draw(unit), 0.3 + 2.7 * draw(unit),
                          -1.0 + 2.0 * draw(unit))
     y, x, z = sorted(params.a - 3.0 + 6.0 * draw(unit) for _ in range(3))
@@ -185,7 +186,7 @@ def test_entry_points_reject_non_numbers_and_overflow_as_library_errors():
              lambda: exit_module._check_states(None),
              lambda: g_plus(TWO_REGIME, 1.0, "0"),
              # g_minus(-40) = exp(8040) has no float
-             lambda: g_minus(make_params(1.0, -1.0, 0.1, 2.0, 0.0), 1.0, -40.0))
+             lambda: g_minus(DiffusionParams(1.0, -1.0, 0.1, 2.0, 0.0), 1.0, -40.0))
     for call in calls:
         with pytest.raises(DomainError):
             call()
@@ -227,7 +228,7 @@ def _mp_two_sided_exit(mp, params, q, x, y, z):
 def test_two_sided_exit_at_small_volatility_matches_mpmath(sigma1):
     # 1 - c_minus once cancelled (up read 0.40404 at 1e-7, a domain error at 1e-8)
     mp = pytest.importorskip("mpmath")
-    p = make_params(1.0, -1.0, sigma1, 2.0, 0.0)
+    p = DiffusionParams(1.0, -1.0, sigma1, 2.0, 0.0)
     with mp.workdps(60):
         for x, y, z in ((0.1, -1.0, 1.0), (-0.5, -1.0, 1.0), (0.5, -0.2, 0.7), (-0.3, -2.0, -0.1)):
             want = _mp_two_sided_exit(mp, p, 1.0, x, y, z)
@@ -257,14 +258,14 @@ def test_one_sided_trivial_starts():
 
 
 def test_one_sided_down_single_regime():
-    p = make_params(0.0, 0.0, 1.0, 1.0, 0.0)
+    p = DiffusionParams(0.0, 0.0, 1.0, 1.0, 0.0)
     assert one_sided_down(p, 0.5, 1.0, 0.0) == pytest.approx(math.exp(-1.0), rel=1e-13)
 
 
 def test_one_sided_up_single_regime_two_rates():
     # exp(mu d - d sqrt(2q + mu^2)) at mu = 1, d = 1: sqrt(2) at q = 0.5
     # and sqrt(3) at q = 1
-    p = make_params(1.0, 1.0, 1.0, 1.0, 0.0)
+    p = DiffusionParams(1.0, 1.0, 1.0, 1.0, 0.0)
     assert one_sided_up(p, 0.5, 0.0, 1.0) == pytest.approx(
         math.exp(1.0 - math.sqrt(2.0)), rel=1e-12)
     assert one_sided_up(p, 1.0, 0.0, 1.0) == pytest.approx(
@@ -307,7 +308,7 @@ def test_single_regime_reduction_closed_form():
     for mu in (-0.7, 0.0, 0.7):
         for q in (0.5, 2.0):
             for sigma in (1.0, 1.5):
-                p = make_params(mu, mu, sigma, sigma, 0.0)
+                p = DiffusionParams(mu, mu, sigma, sigma, 0.0)
                 for dist in (0.3, 2.0):
                     assert one_sided_down(p, q, dist, 0.0) == pytest.approx(
                         linearexp(-mu, sigma, q, dist), rel=1e-12)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from threshold_diffusion import (AccuracyError, DensityQuery, make_params,
+from threshold_diffusion import (AccuracyError, DensityQuery, DiffusionParams,
                                  oscillating_bm_density, transition_density)
 from threshold_diffusion.inversion import _contour, _sums, _vouched, invert
 from threshold_diffusion.potential import _resolvent, _tail_transform
@@ -34,7 +34,7 @@ def test_gaussian_density_pair(t):
 
 
 def test_potential_transform_inverts_to_density():
-    params = make_params(0.0, 0.0, 1.0, 2.0, 0.0)
+    params = DiffusionParams(0.0, 0.0, 1.0, 2.0, 0.0)
     x, z = 0.0, 0.5
 
     def F(q):
@@ -64,7 +64,7 @@ def talbot(F, t, nodes):
 @pytest.mark.parametrize("nodes", [8, 24, 32])
 def test_array_of_times_matches_one_call_per_time(nodes):
     calls = []
-    params = make_params(1.0, -1.0, 1.0, 2.0, 0.0)
+    params = DiffusionParams(1.0, -1.0, 1.0, 2.0, 0.0)
 
     def F(q):
         calls.append(q.shape)
@@ -113,7 +113,7 @@ def talbot_loop(F, t, nodes):
 @pytest.mark.parametrize("nodes", [8, 24, 32])
 @pytest.mark.parametrize("t", [0.1, 1.0, 10.0])
 def test_node_array_sum_matches_the_node_by_node_loop(nodes, t):
-    params = make_params(1.0, -1.0, 1.0, 2.0, 0.0)
+    params = DiffusionParams(1.0, -1.0, 1.0, 2.0, 0.0)
 
     def F(q):
         return _resolvent(params, q, 0.5, -0.5) / q
@@ -144,7 +144,7 @@ def densities(draw):
     # accuracy as that ratio grows: on corner cases, 24 nodes miss by 1e-6
     # near 45 and by 3e9 near 130 (mu = -2, sigma = 0.3, x - z = 6, t = 1).
     unit = st.floats(0.0, 1.0)
-    params = make_params(-1.0 + 2.0 * draw(unit), -1.0 + 2.0 * draw(unit),
+    params = DiffusionParams(-1.0 + 2.0 * draw(unit), -1.0 + 2.0 * draw(unit),
                          0.5 + 2.5 * draw(unit), 0.5 + 2.5 * draw(unit),
                          -1.0 + 2.0 * draw(unit))
     t = 0.05 + 3.95 * draw(unit)
@@ -188,7 +188,7 @@ def transforms(draw):
     # wide enough that both answers occur: far starts, long horizons and tight
     # tolerances are where the two node counts part
     unit = st.floats(0.0, 1.0)
-    params = make_params(-3.0 + 6.0 * draw(unit), -3.0 + 6.0 * draw(unit),
+    params = DiffusionParams(-3.0 + 6.0 * draw(unit), -3.0 + 6.0 * draw(unit),
                          0.1 + 2.9 * draw(unit), 0.1 + 2.9 * draw(unit), 0.0)
     x, z = (-6.0 + 12.0 * draw(unit) for _ in range(2))
     if draw(st.booleans()):

@@ -72,7 +72,7 @@ def test_no_public_name_only_renames_another_and_no_engine_is_public():
         assert callable(getattr(getattr(threshold_diffusion, module), name))
 
 
-_PARAMS = threshold_diffusion.make_params(1.0, -1.0, 1.0, 2.0, 0.0)
+_PARAMS = threshold_diffusion.DiffusionParams(1.0, -1.0, 1.0, 2.0, 0.0)
 _PROBLEM = threshold_diffusion.ControlProblem(1.0, 2.0, -1.0, 1.0, 0.0, 1.0)
 _CONFIG = threshold_diffusion.SimConfig(_PARAMS, 0.0, 1.0, 0.01, 4, 7)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from threshold_diffusion import (DensityQuery, DiffusionParams, DomainError, ExitQuery,
-                                 InvalidParameterError, PotentialQuery, SimConfig, make_params,
+                                 InvalidParameterError, PotentialQuery, SimConfig,
                                  potential_density, simulate_paths, stationary_density,
                                  transition_density, two_sided_exit)
 from threshold_diffusion.params import deltas, h_kernel
@@ -14,29 +14,30 @@ from threshold_diffusion.quadrature import QuadSettings, integrate_semi_infinite
 
 
 def test_valid_construction():
-    make_params(0.0, 0.0, 1.0, 1.0, 0.0)
-    make_params(1.0, -1.0, 1.0, 2.0, 0.0)
+    DiffusionParams(0.0, 0.0, 1.0, 1.0, 0.0)
+    DiffusionParams(1.0, -1.0, 1.0, 2.0, 0.0)
 
 
 def test_nonpositive_sigma_names_field():
     with pytest.raises(InvalidParameterError, match="sigma1"):
-        make_params(0.0, 0.0, 0.0, 1.0, 0.0)
+        DiffusionParams(0.0, 0.0, 0.0, 1.0, 0.0)
     with pytest.raises(InvalidParameterError, match="sigma2"):
-        make_params(0.0, 0.0, 1.0, -2.0, 0.0)
+        DiffusionParams(0.0, 0.0, 1.0, -2.0, 0.0)
 
 
 @pytest.mark.parametrize("sigma", [1e-155, 1e-200, 1e160])
 def test_sigma_without_normal_square_rejected(sigma):
     # every rate divides by sigma^2; a subnormal, zero or infinite square has no rates
     with pytest.raises(InvalidParameterError, match="sigma1"):
-        make_params(1.0, -1.0, sigma, 2.0, 0.0)
+        DiffusionParams(1.0, -1.0, sigma, 2.0, 0.0)
     with pytest.raises(InvalidParameterError, match="sigma2"):
-        make_params(1.0, -1.0, 2.0, sigma, 0.0)
+        DiffusionParams(1.0, -1.0, 2.0, sigma, 0.0)
 
 
 def test_tiny_sigma_with_normal_square_reaches_its_limit():
     # sigma1 = 1e-150 (square 1e-300) gives the same values as 1e-50: the sigma1 -> 0 limit
-    tiny, small = make_params(1.0, -1.0, 1e-150, 2.0, 0.0), make_params(1.0, -1.0, 1e-50, 2.0, 0.0)
+    tiny = DiffusionParams(1.0, -1.0, 1e-150, 2.0, 0.0)
+    small = DiffusionParams(1.0, -1.0, 1e-50, 2.0, 0.0)
     for run in (lambda p: potential_density(PotentialQuery(p, 1.0, 0.1, 0.2)),
                 lambda p: transition_density(DensityQuery(p, 1.0, 0.1, 0.2)),
                 lambda p: two_sided_exit(ExitQuery(p, 1.0, 0.1, -1.0, 1.0))[1],
@@ -48,9 +49,9 @@ def test_tiny_sigma_with_normal_square_reaches_its_limit():
 
 def test_nonfinite_fields_rejected():
     with pytest.raises(InvalidParameterError, match="mu1"):
-        make_params(math.nan, 0.0, 1.0, 1.0, 0.0)
+        DiffusionParams(math.nan, 0.0, 1.0, 1.0, 0.0)
     with pytest.raises(InvalidParameterError, match="a"):
-        make_params(0.0, 0.0, 1.0, 1.0, math.inf)
+        DiffusionParams(0.0, 0.0, 1.0, 1.0, math.inf)
     with pytest.raises(InvalidParameterError, match="mu2"):
         DiffusionParams(0.0, None, 1.0, 1.0, 0.0)
     with pytest.raises(InvalidParameterError, match="sigma1"):
@@ -58,13 +59,13 @@ def test_nonfinite_fields_rejected():
 
 
 def test_params_frozen():
-    p = make_params(0.0, 0.0, 1.0, 1.0, 0.0)
+    p = DiffusionParams(0.0, 0.0, 1.0, 1.0, 0.0)
     with pytest.raises(AttributeError):
         p.mu1 = 2.0
 
 
 def test_mirrored_swaps_regimes():
-    p = make_params(1.0, -2.0, 1.5, 0.5, 0.3)
+    p = DiffusionParams(1.0, -2.0, 1.5, 0.5, 0.3)
     m = p.mirrored()
     assert (m.mu1, m.mu2, m.sigma1, m.sigma2, m.a) == (2.0, -1.0, 0.5, 1.5, -0.3)
     r = m.mirrored()
@@ -72,14 +73,14 @@ def test_mirrored_swaps_regimes():
 
 
 def test_deltas_zero_drift():
-    d = deltas(make_params(0.0, 0.0, 1.0, 1.0, 0.0), 0.5)
+    d = deltas(DiffusionParams(0.0, 0.0, 1.0, 1.0, 0.0), 0.5)
     assert d.d1_plus == pytest.approx(1.0, rel=1e-14)
     assert d.d1_minus == pytest.approx(1.0, rel=1e-14)
 
 
 def test_deltas_worked_example():
     # sqrt(2*1*4 + 1) = 3, so (3 + 1)/4 and (3 - 1)/4
-    d = deltas(make_params(1.0, 0.0, 2.0, 1.0, 0.0), 1.0)
+    d = deltas(DiffusionParams(1.0, 0.0, 2.0, 1.0, 0.0), 1.0)
     assert d.d1_plus == pytest.approx(1.0, rel=1e-14)
     assert d.d1_minus == pytest.approx(0.5, rel=1e-14)
 
@@ -87,19 +88,19 @@ def test_deltas_worked_example():
 def test_deltas_negative_q_rejected():
     for q in (-0.1, 0.0):  # every rate must be positive; q = 0 has no limit case
         with pytest.raises(DomainError):
-            deltas(make_params(0.0, 0.0, 1.0, 1.0, 0.0), q)
+            deltas(DiffusionParams(0.0, 0.0, 1.0, 1.0, 0.0), q)
 
 
 def test_deltas_refuse_a_rate_whose_square_term_underflows():
     # without drift, 2 q sigma^2 = 2e-324 rounds to 0: both rates of regime 1 collapse
     with pytest.raises(DomainError):
-        deltas(make_params(0.0, 0.0, 1e-150, 1.0, 0.0), 1e-24)
+        deltas(DiffusionParams(0.0, 0.0, 1e-150, 1.0, 0.0), 1e-24)
     with pytest.raises(DomainError):
-        deltas(make_params(0.0, 0.0, 1e-150, 1.0, 0.0), np.array([1.0, 1e-24]))
+        deltas(DiffusionParams(0.0, 0.0, 1e-150, 1.0, 0.0), np.array([1.0, 1e-24]))
 
 
 def test_deltas_over_an_array_equal_the_calls_per_rate():
-    p = make_params(1.3, -0.4, 0.7, 2.1, 0.2)
+    p = DiffusionParams(1.3, -0.4, 0.7, 2.1, 0.2)
     q = np.array([1e-300, 1e-9, 0.37, 1.0, 55.0, 1e250])
     grid = deltas(p, q)
     fields = ("d1_plus", "d1_minus", "d2_plus", "d2_minus", "c_minus", "c_plus")
@@ -115,7 +116,7 @@ def test_delta_identities():
         mu1, mu2 = rng.normal(size=2) * 2
         s1, s2 = rng.uniform(0.2, 4.0, size=2)
         q = rng.uniform(0.05, 8.0)
-        p = make_params(mu1, mu2, s1, s2, 0.0)
+        p = DiffusionParams(mu1, mu2, s1, s2, 0.0)
         d = deltas(p, q)
         assert d.d1_plus * d.d1_minus == pytest.approx(2 * q / s1**2, rel=1e-12)
         assert d.d2_plus * d.d2_minus == pytest.approx(2 * q / s2**2, rel=1e-12)
@@ -131,7 +132,7 @@ def test_deltas_match_high_precision_roots(q):
     # the small root must keep full relative accuracy as 2 q s^2 drops below mu^2 eps;
     # w - mu cancels about -log10(q) digits, so the reference carries 30 beyond those
     mp = pytest.importorskip("mpmath")
-    p = make_params(1.0, -1.0, 1.0, 2.0, 0.0)
+    p = DiffusionParams(1.0, -1.0, 1.0, 2.0, 0.0)
     d = deltas(p, q)
     with mp.workdps(30 + max(0, round(-math.log10(q)))):
         for mu, sigma, got_plus, got_minus in ((p.mu1, p.sigma1, d.d1_plus, d.d1_minus),
@@ -142,8 +143,8 @@ def test_deltas_match_high_precision_roots(q):
             assert got_minus == pytest.approx(float((w - mu) / s2), rel=1e-14, abs=0.0)
 
 
-@pytest.mark.parametrize("params", [make_params(1.0, -1.0, 1.0, 2.0, 0.0),
-                                    make_params(0.5, -2.0, 3.0, 0.7, -0.4)])
+@pytest.mark.parametrize("params", [DiffusionParams(1.0, -1.0, 1.0, 2.0, 0.0),
+                                    DiffusionParams(0.5, -2.0, 3.0, 0.7, -0.4)])
 def test_potential_at_tiny_rate_is_stationary(params):
     for x, z in ((0.3, 0.5), (-1.0, -0.2), (2.0, -1.5), (-0.7, 1.1)):
         got = potential_density(PotentialQuery(params, 1e-16, x, z))

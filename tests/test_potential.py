@@ -8,24 +8,25 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from threshold_diffusion import (DomainError, NoStationaryLawError, PotentialQuery, g_minus,
-                                 g_plus, make_params, potential_density, stationary_density)
+from threshold_diffusion import (DiffusionParams, DomainError, NoStationaryLawError,
+                                 PotentialQuery, g_minus, g_plus, potential_density,
+                                 stationary_density)
 from threshold_diffusion.params import deltas
 from threshold_diffusion.potential import potential_grid
 from threshold_diffusion.quadrature import QuadSettings, integrate_finite
 
-TWO_REGIME = make_params(1.0, -1.0, 1.0, 2.0, 0.0)
+TWO_REGIME = DiffusionParams(1.0, -1.0, 1.0, 2.0, 0.0)
 
 # mixed drift signs and volatility ratios from 1 to 4
 BATTERY8 = (
-    make_params(0.0, 0.0, 1.0, 1.0, 0.0),
-    make_params(1.0, 1.0, 1.0, 2.0, 0.5),
+    DiffusionParams(0.0, 0.0, 1.0, 1.0, 0.0),
+    DiffusionParams(1.0, 1.0, 1.0, 2.0, 0.5),
     TWO_REGIME,
-    make_params(-1.0, 1.0, 2.0, 1.0, -0.3),
-    make_params(0.5, -0.5, 1.0, 4.0, 0.0),
-    make_params(-0.7, -0.2, 3.0, 1.0, 1.2),
-    make_params(0.3, 0.7, 2.0, 0.5, 0.4),
-    make_params(-2.0, -1.0, 1.0, 3.0, -1.0),
+    DiffusionParams(-1.0, 1.0, 2.0, 1.0, -0.3),
+    DiffusionParams(0.5, -0.5, 1.0, 4.0, 0.0),
+    DiffusionParams(-0.7, -0.2, 3.0, 1.0, 1.2),
+    DiffusionParams(0.3, 0.7, 2.0, 0.5, 0.4),
+    DiffusionParams(-2.0, -1.0, 1.0, 3.0, -1.0),
 )
 
 
@@ -44,13 +45,13 @@ def resolvent_oracle(params, q, x, z):
 
 
 def test_single_regime_at_start_point():
-    p = make_params(0.0, 0.0, 1.0, 1.0, 0.0)
+    p = DiffusionParams(0.0, 0.0, 1.0, 1.0, 0.0)
     assert potential_density(PotentialQuery(p, 0.5, 0.3, 0.3)) == pytest.approx(0.5, rel=1e-13)
 
 
 def test_single_regime_closed_form_grid():
     mu, sigma = 0.4, 1.3
-    p = make_params(mu, mu, sigma, sigma, 0.0)
+    p = DiffusionParams(mu, mu, sigma, sigma, 0.0)
     for q in (0.5, 2.0):
         w = math.sqrt(2 * q * sigma**2 + mu**2)
         dp, dm = (w + mu) / sigma**2, (w - mu) / sigma**2
@@ -67,7 +68,7 @@ def test_wronskian_oracle_random_sweep():
         mu1, mu2 = rng.normal(size=2) * 1.5
         s1, s2 = rng.uniform(0.3, 3.0, size=2)
         a = rng.normal() * 0.5
-        p = make_params(mu1, mu2, s1, s2, a)
+        p = DiffusionParams(mu1, mu2, s1, s2, a)
         q = rng.uniform(0.1, 5.0)
         x, z = rng.normal(size=2) * 2 + a
         want = resolvent_oracle(p, q, float(x), float(z))
@@ -161,7 +162,7 @@ def test_subnormal_rate_is_rejected_without_a_warning(x, z):
 @st.composite
 def potential_points(draw):
     unit = st.floats(0.0, 1.0)
-    params = make_params(-2.0 + 4.0 * draw(unit), -2.0 + 4.0 * draw(unit),
+    params = DiffusionParams(-2.0 + 4.0 * draw(unit), -2.0 + 4.0 * draw(unit),
                          0.3 + 2.7 * draw(unit), 0.3 + 2.7 * draw(unit),
                          -1.0 + 2.0 * draw(unit))
     q = 10.0 ** (-3.0 + 5.0 * draw(unit))
@@ -206,13 +207,13 @@ def test_grid_and_point_evaluations_agree_bit_for_bit(case):
 
 
 def test_q_to_zero_point_value():
-    p = make_params(1.0, -1.0, 1.0, 1.0, 0.0)
+    p = DiffusionParams(1.0, -1.0, 1.0, 1.0, 0.0)
     assert stationary_density(p, 0.0) == pytest.approx(1.0, rel=1e-13)
 
 
 def test_q_to_zero_total_mass():
     for mu1, mu2, s1, s2 in ((1.0, -1.0, 1.0, 2.0), (0.3, -2.0, 0.7, 1.1)):
-        p = make_params(mu1, mu2, s1, s2, 0.2)
+        p = DiffusionParams(mu1, mu2, s1, s2, 0.2)
 
         def f(zs):
             return np.array([stationary_density(p, float(z)) for z in zs])
@@ -232,7 +233,7 @@ def test_q_to_zero_matches_small_q():
 def test_q_to_zero_requires_confining_drifts():
     for mu1, mu2 in ((-1.0, -1.0), (1.0, 1.0), (0.0, -1.0), (1.0, 0.0)):
         with pytest.raises(NoStationaryLawError):
-            stationary_density(make_params(mu1, mu2, 1.0, 1.0, 0.0), 0.5)
+            stationary_density(DiffusionParams(mu1, mu2, 1.0, 1.0, 0.0), 0.5)
 
 
 def test_potential_regression_pins():

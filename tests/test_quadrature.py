@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from threshold_diffusion import (AccuracyError, DensityQuery, IntegrandError, make_params,
+from threshold_diffusion import (AccuracyError, DensityQuery, DiffusionParams, IntegrandError,
                                  transition_density)
 from threshold_diffusion import quadrature
 from threshold_diffusion.params import deltas, h_kernel
@@ -103,7 +103,7 @@ def test_semi_infinite_of_zero_is_exact_zero():
 def test_geometric_factor_of_crossing_integral():
     # the outer crossing integral of the density construction has an
     # exponential envelope whose exact mass is 1/(d2_plus + d1_minus)
-    d = deltas(make_params(1.0, -1.0, 1.0, 2.0, 0.0), 0.5)
+    d = deltas(DiffusionParams(1.0, -1.0, 1.0, 2.0, 0.0), 0.5)
     rate = d.d2_plus + d.d1_minus
     val, _ = integrate_semi_infinite(
         lambda b: np.exp(-rate * np.asarray(b)), 0.0, rate)
@@ -200,7 +200,7 @@ def test_convolution_budget_exhaustion_reports_every_element(monkeypatch):
     (lambda: integrate_finite(SPIKY, 0.0, 1.0, seed_points=(0.37123,)), 8, 54),
     (lambda: integrate_semi_infinite(lambda u: np.exp(-u), 0.0, 1e-8), 1, 7),
     (lambda: _convolve_batch(1.0, BATCH_X1, 0.7, BATCH_X2, -0.4, 0.0, QuadSettings()), 3, 30),
-    (lambda: transition_density(DensityQuery(make_params(1.0, -1.0, 1.0, 2.0, 0.0), 1.0, 0.5,
+    (lambda: transition_density(DensityQuery(DiffusionParams(1.0, -1.0, 1.0, 2.0, 0.0), 1.0, 0.5,
                                              1.0)), 7, 54),
 ], ids=["seeded-spike", "loose-hint", "convolution-batch", "density"])
 def test_refinement_order_keeps_its_gk15_calls_and_panels(monkeypatch, integral, calls, panels):

@@ -7,16 +7,16 @@ import warnings
 import numpy as np
 import pytest
 
-from threshold_diffusion import (ControlProblem, DomainError, InvalidParameterError,
-                                 PathEnsemble, PolicyError, SimConfig, constant_bar_policy,
-                                 constant_low_policy, empirical_hitting_transform,
-                                 make_params, optimal_policy, reversed_threshold_policy,
-                                 simulate_paths, simulate_policy)
+from threshold_diffusion import (ControlProblem, DiffusionParams, DomainError,
+                                 InvalidParameterError, PathEnsemble, PolicyError, SimConfig,
+                                 constant_bar_policy, constant_low_policy,
+                                 empirical_hitting_transform, optimal_policy,
+                                 reversed_threshold_policy, simulate_paths, simulate_policy)
 from threshold_diffusion import simulate
 from threshold_diffusion.simulate import (_U_SHIFT, _draw_block_normals, _norm_ppf,
                                           _path_generator)
 
-TWO_REGIME = make_params(1.0, -1.0, 1.0, 2.0, 0.0)
+TWO_REGIME = DiffusionParams(1.0, -1.0, 1.0, 2.0, 0.0)
 
 
 @pytest.fixture
@@ -86,7 +86,7 @@ def test_config_validation(kwargs):
 def test_single_regime_moments():
     # Euler is exact for constant coefficients, so only sampling error remains
     mu, sigma, T = 0.3, 1.3, 0.7
-    p = make_params(mu, mu, sigma, sigma, 0.0)
+    p = DiffusionParams(mu, mu, sigma, sigma, 0.0)
     ens = simulate_paths(SimConfig(p, 0.2, T, 1e-2, 40_000, 7))
     mean, se = ens.mean()
     assert abs(mean - (0.2 + mu * T)) <= 4.0 * se
@@ -97,13 +97,13 @@ def test_single_regime_moments():
 @pytest.mark.slow
 def test_survival_probabilities_match_closed_forms():
     # symmetric case: driftless unit-volatility paths end above 0 half the time
-    bm = make_params(0.0, 0.0, 1.0, 1.0, 0.0)
+    bm = DiffusionParams(0.0, 0.0, 1.0, 1.0, 0.0)
     ens = simulate_paths(SimConfig(bm, 0.0, 1.0, 1e-3, 100_000, 2024))
     pr, se = ens.survival_frequency(0.0)
     assert abs(pr - 0.5) <= 3.0 * se
 
     # two-volatility case: time above the level has mass sigma1/(sigma1+sigma2)
-    osc = make_params(0.0, 0.0, 1.0, 2.0, 0.0)
+    osc = DiffusionParams(0.0, 0.0, 1.0, 2.0, 0.0)
     ens = simulate_paths(SimConfig(osc, 0.0, 1.0, 1e-3, 100_000, 2025))
     pr, se = ens.survival_frequency(0.0)
     assert abs(pr - 1.0 / 3.0) <= 3.0 * se
@@ -138,7 +138,7 @@ def test_hitting_transform_rejects_bad_rate():
 def test_hitting_transform_single_regime():
     # driftless unit volatility from 0.5 down to 0: E e^{-q tau} = e^{-0.5 sqrt(2q)}
     q, dt, horizon, sigma = 0.5, 1e-3, 8.0, 1.0
-    p = make_params(0.0, 0.0, sigma, sigma, 0.0)
+    p = DiffusionParams(0.0, 0.0, sigma, sigma, 0.0)
     cfg = SimConfig(p, 0.5, horizon, dt, 20_000, 11)
     est, se = empirical_hitting_transform(cfg, 0.0, q)
     want = math.exp(-0.5 * math.sqrt(2.0 * q))
@@ -161,7 +161,7 @@ def test_constant_low_policy_equals_plain_run():
     prob = ControlProblem(0.7, 2.0, -0.4, 1.0, 0.0, 1.0, x0=0.3)
     pol = simulate_policy(prob, lambda states, t: np.full_like(states, 1.0),
                           1e-2, 2000, 99)
-    plain = simulate_paths(SimConfig(make_params(-0.4, -0.4, 1.0, 1.0, 0.0),
+    plain = simulate_paths(SimConfig(DiffusionParams(-0.4, -0.4, 1.0, 1.0, 0.0),
                                      0.3, 1.0, 1e-2, 2000, 99))
     assert np.array_equal(pol.terminal_values, plain.terminal_values)
 
@@ -441,13 +441,13 @@ def test_a_drift_gap_past_the_double_range_is_refused():
     # every step adds a multiple of mu1 - mu2, which is inf here: NaN paths that
     # never cross, and a hitting transform of 0.0 where the true value is e^-0.1
     with pytest.raises(InvalidParameterError, match="mu1 - mu2"):
-        SimConfig(make_params(1e308, -1e308, 1.0, 1.0, 0.0), 0.5, 1.0, 0.1, 4, 0)
-    near = SimConfig(make_params(1e300, -1e300, 1.0, 1.0, 0.0), 0.5, 1.0, 0.1, 4, 0)
+        SimConfig(DiffusionParams(1e308, -1e308, 1.0, 1.0, 0.0), 0.5, 1.0, 0.1, 4, 0)
+    near = SimConfig(DiffusionParams(1e300, -1e300, 1.0, 1.0, 0.0), 0.5, 1.0, 0.1, 4, 0)
     assert empirical_hitting_transform(near, 0.0, 1.0) == (math.exp(-0.1), 0.0)
 
 
 def test_an_ensemble_that_overflows_is_refused():
-    config = SimConfig(make_params(1e308, 1e308, 1.0, 1.0, 0.0), 0.0, 2.0, 1.0, 2, 1)
+    config = SimConfig(DiffusionParams(1e308, 1e308, 1.0, 1.0, 0.0), 0.0, 2.0, 1.0, 2, 1)
     with np.errstate(over="ignore"), pytest.raises(DomainError, match="non-finite"):
         simulate_paths(config)
 
