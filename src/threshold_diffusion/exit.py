@@ -1,12 +1,12 @@
 """q-harmonic functions and exit-time Laplace transforms.
 
-The decreasing solution g_minus and increasing solution g_plus of
-(1/2) sigma(x)^2 g'' + mu(x) g' = q g are piecewise exponentials glued
-C^1 at the threshold. All ratios are formed in log space so that states
-hundreds of units from the threshold stay finite. The evaluators take a
-1-D array of rates q and run in one numpy pass (two_sided_exit_grid
-tabulates the exit transforms that way); every scalar entry point is the
-one-element case of the same code.
+The decreasing solution g_minus of (1/2) sigma(x)^2 g'' + mu(x) g' = q g is
+a piecewise exponential glued C^1 at the threshold; the increasing one,
+g_plus, is g_minus of the mirrored problem (params.py) at -x. All ratios
+are formed in log space so that states hundreds of units from the threshold
+stay finite. The evaluators take a 1-D array of rates q and run in one numpy
+pass (two_sided_exit_grid tabulates the exit transforms that way); every
+scalar entry point is the one-element case of the same code.
 """
 
 import math
@@ -35,9 +35,9 @@ def _rates(params, q):
     return deltas(params, np.array([_real(q, "q", positive=True)]))
 
 
-def _log_g_minus(params, d, x):
-    """log g_minus(x) over the rates d, each an array over q."""
-    s = x - params.a
+def _log_g_minus(a, d, x):
+    """log g_minus(x) over the rates d, each an array over q, for the threshold a."""
+    s = x - a
     if s < 0.0:  # at a itself the pure exponential is exactly 0, the pasted log need not be
         # 1 - c_minus = (d1m + d2p) / (d1m + d1p) in a form that cannot cancel
         keep = (d.d1_minus + d.d2_plus) / (d.d1_minus + d.d1_plus)
@@ -45,19 +45,15 @@ def _log_g_minus(params, d, x):
     return -d.d2_plus * s
 
 
-def _log_g_plus(params, d, x):
-    """log g_plus(x) over the rates d, each an array over q."""
-    s = x - params.a
-    if s <= 0.0:
-        return d.d1_minus * s
-    keep = (d.d1_minus + d.d2_plus) / (d.d2_minus + d.d2_plus)  # 1 - c_plus
-    return d.d2_minus * s + np.log(keep + d.c_plus * np.exp(-(d.d2_minus + d.d2_plus) * s))
+def _log_g_plus(a, d, x):
+    """log g_plus(x): log g_minus of the mirrored problem at -x."""
+    return _log_g_minus(-a, d.mirrored(), -x)
 
 
 def _g(params, q, x, log_g, name):
     _check_type(params, DiffusionParams, "params")
     x, = _check_states(x, names="x")
-    log_val = log_g(params, _rates(params, q), x)
+    log_val = log_g(params.a, _rates(params, q), x)
     with np.errstate(over="ignore"):  # g itself may exceed a float; refused below
         val = float(np.exp(log_val)[0])
     if math.isinf(val):
@@ -123,9 +119,9 @@ def _two_sided(params, q, x, y, z):
         return np.ones_like(q), np.zeros_like(q)
     if x == z:
         return np.zeros_like(q), np.ones_like(q)
-    lmx, lpx = _log_g_minus(params, d, x), _log_g_plus(params, d, x)
-    lmy, lpy = _log_g_minus(params, d, y), _log_g_plus(params, d, y)
-    lmz, lpz = _log_g_minus(params, d, z), _log_g_plus(params, d, z)
+    lmx, lpx = _log_g_minus(params.a, d, x), _log_g_plus(params.a, d, x)
+    lmy, lpy = _log_g_minus(params.a, d, y), _log_g_plus(params.a, d, y)
+    lmz, lpz = _log_g_minus(params.a, d, z), _log_g_plus(params.a, d, z)
 
     # numerators and the denominator g-(y)g+(z) - g-(z)g+(y) > 0, all divided by
     # g-(y)g+(z); each exponent sums log-ratios of one function at two states,
@@ -148,7 +144,7 @@ def one_sided_down(params, q, x, y):
     if y == x:
         return 1.0
     d = _rates(params, q)
-    return float(np.exp(_log_g_minus(params, d, x) - _log_g_minus(params, d, y))[0])
+    return float(np.exp(_log_g_minus(params.a, d, x) - _log_g_minus(params.a, d, y))[0])
 
 
 def one_sided_up(params, q, x, z):
@@ -160,4 +156,4 @@ def one_sided_up(params, q, x, z):
     if z == x:
         return 1.0
     d = _rates(params, q)
-    return float(np.exp(_log_g_plus(params, d, x) - _log_g_plus(params, d, z))[0])
+    return float(np.exp(_log_g_plus(params.a, d, x) - _log_g_plus(params.a, d, z))[0])

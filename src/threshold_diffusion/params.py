@@ -4,6 +4,9 @@ Regime convention used across the whole library: at state x the process
 runs with drift mu1 and volatility sigma1 when x <= a, and with mu2,
 sigma2 when x > a. `deltas` (the regime rates and pasting weights at a rate
 q > 0) and `h_kernel` (a first-passage density) are internal to the package.
+The reflection X -> -X lives here alone: g_plus and every start below a are
+solved as the mirrored problem, `DiffusionParams.mirrored()` with its rates
+permuted by `_mirrored`.
 """
 
 import math
@@ -138,6 +141,20 @@ class DeltaSet:
     d2_minus: float
     c_minus: float
     c_plus: float
+
+    def mirrored(self):
+        """The DeltaSet of params.mirrored() at the same q, permuted by _mirrored."""
+        return DeltaSet(self.q, *_mirrored(self.d1_plus, self.d1_minus, self.d2_plus,
+                                           self.d2_minus, self.c_minus, self.c_plus))
+
+
+def _mirrored(d1_plus, d1_minus, d2_plus, d2_minus, *weights):
+    """The rates, and the weights (c_minus, c_plus) when given, of params.mirrored()
+    from those of params, real or complex: (d1+, d1-, d2+, d2-, c-, c+) ->
+    (d2-, d2+, d1-, d1+, c+, c-). Permuting keeps every bit, recomputing need not:
+    at a zero drift _delta_pair orders its roots by mu >= 0, which -0.0 passes too.
+    """
+    return (d2_minus, d2_plus, d1_minus, d1_plus, *weights[::-1])
 
 
 def _delta_pair(mu, sigma, q):

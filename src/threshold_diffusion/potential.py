@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NoStationaryLawError
-from .params import (DiffusionParams, _check_type, _delta_pair, _real, _reals, _store_reals,
-                     deltas)
+from .params import (DiffusionParams, _check_type, _delta_pair, _mirrored, _real, _reals,
+                     _store_reals, deltas)
 
 
 @dataclass(frozen=True)
@@ -46,55 +46,38 @@ def _resolvent(params, q, x, z, rates=None):
     the caller already holds them; otherwise they are taken from
     _delta_pair.
 
-    Written for a start at or above a, with the rates named by where they
-    lead: `out` decays away from a and `back` toward it on the start's side,
-    `cross` and `far` toward and away from a on the other side. A start
-    below a is the same expression for -X, which swaps the regimes, the
-    plus and minus rates and the sign of every distance. In that
-    orientation z = x takes the dz >= 0 branch and z = a the start's side.
+    Written for a start at or above a, where d2_minus decays away from a and
+    d2_plus toward it on the start's side, d1_minus toward a and d1_plus
+    away from it across a. A start below a enters as the mirrored problem:
+    (-x, -z, -a) with the regimes swapped and the rates permuted, both by
+    params.py. z = x takes the dz >= 0 branch and z = a the start's side.
     Over an array each branch is evaluated once, on the points it covers,
     so every exponent is nonpositive when it is exponentiated.
     """
-    a = params.a
     if rates is None:
         rates = (_delta_pair(params.mu1, params.sigma1, q)
                  + _delta_pair(params.mu2, params.sigma2, q))
+    if x < params.a:
+        params, x, z, rates = params.mirrored(), -x, -z, _mirrored(*rates)
     d1p, d1m, d2p, d2m = rates
-    if x >= a:
-        rates = (d2m, d2p, d1m, d1p)  # out, back, cross, far
-        near, far = (params.mu2, params.sigma2), (params.mu1, params.sigma1)
-        h, k, dz = x - a, z - a, z - x
-    else:
-        rates = (d1p, d1m, d2p, d2m)
-        near, far = (params.mu1, params.sigma1), (params.mu2, params.sigma2)
-        h, k, dz = a - x, a - z, x - z
-    out, back = rates[:2]
+    h, k, dz = x - params.a, z - params.a, z - x
+
+    def far_side(k):  # k < 0: below a, across it from the start
+        return (q / np.sqrt(2.0 * q * params.sigma1 ** 2 + params.mu1 ** 2)
+                * ((d1p + d1m) / (d2p + d1m)) * np.exp(-d2p * h + d1p * k))
+
+    def near_side(k, direct):  # k >= 0; direct is the free term's exponent
+        return ((q / np.sqrt(2.0 * q * params.sigma2 ** 2 + params.mu2 ** 2))
+                * (np.exp(direct) + (d2m - d1m) / (d2p + d1m) * np.exp(-d2m * k - d2p * h)))
+
     if not isinstance(z, np.ndarray):
-        if k < 0:
-            return _far_side(q, h, k, rates, far)
-        return _near_side(q, h, k, -out * dz if dz >= 0 else back * dz, rates, near)
+        return far_side(k) if k < 0 else near_side(k, -d2m * dz if dz >= 0 else d2p * dz)
     val = np.empty_like(z)
     beyond = k < 0
-    val[beyond] = _far_side(q, h, k[beyond], rates, far)
+    val[beyond] = far_side(k[beyond])
     k, dz = k[~beyond], dz[~beyond]
-    val[~beyond] = _near_side(q, h, k, np.where(dz >= 0, -out * dz, back * dz), rates, near)
+    val[~beyond] = near_side(k, np.where(dz >= 0, -d2m * dz, d2p * dz))
     return val
-
-
-def _far_side(q, h, k, rates, regime):
-    """The resolvent at k < 0, across a from the start; names as in _resolvent
-    and regime = (mu, sigma) on that side."""
-    (_, back, cross, far), (mu, sigma) = rates, regime
-    front = (far + cross) / (back + cross)
-    return q / np.sqrt(2.0 * q * sigma ** 2 + mu ** 2) * front * np.exp(-back * h + far * k)
-
-
-def _near_side(q, h, k, direct, rates, regime):
-    """The resolvent at k >= 0, on the start's side of a; `direct` is the free
-    term's exponent, -out dz ahead of the start and back dz behind it."""
-    (out, back, cross, _), (mu, sigma) = rates, regime
-    reflected = (out - cross) / (back + cross) * np.exp(-out * k - back * h)
-    return (q / np.sqrt(2.0 * q * sigma ** 2 + mu ** 2)) * (np.exp(direct) + reflected)
 
 
 def potential_grid(params, q, x, z):

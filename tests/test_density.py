@@ -438,7 +438,7 @@ def test_density_matches_mpmath_on_the_seeded_sweep(index):
     if abs(refs[0] - want) > max(1e-13, 1e-10 * abs(want)):
         pytest.skip(f"40- and 60-digit references differ: {refs!r}")
     if index in SWEEP_PINS:
-        assert want == pytest.approx(SWEEP_PINS[index], rel=1e-13)
+        assert want == pytest.approx(SWEEP_PINS[index], rel=1e-13, abs=0.0)
     got = p_at(DiffusionParams(*fields), t, x, z)
     assert abs(got - want) <= max(1e-9, 1e-7 * abs(want))
 

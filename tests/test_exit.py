@@ -311,6 +311,6 @@ def test_single_regime_reduction_closed_form():
                 p = DiffusionParams(mu, mu, sigma, sigma, 0.0)
                 for dist in (0.3, 2.0):
                     assert one_sided_down(p, q, dist, 0.0) == pytest.approx(
-                        linearexp(-mu, sigma, q, dist), rel=1e-12)
+                        linearexp(-mu, sigma, q, dist), rel=1e-12, abs=0.0)
                     assert one_sided_up(p, q, 0.0, dist) == pytest.approx(
-                        linearexp(mu, sigma, q, dist), rel=1e-12)
+                        linearexp(mu, sigma, q, dist), rel=1e-12, abs=0.0)

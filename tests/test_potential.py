@@ -9,11 +9,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from threshold_diffusion import (DiffusionParams, DomainError, NoStationaryLawError,
-                                 PotentialQuery, g_minus, g_plus, potential_density,
-                                 stationary_density)
+                                 PotentialQuery, g_minus, g_plus, one_sided_down, one_sided_up,
+                                 potential_density, stationary_density)
 from threshold_diffusion.params import deltas
 from threshold_diffusion.potential import potential_grid
 from threshold_diffusion.quadrature import QuadSettings, integrate_finite
+from threshold_diffusion.validate import PARAM_BATTERY
 
 TWO_REGIME = DiffusionParams(1.0, -1.0, 1.0, 2.0, 0.0)
 
@@ -114,6 +115,33 @@ def test_reflection_identity_exact():
                     continue
                 mirrored = potential_density(PotentialQuery(m, q, -float(x), -float(z)))
                 assert direct == pytest.approx(mirrored, rel=1e-12, abs=1e-300)
+
+
+def test_start_below_the_threshold_is_the_mirrored_problem_bit_for_bit():
+    # g_plus, one_sided_up and a start below a are the mirrored problem at -x; with both
+    # drifts nonzero the mirror's own rates are the permuted ones to the bit, while a
+    # zero drift becomes -0.0 there, whose recomputed roots may move by an ulp
+    rng = np.random.default_rng(20240)
+    drawn = [DiffusionParams(*rng.normal(0.0, 1.0, 2), *np.exp(rng.normal(0.0, 0.7, 2)),
+                             rng.normal()) for _ in range(12)]
+    one_zero_drift = (DiffusionParams(0.0, 0.7, 1.3, 0.6, 0.2),
+                      DiffusionParams(-0.4, 0.0, 0.8, 2.1, -0.5))
+    for p in (*PARAM_BATTERY, *one_zero_drift, *drawn):
+        m = p.mirrored()
+        exact = p.mu1 != 0.0 and p.mu2 != 0.0
+
+        def check(got, want):
+            assert got == (want if exact else pytest.approx(want, rel=1e-13, abs=0.0))
+
+        states = [p.a + s for s in (-3.1, -0.8, -0.05, 0.05, 0.6, 2.7)]
+        for q in (0.05, 0.9, 7.0):
+            for x in states:
+                check(g_plus(p, q, x), g_minus(m, q, -x))
+                for z in states:
+                    if x <= z:
+                        check(one_sided_up(p, q, x, z), one_sided_down(m, q, -x, -z))
+                    check(potential_density(PotentialQuery(p, q, x, z)),
+                          potential_density(PotentialQuery(m, q, -x, -z)))
 
 
 def test_branch_agreement_at_start_boundary():
