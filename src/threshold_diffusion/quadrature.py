@@ -13,8 +13,9 @@ element, the panels are shared by the batch, and refinement goes on until
 every element is converged. integrate_finite runs the engine on a single
 integrand (and integrate_semi_infinite on top of it); _convolve_batch runs
 it on the product of two first-passage kernels, taken as one exp of its
-logarithm, one row per overshoot node of the transition density's crossing
-integral.
+logarithm, one row per displacement pair. No library module calls
+_convolve_batch: the transition density takes its overshoot integral in
+closed form, and bench/tracing.py still hooks this function by name.
 
 Callers pass finite float bounds, seeds and decay rates, and integrands
 that accept a 1-d ndarray and return an array whose last axis matches it.
@@ -284,7 +285,7 @@ def _convolve_batch(t, x1, mu1, x2, mu2, log_scale, settings):
 
     t > 0, and x1, x2 are 1-d arrays of nonnegative displacements of one length.
     The integrand is the two kernels' product as one exp of its whole logarithm,
-    as h_kernel takes it: a row term log x1 + log x2 per overshoot node (-inf, so
+    as h_kernel takes it: a row term log x1 + log x2 per displacement pair (-inf, so
     an exact 0, at a zero displacement), a column term log_scale - log 2 pi
     - 1.5 (log(t - tau) + log tau) per tau node, and the two squared drift terms.
     The logs of t - tau and tau are taken apart, so their product cannot

@@ -239,19 +239,20 @@ def test_density_at_a_horizon_of_1e_minus_300_is_zero_or_a_library_error():
         density_jump_at_threshold(TWO_REGIME, 1e-300, 0.0)
 
 
-@pytest.mark.parametrize("t", [1e-110, 1e-130, 1e-150])
+@pytest.mark.parametrize("t", [1e-110, 1e-130, 1e-150, 1e-200])
 def test_jump_at_a_tiny_horizon_is_the_two_gaussian_heights(t):
     # as t -> 0 the drifts stop mattering: p(t; a, a+) sqrt(2 pi t) tends to the
     # oscillating BM's 2 sigma1 / (sigma2 (sigma1 + sigma2)) = 1/3, so the jump times
     # sqrt(2 pi t) tends to (1/3)(1 - 4) = -1; the convolution kernels' prefactor
-    # overflowed here while the kernel was not one exp of its logarithm
+    # overflowed up to t = 1e-150 while the kernel was not one exp of its logarithm,
+    # and their product itself at t = 1e-200 while the overshoot integral was a quadrature
     jump = density_jump_at_threshold(TWO_REGIME, t, 0.0)
     assert abs(jump * math.sqrt(2.0 * math.pi * t) + 1.0) <= 1e-12
 
 
-@pytest.mark.parametrize("t", [1e-200, 1e-300])
+@pytest.mark.parametrize("t", [1e-250, 1e-300])
 def test_jump_past_the_double_range_is_a_library_error(t):
-    # the kernels' product itself overflows near tau = t / 2
+    # the crossing part's tau-integrand, about t^-1.5, overflows near tau = t / 2
     with pytest.raises(ThresholdDiffusionError):
         density_jump_at_threshold(TWO_REGIME, t, 0.0)
 
@@ -319,11 +320,13 @@ def _forced_route(monkeypatch, talbot):
     monkeypatch.setattr(density_module, "_HINT_SCALE_LIMIT", 0.0 if talbot else math.inf)
 
 
-# TWO_REGIME's hint-scale switch lies at t = 4093.5 for every x, z; the last two
-# points carry Peclet numbers 15.9 and 16.1 past the switch
+# TWO_REGIME's hint-scale switch lies at t = 4093.5 for every x, z; the two points
+# at t = 5000 carry Peclet numbers 15.9 and 16.1 past the switch; at t = 1e6 the
+# quadrature over the overshoot read 3.8e-7 relative off Talbot
 @pytest.mark.parametrize("t, x, z", [
     (2000.0, 0.1, 0.2), (8000.0, 0.1, 0.2), (2000.0, -0.5, 0.3), (8000.0, -0.5, 0.3),
-    (2000.0, 0.3, -0.4), (8000.0, 0.3, -0.4), (5000.0, 0.1, 16.0), (5000.0, 0.1, 16.2)])
+    (2000.0, 0.3, -0.4), (8000.0, 0.3, -0.4), (5000.0, 0.1, 16.0), (5000.0, 0.1, 16.2),
+    (1e6, 0.1, 0.2), (1e6, 0.1, -0.3), (1e6, -0.5, 0.7)])
 def test_density_routes_agree_on_both_sides_of_the_switch(monkeypatch, t, x, z):
     chosen = p_at(TWO_REGIME, t, x, z)
     with monkeypatch.context() as m:
@@ -367,12 +370,84 @@ def test_ordinary_horizon_density_meets_its_tolerance():
     assert abs(got - want) <= max(1e-9, 1e-7 * want)
 
 
-@pytest.mark.xfail(reason="below abs_tol the quadrature keeps no relative "
-                          "accuracy; it reads 4.36e-11 here")
 def test_long_horizon_tail_density_keeps_relative_accuracy():
+    # 1e-3 relative, far below abs_tol: the double integral over the overshoot
+    # read 4.36e-11 here, and the closed-form overshoot integral keeps its digits
     want = 4.374445266101e-10
     got = p_at(DiffusionParams(-0.7, -0.2, 3.0, 1.0, 1.2), 1000.0, 0.1, 0.2)
     assert abs(got - want) <= 1e-3 * want
+
+
+def _overshoot_mp(mp, params, c1, c2, log_scale, tau, r):
+    """exp(log_scale) integral_0^inf h(r; (b + c1)/sigma1, -mu1/sigma1) h(tau; (b + c2)/sigma2,
+    mu2/sigma2) db by Gauss-Legendre panels at the working precision: across the Gaussian
+    in b where its centre is inside [0, inf), else across 40 decay lengths from b = 0."""
+    mu1, mu2, s1, s2 = (mp.mpf(v) for v in (params.mu1, params.mu2, params.sigma1, params.sigma2))
+    tau, r, c1, c2 = (mp.mpf(v) for v in (tau, r, c1, c2))
+
+    def h(s, y, nu):
+        return y / mp.sqrt(2 * mp.pi * s ** 3) * mp.exp(-(y + nu * s) ** 2 / (2 * s))
+
+    v1, v2 = s1 ** 2 * r, s2 ** 2 * tau
+    centre = -(v2 * (c1 - mu1 * r) + v1 * (c2 + mu2 * tau)) / (v1 + v2)
+    ell = mp.sqrt(v1 * v2 / (v1 + v2))
+    y = -centre / ell
+    lo = max(0, centre - 15 * ell)
+    hi = max(0, centre) + (15 * ell if y <= 1 else 40 * ell / y)
+    product = lambda b: h(r, (b + c1) / s1, -mu1 / s1) * h(tau, (b + c2) / s2, mu2 / s2)
+    return mp.exp(log_scale) * mp.quad(product, mp.linspace(lo, hi, 121) + [mp.inf],
+                                       method="gauss-legendre")
+
+
+REPELLING = DiffusionParams(-1.0, 1.0, 1.0, 2.0, 0.0)
+# Peclet numbers |mu| c / sigma^2 of 100 to 300
+STEEP = DiffusionParams(3.0, -2.5, 0.1, 0.15, 0.0)
+STEEP_REPELLING = DiffusionParams(-3.0, 2.5, 0.1, 0.15, 0.0)
+
+
+# params, c1, c2, log_scale, t, tau; the centre y = m / l runs from -21 to 42, and
+# a log_scale keeps a value in range where y^2 / 2 alone would underflow it
+OVERSHOOT_NODES = [
+    (TWO_REGIME, 0.0, 0.3, 0.0, 1.0, 0.5), (TWO_REGIME, 0.4, 0.3, 0.0, 1.0, 0.3),
+    (TWO_REGIME, 0.0, 0.0, 0.0, 1.0, 1e-9), (TWO_REGIME, 0.0, 0.0, 0.0, 1.0, 1.0 - 1e-9),
+    (TWO_REGIME, 0.7, 0.0, 0.0, 1.0, 1e-9), (TWO_REGIME, 0.0, 0.7, 0.0, 1.0, 1.0 - 1e-9),
+    (REPELLING, 0.0, 0.0, 0.0, 1.0, 0.5), (REPELLING, 0.0, 0.0, 0.0, 24.0, 12.0),
+    (REPELLING, 0.0, 0.0, 0.0, 30.0, 15.0), (REPELLING, 0.1, 0.2, 0.0, 60.0, 30.0),
+    (REPELLING, 0.0, 0.0, 400.0, 1500.0, 750.0), (REPELLING, 0.0, 0.0, 700.0, 2800.0, 1400.0),
+    (STEEP, 1.0, 0.5, 0.0, 1.0, 0.4), (STEEP, 0.0, 0.5, 0.0, 1.0, 0.4),
+    (STEEP, 0.3, 0.0, 0.0, 1.0, 1e-8), (STEEP, 0.0, 0.2, 0.0, 1.0, 1.0 - 1e-8),
+    (STEEP_REPELLING, 0.05, 0.0, 0.0, 0.15, 0.07), (STEEP_REPELLING, 0.0, 0.0, 300.0, 1.0, 0.5),
+    (STEEP_REPELLING, 0.001, 0.0, 50.0, 1.0, 1e-8),
+    (STEEP_REPELLING, 0.0, 0.001, 50.0, 1.0, 1.0 - 1e-8)]
+
+
+@pytest.mark.parametrize("params, c1, c2, log_scale, t, tau", OVERSHOOT_NODES)
+def test_overshoot_integral_matches_mpmath_quadrature_over_b(params, c1, c2, log_scale, t, tau):
+    mp = pytest.importorskip("mpmath")
+    r = t - tau
+    with np.errstate(all="ignore"):
+        got = density_module._overshoot_integral(params, c1, c2, log_scale,
+                                                 np.array([tau]), np.array([r]))
+    with mp.workdps(40):
+        want = float(_overshoot_mp(mp, params, c1, c2, log_scale, tau, r))
+    assert 1e-300 < want < math.inf
+    assert float(got[0]) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_overshoot_integral_cases_cover_every_branch_of_the_moments():
+    # centres below 0, on the recurrence below _CF_FROM, on the continued fraction on
+    # both sides of y = 26 sqrt(2) (where erfc(y / sqrt(2)) would underflow)
+    ys = []
+    for params, c1, c2, _, t, tau in OVERSHOOT_NODES:
+        s1, s2 = params.sigma1 ** 2 * (t - tau), params.sigma2 ** 2 * tau
+        var = s1 + s2
+        m = (s2 * (c1 - params.mu1 * (t - tau)) + s1 * (c2 + params.mu2 * tau)) / var
+        ys.append(m / math.sqrt(s1 * s2 / var))
+    cf_from, erfc_limit = density_module._CF_FROM, 26.0 * math.sqrt(2.0)
+    assert min(ys) < -10.0
+    assert any(0.0 <= y < cf_from and y > cf_from - 0.5 for y in ys)
+    assert any(cf_from <= y < erfc_limit for y in ys)
+    assert any(y > erfc_limit for y in ys)
 
 
 def test_crossing_density_meets_its_tolerance():
@@ -460,9 +535,9 @@ def test_long_horizon_density_refuses_what_talbot_cannot_vouch_for(monkeypatch):
 
 
 def test_a_crossing_decay_rate_without_a_finite_reciprocal_is_refused():
-    # the rate at q = 1/t is 2e-309, and the crossing quadrature would probe at
-    # multiples of its reciprocal, which overflows
-    with pytest.raises(DomainError, match="reciprocal"):
+    # the rate at q = 1/t is 2e-309, whose reciprocal overflows, and so does the
+    # crossing part's variance sigma^2 t
+    with pytest.raises(DomainError, match="double range"):
         p_at(DiffusionParams(10.0, -10.0, 1.3e154, 1.3e154, 0.0), 1e308, 0.1, 0.2)
 
 

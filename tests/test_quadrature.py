@@ -201,7 +201,7 @@ def test_convolution_budget_exhaustion_reports_every_element(monkeypatch):
     (lambda: integrate_semi_infinite(lambda u: np.exp(-u), 0.0, 1e-8), 1, 7),
     (lambda: _convolve_batch(1.0, BATCH_X1, 0.7, BATCH_X2, -0.4, 0.0, QuadSettings()), 3, 30),
     (lambda: transition_density(DensityQuery(DiffusionParams(1.0, -1.0, 1.0, 2.0, 0.0), 1.0, 0.5,
-                                             1.0)), 7, 54),
+                                             1.0)), 2, 4),
 ], ids=["seeded-spike", "loose-hint", "convolution-batch", "density"])
 def test_refinement_order_keeps_its_gk15_calls_and_panels(monkeypatch, integral, calls, panels):
     seen = []
