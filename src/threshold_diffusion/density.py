@@ -10,38 +10,34 @@ reuse the same code path through the reflection
 
     p(t; x, z; mu1, mu2, s1, s2, a) = p(t; -x, -z; -mu2, -mu1, s2, s1, -a),
 
-so the two branches of the formula exercise one implementation. At long
-horizons under drifts that push toward a the crossing quadrature is never
-run; there the density is the Talbot inversion of potential_density / q
-when a second node count vouches for it, else the closed-form Gaussian
-pair when its bound certifies that the crossing part is negligible, else
-AccuracyError.
+so the two branches of the formula exercise one implementation. Under
+confining drifts the passage-time quadrature is seeded around the
+stationary share of time above a, so it keeps its digits at long
+horizons. Where rounding the passage time, eps t, moves the crossing
+integrand's Gaussian factor by more than _ROUNDING_LIMIT (eps max|mu|
+sqrt(t) / min(sigma)), the quadrature is not run: the density is then the
+Talbot inversion of potential_density / q when a second node count
+vouches for it, else AccuracyError.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AccuracyError, DomainError
 from .inversion import _vouched
-from .params import DiffusionParams, _check_type, _real, _store_reals, deltas
+from .params import DiffusionParams, _check_type, _real, _store_reals
 from .potential import _resolvent, potential_q_to_zero_limit
 from .quadrature import (_DEFAULT, _LOG_2PI, QuadSettings, _h_mode, _layer_seeds,
                          integrate_finite)
 
-# the crossing quadrature may be skipped when the closed-form part dominates
-# its Laplace-side bound by this factor
-_SKIP_RATIO = 1e12
-
-# Long horizons under drifts that push toward a go to Talbot first. There the
-# crossing integrand's mass in tau sits in a window about 6 sqrt(t) wide inside
-# [0, t], where the drifts balance the times spent on either side, and the
-# quadrature's panels step over it: forced through it, (1, -1, 1, 2, 0) at x = 0.1,
-# z = 0.2 reads 0.0 at t = 1e9 and 1e12, though within 1e-12 of the stationary law
-# at t = 1e6. A point goes to Talbot once the hint scale 1/rate of the Laplace-side
-# bound exceeds the diffusion scale min(sigma) sqrt(t) by this ratio.
-_HINT_SCALE_LIMIT = 32.0
+# the largest shift of the crossing integrand's Gaussian factor, about
+# eps |mu| sqrt(t) / sigma, that the passage-time quadrature is trusted with: tau and
+# t - tau round by eps t there. Seeded, it reads (1, -1, 1, 2, 0) within 1.1e-10 of
+# the stationary law at t = 1e12 (shift 2.2e-10) and 8.7e-9 at 1e16 (2.2e-8).
+_ROUNDING_LIMIT = 1e-9
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_HALF = math.sqrt(0.5)
 _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
@@ -176,6 +172,18 @@ def _crossing_integral(params, t, c1, c2, log_scale, settings):
     s1, s2 = params.sigma1, params.sigma2
     seeds_tau = [math.sqrt(s) for s in _layer_seeds(t, _h_mode(c2 / s2, params.mu2 / s2))]
     seeds_r = [math.sqrt(s) for s in _layer_seeds(t, _h_mode(c1 / s1, -params.mu1 / s1))]
+    # confining drifts put the mass in tau near the stationary share of time above a,
+    # in a window about 6 sqrt(t) wide that the panels would step over at long horizons
+    mu1, mu2 = params.mu1, params.mu2
+    if mu1 > 0.0 > mu2:
+        centre = t * mu1 / (mu1 - mu2)
+        width = 6.0 * max(s1, s2) * math.sqrt(t) / min(mu1, -mu2)
+        for k in (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 4.0, -4.0):
+            tau = centre + k * width
+            if 0.0 < tau <= 0.5 * t:
+                seeds_tau.append(math.sqrt(tau))
+            elif 0.5 * t < tau < t:
+                seeds_r.append(math.sqrt(t - tau))
     with np.errstate(all="ignore"):
         first, _ = integrate_finite(near_tau, 0.0, w_hi, settings, seeds_tau)
         second, _ = integrate_finite(near_r, 0.0, w_hi, settings, seeds_r)
@@ -210,31 +218,21 @@ def transition_density(query):
         p = p.mirrored()
         x, z = -x, -z
     s1, s2, a = p.sigma1, p.sigma2, p.a
-    # rates of the overshoot integrand's Laplace-side bound at q = 1/t
-    d = deltas(p, 1.0 / t)
-    rate, d2p = float(d.d1_minus + d.d2_plus), float(d.d2_plus)
-    unresolved = rate * min(s1, s2) * math.sqrt(t) * _HINT_SCALE_LIMIT < 1.0
-    if unresolved:
+    if sys.float_info.epsilon * max(abs(p.mu1), abs(p.mu2)) * math.sqrt(t) > (
+            _ROUNDING_LIMIT * min(s1, s2)):
         val = _talbot_density(p, t, x, z)
-        if val is not None:
-            return _finite(val, t)
+        if val is None:
+            raise AccuracyError(f"transition density at t={t!r}: the passage-time quadrature "
+                                "cannot resolve it and Talbot does not vouch for its value")
+        return _finite(val, t)
     try:
         if z >= a:
             gauss = _gaussian_pair(p, t, x, z)
             log_scale = 2.0 * p.mu2 * (z - a) / (s2 * s2)
             weight, c1, c2 = 2.0 / (s2 * s2), 0.0, z + x - 2.0 * a
-            # Laplace-side bound at q = 1/t on the whole crossing part; where it and
-            # the pair both underflow, the density is 0 to double precision; a rate
-            # of 0.0 bounds nothing (and leaves the point unresolved, refused below)
-            bound = (math.e / rate if rate else math.inf) * math.exp(log_scale - d2p * c2)
-            if weight * bound * _SKIP_RATIO <= abs(gauss):
-                return _finite(gauss, t)
         else:
             gauss, log_scale = 0.0, 2.0 * p.mu1 * (z - a) / (s1 * s1)
             weight, c1, c2 = 2.0 / (s1 * s1), a - z, x - a
-        if unresolved:
-            raise AccuracyError(f"transition density at t={t!r}: neither Talbot nor the "
-                                "closed-form Gaussian pair vouches for its value")
         # the overshoot's variance, at most min(sigma)^2 t, must be a number, and so
         # must the pair the crossing part is added to
         if not min(s1 * s1, s2 * s2) * t < math.inf:
@@ -264,9 +262,10 @@ def density_jump_at_threshold(params, t, x):
     if params.sigma1 == params.sigma2:
         return 0.0
     s1sq, s2sq = params.sigma1 ** 2, params.sigma2 ** 2
-    p = transition_density(query)
-    jump = p * (1.0 - s2sq / s1sq) if x >= params.a else p * (s1sq / s2sq - 1.0)
-    if not math.isfinite(jump):  # a variance ratio past the double range
+    ratio = 1.0 - s2sq / s1sq if x >= params.a else s1sq / s2sq - 1.0
+    # a variance ratio past the double range is refused before the density is taken
+    jump = transition_density(query) * ratio if math.isfinite(ratio) else ratio
+    if not math.isfinite(jump):
         raise AccuracyError(f"the density jump at t={t!r} leaves the double range")
     return jump
 

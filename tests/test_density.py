@@ -1,6 +1,7 @@
 """Transition density: closed-form oracles, jump law, stationarity, MC."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -218,12 +219,6 @@ def test_density_rejects_bad_t():
         density_jump_at_threshold(TWO_REGIME, -1.0, 0.0)
 
 
-def test_density_overflow_at_huge_t_is_a_library_error():
-    # drifts away from a keep this on the quadrature route, whose Gaussian overflows
-    with pytest.raises(AccuracyError):
-        p_at(DiffusionParams(-1.0, 1.0, 1.0, 2.0, 0.0), 1e300, 0.1, 0.2)
-
-
 def test_density_far_below_a_is_zero_without_warnings():
     # the convolution kernel's squared exponents overflow to inf there
     with warnings.catch_warnings():
@@ -232,7 +227,7 @@ def test_density_far_below_a_is_zero_without_warnings():
 
 
 def test_density_at_a_horizon_of_1e_minus_300_is_zero_or_a_library_error():
-    # the Gaussian pair and its crossing bound both underflow: the density is 0
+    # the Gaussian pair and the crossing integrand both underflow: the density is 0
     assert p_at(TWO_REGIME, 1e-300, 0.5, 0.2) == 0.0
     # at z = a the true density is near 1e149, which the quadrature cannot reach
     with pytest.raises(ThresholdDiffusionError):
@@ -264,21 +259,45 @@ UNDERFLOWING_PAIR = (DiffusionParams(6.976738203430948e-75, -3.565920264337515e-
                                  1.3270788841295151),
                      9.916462390323963e-202, 0.028325218767051068, 0.006759436856249216)
 ZERO_RATE = (DiffusionParams(1e100, -1e100, 1e148, 1e148, 0.0), 1e290, 0.1, 0.2)
-NAN_DENSITY = (DiffusionParams(8.131331686848541e35, 4.57162579704913e-109,
-                           4.5041762950219047e108, 1.2784933172048618e-28,
-                           0.36037721793630156),
-               4.358488906372367e273, -0.018395755649174728, 0.0)
 
 
-@pytest.mark.parametrize("args", [UNDERFLOWING_PAIR, ZERO_RATE, NAN_DENSITY],
-                         ids=["pair-variance-underflows", "zero-decay-rate", "nan"])
+@pytest.mark.parametrize("args", [UNDERFLOWING_PAIR, ZERO_RATE],
+                         ids=["pair-variance-underflows", "zero-decay-rate"])
 def test_density_past_the_double_range_raises_accuracy_error(args):
     # the Gaussian pair's sqrt(2 pi t sigma2^2) underflows to 0; the crossing part's
-    # decay rate is 0.0, which the skip bound divided by; the value is NaN
+    # decay rate at q = 1/t is 0.0, and past the rounding bound Talbot cannot vouch
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(AccuracyError):
             p_at(*args)
+
+
+# Inputs past the rounding bound that the density once refused: drifts away from a
+# at t = 1e300, where the quadrature's Gaussian overflows, and two extreme-ratio
+# sets from a sweep, one that read NaN and one whose pasting weight at q = 1/t
+# overflowed
+ANSWERED_ZEROS = [
+    (DiffusionParams(-1.0, 1.0, 1.0, 2.0, 0.0), 1e300, 0.1, 0.2),
+    (DiffusionParams(8.131331686848541e35, 4.57162579704913e-109, 4.5041762950219047e108,
+                     1.2784933172048618e-28, 0.36037721793630156),
+     4.358488906372367e273, -0.018395755649174728, 0.0),
+    (DiffusionParams(-6.51497912448766e135, -2.662244045004801e-287, 7.044264510648909e-31,
+                     3.854421098608135e130, 0.0),
+     0.040976005320035896, -4.780036350860407, 0.0)]
+
+
+@pytest.mark.parametrize("args", ANSWERED_ZEROS, ids=["huge-t-away-from-a", "nan",
+                                                      "pasting-weight-overflows"])
+def test_density_past_the_rounding_bound_is_zero_as_mpmath_says(args):
+    mp = pytest.importorskip("mpmath")
+    params, t, x, z = args
+    fields = (params.mu1, params.mu2, params.sigma1, params.sigma2, params.a)
+    for dps in (30, 45):
+        with mp.workdps(dps):
+            assert float(_mp_density(mp, fields, t, x, z)) == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert 0.0 <= p_at(*args) <= 1e-9
 
 
 def test_jump_with_a_variance_ratio_past_the_double_range_raises_accuracy_error():
@@ -290,16 +309,6 @@ def test_jump_with_a_variance_ratio_past_the_double_range_raises_accuracy_error(
             density_jump_at_threshold(params, 12.312353552541486, 1.0529682838945404)
 
 
-def test_density_whose_pasting_weight_overflows_is_refused_without_warnings():
-    # finite rates at q = 1 / t of far-apart sizes; c_minus overflowed in _weights
-    params = DiffusionParams(-6.51497912448766e135, -2.662244045004801e-287,
-                         7.044264510648909e-31, 3.854421098608135e130, 0.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DomainError, match="pasting weight"):
-            p_at(params, 0.040976005320035896, -4.780036350860407, 0.0)
-
-
 def test_density_at_huge_t_under_confining_drifts_is_the_stationary_law():
     # the quadrature route overflowed here; the Talbot route does not
     assert p_at(TWO_REGIME, 1e300, 0.1, 0.2) == pytest.approx(
@@ -309,38 +318,72 @@ def test_density_at_huge_t_under_confining_drifts_is_the_stationary_law():
 @pytest.mark.parametrize("t", [3e7, 1e9, 1e20])
 @pytest.mark.parametrize("x, z", [(0.1, 0.2), (-0.5, 0.3)])
 def test_long_horizon_density_is_the_stationary_law(t, x, z):
-    # the overshoot quadrature's decay hint misses the integrand here (it read
-    # 3.2e-17 at t = 3e7 for x = 0.1, z = 0.2)
+    # t = 3e7 and 1e9 take the seeded quadrature, 1e20 is past the rounding bound
     assert p_at(TWO_REGIME, t, x, z) == pytest.approx(
         stationary_density(TWO_REGIME, z), rel=1e-7)
 
 
-def _forced_route(monkeypatch, talbot):
-    # a zero hint-scale limit sends every point to Talbot, an infinite one none
-    monkeypatch.setattr(density_module, "_HINT_SCALE_LIMIT", 0.0 if talbot else math.inf)
+def _talbot_at(params, t, x, z):
+    """_talbot_density at a point, through the mirror the route takes for x < a."""
+    if x < params.a:
+        params, x, z = params.mirrored(), -x, -z
+    val = density_module._talbot_density(params, t, x, z)
+    assert val is not None
+    return val
 
 
-# TWO_REGIME's hint-scale switch lies at t = 4093.5 for every x, z; the two points
-# at t = 5000 carry Peclet numbers 15.9 and 16.1 past the switch; at t = 1e6 the
-# quadrature over the overshoot read 3.8e-7 relative off Talbot
+# At t = 1e6 the quadrature over the overshoot once read 3.8e-7 relative off Talbot;
+# the two points at t = 5000 carry Peclet numbers 15.9 and 16.1
 @pytest.mark.parametrize("t, x, z", [
     (2000.0, 0.1, 0.2), (8000.0, 0.1, 0.2), (2000.0, -0.5, 0.3), (8000.0, -0.5, 0.3),
     (2000.0, 0.3, -0.4), (8000.0, 0.3, -0.4), (5000.0, 0.1, 16.0), (5000.0, 0.1, 16.2),
     (1e6, 0.1, 0.2), (1e6, 0.1, -0.3), (1e6, -0.5, 0.7)])
-def test_density_routes_agree_on_both_sides_of_the_switch(monkeypatch, t, x, z):
-    chosen = p_at(TWO_REGIME, t, x, z)
-    with monkeypatch.context() as m:
-        _forced_route(m, talbot=True)
-        talbot = p_at(TWO_REGIME, t, x, z)
-    with monkeypatch.context() as m:
-        _forced_route(m, talbot=False)
-        quadrature = p_at(TWO_REGIME, t, x, z)
-    assert chosen in (talbot, quadrature)
-    assert talbot == pytest.approx(quadrature, rel=1e-9)
+def test_density_route_agrees_with_talbot_at_long_horizons(t, x, z):
+    assert p_at(TWO_REGIME, t, x, z) == pytest.approx(_talbot_at(TWO_REGIME, t, x, z),
+                                                      rel=1e-9)
 
 
-# (mu1, mu2, sigma1, sigma2, a), t, x, z and 40-digit mpmath Talbot on the
-# resolvent; the first two read 2.1e-12 and 4.8e-19 on the crossing quadrature
+# confining drift sets whose passage-time quadrature is seeded at the stationary
+# share of time above a, and the start and end points they are checked at
+CONFINING = [DiffusionParams(1.0, -1.0, 1.0, 2.0, 0.0), DiffusionParams(2.0, -1.0, 1.0, 2.0, 0.0),
+             DiffusionParams(0.3, -2.0, 0.5, 1.5, 0.0)]
+CONFINING_POINTS = [(0.1, 0.2), (0.1, -0.3), (-0.5, 0.7)]
+
+
+@pytest.mark.parametrize("t", [1e3, 1e6, 1e9, 1e12])
+@pytest.mark.parametrize("params", CONFINING, ids=["1,-1", "2,-1", "0.3,-2"])
+def test_seeded_quadrature_keeps_the_stationary_law_at_long_horizons(params, t):
+    # unseeded, the quadrature stepped over the mass in tau: 0.0 at t = 1e9 for the
+    # first set, already at 1e6 for the other two
+    for x, z in CONFINING_POINTS:
+        want = stationary_density(params, z)
+        assert p_at(params, t, x, z) == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
+def _rounding_bound_horizon(params):
+    """The t at which eps max|mu| sqrt(t) reaches _ROUNDING_LIMIT min(sigma)."""
+    scale = density_module._ROUNDING_LIMIT * min(params.sigma1, params.sigma2)
+    return (scale / (sys.float_info.epsilon * max(abs(params.mu1), abs(params.mu2)))) ** 2
+
+
+@pytest.mark.parametrize("factor", [1 / 3, 3.0], ids=["under", "past"])
+@pytest.mark.parametrize("params", CONFINING, ids=["1,-1", "2,-1", "0.3,-2"])
+def test_density_route_and_talbot_agree_on_both_sides_of_the_rounding_bound(
+        monkeypatch, params, factor):
+    # past the bound the route is Talbot's value, and the quadrature it no longer
+    # runs still agrees with it there: the switch moves no value by 1e-9
+    t = factor * _rounding_bound_horizon(params)
+    for x, z in CONFINING_POINTS:
+        talbot = _talbot_at(params, t, x, z)
+        route = p_at(params, t, x, z)
+        assert route == pytest.approx(talbot, rel=1e-9, abs=0.0)
+        assert (route == talbot) == (factor > 1.0)
+        with monkeypatch.context() as m:
+            m.setattr(density_module, "_ROUNDING_LIMIT", math.inf)
+            assert p_at(params, t, x, z) == pytest.approx(talbot, rel=1e-9, abs=0.0)
+
+
+# (mu1, mu2, sigma1, sigma2, a), t, x, z and 40-digit mpmath Talbot on the resolvent
 LONG_HORIZON_PINS = [
     ((1.0, -1.0, 1.0, 2.0, 0.0), 1e5, 0.1, 16.3, 7.218383990710e-5),
     ((1.0, -1.0, 1.0, 2.0, 0.0), 1e5, 0.1, 20.0, 1.134998244062e-5),
@@ -352,11 +395,7 @@ LONG_HORIZON_PINS = [
 
 
 @pytest.mark.parametrize("fields, t, x, z, want", LONG_HORIZON_PINS)
-def test_long_horizon_density_matches_mpmath_without_the_crossing_quadrature(
-        monkeypatch, fields, t, x, z, want):
-    def crossing(*args, **kwargs):
-        raise AssertionError("the crossing quadrature ran")
-    monkeypatch.setattr(density_module, "_crossing_integral", crossing)
+def test_long_horizon_density_matches_mpmath(fields, t, x, z, want):
     assert abs(p_at(DiffusionParams(*fields), t, x, z) - want) <= max(1e-9, 1e-7 * want)
 
 
@@ -518,27 +557,48 @@ def test_density_matches_mpmath_on_the_seeded_sweep(index):
     assert abs(got - want) <= max(1e-9, 1e-7 * abs(want))
 
 
-def test_small_volatility_transport_peak_takes_the_certified_gaussian_pair():
-    # sigma2 = 0.01 puts the hint-scale ratio below the switch at t = 0.3, but the
-    # peak is carried by the drift over |z - x| = |mu2| t, where the Talbot contour
-    # loses its damping (the node sums read 8.9e5 and 7.7e14); the closed-form
-    # Gaussian pair's bound certifies it here
+def test_small_volatility_transport_peak_stays_on_the_quadrature():
+    # the peak is carried by the drift over |z - x| = |mu2| t, where the Talbot contour
+    # loses its damping (the node sums read 8.9e5 and 7.7e14)
     p = DiffusionParams(1.0, -1.0, 2.0, 0.01, 0.0)
     assert p_at(p, 0.3, 0.5, 0.2) == pytest.approx(72.83656203947193, rel=1e-12)
 
 
 def test_long_horizon_density_refuses_what_talbot_cannot_vouch_for(monkeypatch):
-    # the crossing quadrature would read 0.0 here against the stationary 0.226
+    # t = 1e9 takes the seeded quadrature; past the rounding bound only Talbot answers
     monkeypatch.setattr(density_module, "_talbot_density", lambda *args: None)
+    assert p_at(TWO_REGIME, 1e9, 0.1, 0.2) == pytest.approx(
+        stationary_density(TWO_REGIME, 0.2), rel=1e-9)
     with pytest.raises(AccuracyError):
-        p_at(TWO_REGIME, 1e9, 0.1, 0.2)
+        p_at(TWO_REGIME, 3.0 * _rounding_bound_horizon(TWO_REGIME), 0.1, 0.2)
 
 
-def test_a_crossing_decay_rate_without_a_finite_reciprocal_is_refused():
-    # the rate at q = 1/t is 2e-309, whose reciprocal overflows, and so does the
-    # crossing part's variance sigma^2 t
+def test_a_crossing_variance_past_the_double_range_is_refused():
+    # sigma^2 t overflows; the drifts are small enough to keep the point on the quadrature
     with pytest.raises(DomainError, match="double range"):
         p_at(DiffusionParams(10.0, -10.0, 1.3e154, 1.3e154, 0.0), 1e308, 0.1, 0.2)
+
+
+def test_density_at_tiny_drift_and_volatility_takes_talbot():
+    # eps |mu| sqrt(t) / min(sigma) is 8.5e14 here; the quadrature read 3.66e-24
+    mp = pytest.importorskip("mpmath")
+    fields, t, x, z = (-1e-30, 7.0, 1e-30, 0.001, 0.0), 0.3, -1e-150, -1e-300
+    refs = []
+    for dps in (30, 45):
+        with mp.workdps(dps):
+            refs.append(float(_mp_density(mp, fields, t, x, z)))
+    assert refs[0] == pytest.approx(refs[1], rel=1e-13, abs=0.0)
+    assert refs[1] == pytest.approx(6.699377776846763e29, rel=1e-13, abs=0.0)
+    assert abs(p_at(DiffusionParams(*fields), t, x, z) - refs[1]) <= 1e-7 * refs[1]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: at a volatility ratio of 1.4e29 "
+                   "the passage-time quadrature misses the crossing mass")
+def test_density_at_a_huge_volatility_ratio_matches_mpmath():
+    # eps |mu| sqrt(t) / min(sigma) is 3.2e-14, so the quadrature runs and reads 1.76e-21
+    want = 0.1139835075230266  # 30- and 45-digit _mp_density
+    got = p_at(DiffusionParams(1000.0, -1e-150, 1e30, 7.0, 0.0), 1.0, -0.001, 0.001)
+    assert abs(got - want) <= max(1e-9, 1e-7 * want)
 
 
 def test_density_regression_pin():
